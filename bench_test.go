@@ -7,6 +7,7 @@
 package subgraphquery_test
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -418,6 +419,65 @@ func BenchmarkAblation_ResultCache(b *testing.B) {
 				}
 				if total == 0 {
 					b.Fatal("no answers")
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkCachedZipf is the repeat-heavy traffic the result cache exists
+// for: a block of 400 draws from Zipf(s=1.3, v=4) over 80 Q4-Q32 sparse and
+// dense queries, through bare CFQL and through the default 64-entry cache.
+// Every repeat is a freshly renumbered copy, as a re-parsed request would
+// be. ns/query is the figure to compare; hit_share says how much of the
+// block the cache answered.
+func BenchmarkCachedZipf(b *testing.B) {
+	fixtures(b)
+	var queries []*graph.Graph
+	for i, m := range []gen.QueryMethod{gen.QueryRandomWalk, gen.QueryBFS} {
+		for _, edges := range []int{4, 8, 16, 32} {
+			qs, err := gen.QuerySet(fixAIDS, gen.QuerySetConfig{Count: 10, Edges: edges, Method: m, Seed: int64(10*i + edges)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries = append(queries, qs...)
+		}
+	}
+	r := rand.New(rand.NewSource(1))
+	r.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
+	zipf := rand.NewZipf(r, 1.3, 4, uint64(len(queries)-1))
+	block := make([]*graph.Graph, 400)
+	for i := range block {
+		block[i] = gen.Renumber(queries[zipf.Uint64()], r)
+	}
+	want := 0 // answers summed over one block: the same through either engine
+	for _, name := range []string{"Plain", "Cached"} {
+		b.Run(name, func(b *testing.B) {
+			var e core.Engine = core.NewCFQL()
+			cached := core.NewCached(core.NewCFQL(), 0)
+			if name == "Cached" {
+				e = cached
+			}
+			if err := e.Build(fixAIDS, core.BuildOptions{}); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				total := 0
+				for _, q := range block {
+					total += len(e.Query(q, core.QueryOptions{}).Answers)
+				}
+				if total == 0 || (want != 0 && total != want) {
+					b.Fatalf("%d answers over the block, want %d (and not 0)", total, want)
+				}
+				want = total
+			}
+			queriesRun := float64(b.N * len(block))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/queriesRun, "ns/query")
+			if name == "Cached" {
+				b.ReportMetric(float64(cached.Hits())/queriesRun, "hit_share")
+				if cached.Hits() == 0 {
+					b.Fatal("no cache hits on a Zipf block")
 				}
 			}
 		})

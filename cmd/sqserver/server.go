@@ -606,6 +606,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		TimedOut:      res.TimedOut,
 		Cancelled:     res.Cancelled,
 		Error:         res.Err != nil,
+		CacheHit:      res.Cache != "",
 	}
 	for _, ge := range res.GraphErrors {
 		switch ge.Kind {
@@ -617,9 +618,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	if res.Err != nil && res.Err.Kind == core.KindPanic {
 		ev.Panics++
-	}
-	if traceSnap != nil && traceSnap.CacheHits > 0 {
-		ev.CacheHit = true
 	}
 	s.profile.Record(ev)
 	s.exporter.Emit(ev)

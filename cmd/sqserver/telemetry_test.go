@@ -207,23 +207,75 @@ func TestShedRecordedInTelemetry(t *testing.T) {
 	if err := srv.Close(); err != nil {
 		t.Fatal(err)
 	}
-	data, err := os.ReadFile(exportPath)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var found bool
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	for sc.Scan() {
-		var ev telemetry.Event
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatal(err)
-		}
+	events := readExport(t, exportPath)
+	for _, ev := range events {
 		if ev.Fingerprint == want && ev.Verdict == telemetry.VerdictShed {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("shed event missing from export:\n%s", data)
+		t.Fatalf("shed event missing from export: %+v", events)
+	}
+}
+
+// readExport decodes the NDJSON wide-event file a closed server wrote.
+func readExport(t *testing.T, path string) []telemetry.Event {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var events []telemetry.Event
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var ev telemetry.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatal(err)
+		}
+		events = append(events, ev)
+	}
+	return events
+}
+
+// TestCacheHitInWideEventWithoutTrace: the cache outcome reaches the wide
+// event from the Result itself, so it shows with the slow log off and no
+// ?trace=1 — when no Trace exists to read it from.
+func TestCacheHitInWideEventWithoutTrace(t *testing.T) {
+	db, err := sq.GenerateSynthetic(sq.SyntheticConfig{
+		NumGraphs: 5, NumVertices: 15, NumLabels: 3, Degree: 4, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exportPath := filepath.Join(t.TempDir(), "events.ndjson")
+	srv, err := newServer(db, sq.NewCFQLEngine(), serverConfig{
+		cacheEntries: 16, slowThreshold: -1,
+		exportDest: exportPath, exportSample: 1,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	body := graphText(t, testQuery(t, srv))
+	for i := 0; i < 3; i++ {
+		if got := postQuery(t, ts, body); got != http.StatusOK {
+			t.Fatalf("query status %d", got)
+		}
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	events := readExport(t, exportPath)
+	hits := 0
+	for _, ev := range events {
+		if ev.CacheHit {
+			hits++
+		}
+	}
+	if len(events) != 3 || hits != 2 {
+		t.Fatalf("%d events with %d cache hits, want 3 with 2 (the repeats): %+v", len(events), hits, events)
 	}
 }
 

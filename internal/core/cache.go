@@ -1,43 +1,105 @@
 package core
 
 import (
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/matching"
 	"subgraphquery/internal/obs"
+	"subgraphquery/internal/telemetry"
+)
+
+// Result.Cache values: how a Cached engine answered from its result cache.
+const (
+	// CacheExact marks a repeat of a cached query (up to vertex
+	// renumbering): the stored answer set was returned as is.
+	CacheExact = "exact"
+	// CacheSubgraph marks a containment hit: a cached q' ⊆ q supplied the
+	// candidate pool and only that pool was verified.
+	CacheSubgraph = "subgraph"
 )
 
 // Cached wraps an engine with a subgraph-query result cache in the spirit
 // of GraphCache (Wang, Ntarmos and Triantafillou [33], [34], discussed in
-// the paper's §II-B "Other Approaches"). Past answer sets speed up related
-// queries through the two containment monotonicity rules:
+// the paper's §II-B "Other Approaches"). A past answer set serves a later
+// query in one of three ways, cheapest first:
 //
+//   - exact hit: a cached query isomorphic to q has A(q) itself. Entries
+//     are keyed by the query's WL fingerprint, which is invariant under
+//     vertex renumbering; a key match is confirmed by equal |V|, equal
+//     |E| and one embedding of the entry into q. An edge-preserving
+//     injection between graphs with the same number of vertices and edges
+//     is a bijection on both, hence an isomorphism — so a fingerprint
+//     collision can cost a wasted test but never a wrong answer set. The
+//     stored answers are copied out; the database is not touched.
 //   - subgraph hit: if a cached query q' ⊆ q, then A(q) ⊆ A(q'), so A(q')
 //     replaces the database as the candidate pool;
 //   - supergraph hit: if a cached query q” ⊇ q, then A(q”) ⊆ A(q), so
-//     members of A(q”) need no verification at all.
+//     members of A(q”) in that pool need no verification at all.
 //
-// Cache probes are subgraph isomorphism tests between *query* graphs —
-// tiny, so probing is cheap relative to querying the database.
+// Containment probes are subgraph isomorphism tests between *query*
+// graphs. They run on a snapshot of the entries taken under the mutex and
+// match outside it, so concurrent queries never wait on each other's
+// probes; size, edge-count and label-multiset screens reject most entries
+// before any matching. Probes and pool verification share the query's one
+// pooled matching.Scratch.
+//
+// Replacement is least-recently-used, and a query occupies at most one
+// slot. Build and AppendGraph bump an epoch; an answer set computed under
+// an older epoch is dropped instead of stored, so a query that raced a
+// database change cannot publish a stale result.
 type Cached struct {
 	inner Engine
+	name  string
+	max   int
+
+	hits, misses atomic.Int64
+	clock        atomic.Uint64 // LRU time: one tick per entry use
+
+	mu    sync.Mutex
 	db    *graph.Database
-
-	mu      sync.Mutex
-	entries []cacheEntry
-	max     int
-
-	// Hits and Misses count cache outcomes for inspection.
-	Hits, Misses int
+	epoch uint64
+	// entries and the byKey chains are copy-on-write: a slice published
+	// here is never written again, so probes may range over a header read
+	// under mu after releasing it.
+	entries []*cacheEntry
+	byKey   map[telemetry.Fingerprint][]*cacheEntry
 }
 
+// cacheEntry is immutable once published, except for its LRU stamp.
 type cacheEntry struct {
+	key     telemetry.Fingerprint
 	query   *graph.Graph
+	labels  []graph.Label // query's vertex labels, ascending (the screen)
 	answers []int
+	used    atomic.Uint64
 }
+
+// cacheView is what one Query sees of the cache: a consistent snapshot of
+// the entries, the exact-hit chain of its own key, and the database and
+// epoch they belong to.
+type cacheView struct {
+	entries []*cacheEntry
+	chain   []*cacheEntry
+	db      *graph.Database
+	epoch   uint64
+}
+
+// cacheHit is the outcome of one lookup. kind "" is a miss.
+type cacheHit struct {
+	kind string
+	// from holds the answers (exact) or the candidate pool (subgraph).
+	from *cacheEntry
+	// confirmed is the ascending union of the supergraph hits' answers.
+	confirmed []int
+}
+
+// probeSteps bounds one query-to-query matching; query graphs are tiny.
+const probeSteps = 1 << 16
 
 // NewCached wraps inner with a result cache of the given capacity
 // (0 selects 64 entries).
@@ -45,20 +107,44 @@ func NewCached(inner Engine, capacity int) *Cached {
 	if capacity <= 0 {
 		capacity = 64
 	}
-	return &Cached{inner: inner, max: capacity}
+	return &Cached{
+		inner: inner,
+		name:  inner.Name() + "+cache",
+		max:   capacity,
+		byKey: map[telemetry.Fingerprint][]*cacheEntry{},
+	}
 }
 
 // Name implements Engine.
-func (e *Cached) Name() string { return e.inner.Name() + "+cache" }
+func (e *Cached) Name() string { return e.name }
+
+// Hits returns how many queries were answered from the cache (exact and
+// subgraph hits). Safe for concurrent use.
+func (e *Cached) Hits() int { return int(e.hits.Load()) }
+
+// Misses returns how many queries went to the inner engine. Safe for
+// concurrent use.
+func (e *Cached) Misses() int { return int(e.misses.Load()) }
 
 // Build implements Engine and clears the cache: cached answer sets are
 // only valid for the database they were computed on.
 func (e *Cached) Build(db *graph.Database, opts BuildOptions) error {
+	err := e.inner.Build(db, opts)
+	// Invalidate after the inner engine switched over, as AppendGraph
+	// does: a query that overlapped the switch holds the old epoch, so
+	// whatever it computed is dropped at store.
 	e.mu.Lock()
-	e.entries = nil
 	e.db = db
+	e.invalidate()
 	e.mu.Unlock()
-	return e.inner.Build(db, opts)
+	return err
+}
+
+// invalidate empties the cache and starts a new epoch. Caller holds mu.
+func (e *Cached) invalidate() {
+	e.epoch++
+	e.entries = nil
+	clear(e.byKey)
 }
 
 // IndexMemory implements Engine.
@@ -66,7 +152,7 @@ func (e *Cached) IndexMemory() int64 {
 	var cache int64
 	e.mu.Lock()
 	for _, ent := range e.entries {
-		cache += ent.query.MemoryFootprint() + int64(len(ent.answers))*8
+		cache += ent.query.MemoryFootprint() + int64(len(ent.answers))*8 + int64(len(ent.labels))*4
 	}
 	e.mu.Unlock()
 	return e.inner.IndexMemory() + cache
@@ -74,9 +160,9 @@ func (e *Cached) IndexMemory() int64 {
 
 // Query implements Engine.
 func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
-	// Fingerprint before probing so hit and miss paths report the same
-	// hash, and the inner engine (which sees it already set in opts) does
-	// not recompute it.
+	// Fingerprint before probing: it is the cache key, hit and miss paths
+	// report the same hash, and the inner engine (which sees it already
+	// set in opts) does not recompute it.
 	fp := fingerprintQuery(q, &opts)
 	if res, done := degenerate(q); done {
 		res.Fingerprint = fp
@@ -85,112 +171,205 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 	// One live handle for the whole wrapped query: written back into opts
 	// so the inner engine (miss path) ticks it instead of registering a
 	// second one, and passed to verifyPool (hit path) the same way.
-	_, untrack := trackInflight(e.Name(), &opts)
+	_, untrack := trackInflight(e.name, &opts)
 	defer untrack()
+	// One arena for everything the wrapper itself matches: the exact-hit
+	// confirmation, the containment probes and the pool verification.
+	s := matching.AcquireScratch()
+	defer matching.ReleaseScratch(s)
 
-	// Cache probing runs outside the inner engine's panic boundary, so it
-	// carries its own: a probe panic falls back to a plain miss (the cache
-	// is an accelerator, never a correctness dependency).
-	pool, confirmed, probed := e.probe(q)
-	if !probed {
-		pool, confirmed = nil, nil
+	t0 := time.Now()
+	view := e.view(fp)
+	hit := lookup(q, view, s)
+	took := time.Since(t0)
+
+	if o := opts.Observer; o != nil {
+		o.ObserveCache(hit.kind != "")
 	}
-
 	var res *Result
-	if pool == nil {
-		e.mu.Lock()
-		e.Misses++
-		e.mu.Unlock()
-		if o := opts.Observer; o != nil {
-			o.ObserveCache(false)
-		}
+	if hit.kind == "" {
+		e.misses.Add(1)
 		res = e.inner.Query(q, opts)
 	} else {
-		e.mu.Lock()
-		e.Hits++
-		e.mu.Unlock()
-		if o := opts.Observer; o != nil {
-			o.ObserveCache(true)
-		}
-		if ex := opts.Explain; ex != nil {
-			// The cached answer pool acted as the index here; report it as
-			// a probe so EXPLAIN shows where the candidates came from.
-			e.mu.Lock()
-			entries := len(e.entries)
-			e.mu.Unlock()
-			ex.ObserveIndexProbe(obs.IndexProbe{
-				Index:     "result-cache",
-				Features:  entries,
-				Survivors: len(pool),
-			})
-		}
-		res = e.verifyPool(q, pool, confirmed, opts)
+		e.hits.Add(1)
+		res = e.answer(q, view, hit, took, opts, s)
+	}
+	if hit.kind != CacheExact {
+		e.store(q, fp, res, view.epoch, s)
 	}
 	// After delegating: the outermost engine name wins in the report, and
-	// the hit path (verifyPool, no engine entry) stamps the fingerprint.
+	// the hit paths (no engine entry) stamp the fingerprint.
 	res.Fingerprint = fp
-	opts.Explain.SetEngine(e.Name())
-	// Only complete answer sets are cacheable: a timed-out, cancelled,
-	// failed or partially-skipped query yields a lower bound that would
-	// poison later containment reasoning.
-	if !res.TimedOut && res.Err == nil && res.Skipped == 0 {
-		e.store(q, res.Answers)
-	}
+	opts.Explain.SetEngine(e.name)
 	return res
 }
 
-// probe scans the cache for containment hits; ok is false when the probe
-// panicked (treated as a miss by the caller).
-func (e *Cached) probe(q *graph.Graph) (pool []int, confirmed map[int]bool, ok bool) {
-	defer func() {
-		if v := recover(); v != nil {
-			obs.Panics.Inc()
-			ok = false
+// answer builds the Result of a hit: the stored answers themselves
+// (exact), or the verified pool (subgraph).
+func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Duration, opts QueryOptions, s *matching.Scratch) *Result {
+	hit.from.used.Store(e.clock.Add(1))
+	if o := opts.Observer; o != nil {
+		// The lookup stood in for the filtering step: it produced the
+		// candidate set.
+		o.ObservePhase(obs.PhaseFilter, took)
+	}
+	if ex := opts.Explain; ex != nil {
+		// The cached answer pool acted as the index here; report it as a
+		// probe so EXPLAIN shows where the candidates came from.
+		ex.ObserveIndexProbe(obs.IndexProbe{
+			Index:     "result-cache",
+			Features:  len(v.entries),
+			Survivors: len(hit.from.answers),
+		})
+	}
+	var res *Result
+	if hit.kind == CacheExact {
+		res = &Result{
+			Answers:    slices.Clone(hit.from.answers),
+			Candidates: len(hit.from.answers),
 		}
-	}()
-	// Find the tightest subgraph hit (smallest answer pool) and union the
-	// supergraph hits' answers.
-	probeOpts := matching.Options{StepBudget: 1 << 16} // query graphs are tiny
-	confirmed = map[int]bool{}
+	} else {
+		res = e.verifyPool(q, v.db, hit.from.answers, hit.confirmed, opts, s)
+	}
+	res.Cache = hit.kind
+	res.FilterTime = took
+	return res
+}
+
+// view snapshots the cache for one query. The critical section is a map
+// lookup and three loads.
+func (e *Cached) view(fp telemetry.Fingerprint) cacheView {
 	e.mu.Lock()
-	defer e.mu.Unlock()
-	for _, ent := range e.entries {
-		if (matching.CFQL{}).FindFirst(ent.query, q, probeOpts).Found() {
-			// ent.query ⊆ q: answers of q are among ent.answers.
-			if pool == nil || len(ent.answers) < len(pool) {
-				pool = ent.answers
-			}
-		} else if (matching.CFQL{}).FindFirst(q, ent.query, probeOpts).Found() {
-			// q ⊆ ent.query: every answer of ent is an answer of q.
-			for _, id := range ent.answers {
-				confirmed[id] = true
-			}
+	v := cacheView{entries: e.entries, chain: e.byKey[fp], db: e.db, epoch: e.epoch}
+	e.mu.Unlock()
+	return v
+}
+
+// lookup resolves q against the snapshot, holding no lock: first the
+// exact-hit chain of its key, then the containment probes.
+func lookup(q *graph.Graph, v cacheView, s *matching.Scratch) cacheHit {
+	for _, ent := range v.chain {
+		if isomorphic(ent.query, q, s) {
+			return cacheHit{kind: CacheExact, from: ent}
 		}
 	}
-	return pool, confirmed, true
+	if len(v.entries) == 0 {
+		return cacheHit{}
+	}
+	return probe(q, v.entries, s)
+}
+
+// isomorphic reports whether a and b are the same labeled graph up to
+// vertex renumbering: equal vertex and edge counts plus one embedding of a
+// into b.
+func isomorphic(a, b *graph.Graph, s *matching.Scratch) bool {
+	return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() && embeds(a, b, s)
+}
+
+// embeds reports whether small ⊆ big by one bounded first-embedding search
+// on the arena. Cache matching runs outside the inner engine's panic
+// boundary, so it carries its own: a panic, like an exhausted budget or an
+// injected abort, reads as "no" — a lost hit, never a wrong one (the cache
+// is an accelerator, not a correctness dependency).
+func embeds(small, big *graph.Graph, s *matching.Scratch) (found bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			obs.Panics.Inc()
+			found = false
+		}
+	}()
+	return (matching.CFQL{}).FindFirst(small, big, matching.Options{StepBudget: probeSteps, Scratch: s}).Found()
+}
+
+// sortedLabels returns g's vertex labels in ascending order.
+func sortedLabels(g *graph.Graph) []graph.Label {
+	labels := slices.Clone(g.Labels())
+	slices.Sort(labels)
+	return labels
+}
+
+// labelsWithin reports whether the sorted label multiset sub is contained
+// in the sorted multiset super — necessary for a label-preserving
+// injection from sub's graph into super's.
+func labelsWithin(sub, super []graph.Label) bool {
+	if len(sub) > len(super) {
+		return false
+	}
+	j := 0
+	for _, l := range sub {
+		for j < len(super) && super[j] < l {
+			j++
+		}
+		if j == len(super) || super[j] != l {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// mayEmbed is the containment screen: the cheap necessary conditions for
+// small ⊆ big, checked before any matching.
+func mayEmbed(small, big *graph.Graph, smallLabels, bigLabels []graph.Label) bool {
+	return small.NumEdges() <= big.NumEdges() && labelsWithin(smallLabels, bigLabels)
+}
+
+// probe scans the snapshot for containment hits: the tightest subgraph
+// hit (smallest answer pool) and, only when there is one to shortcut, the
+// union of the supergraph hits' answers.
+func probe(q *graph.Graph, entries []*cacheEntry, s *matching.Scratch) cacheHit {
+	labels := sortedLabels(q)
+	var hit cacheHit
+	for _, ent := range entries {
+		if hit.from != nil && len(ent.answers) >= len(hit.from.answers) {
+			continue // could not tighten the pool
+		}
+		if mayEmbed(ent.query, q, ent.labels, labels) && embeds(ent.query, q, s) {
+			// ent.query ⊆ q: answers of q are among ent.answers.
+			hit.from = ent
+		}
+	}
+	if hit.from == nil {
+		return cacheHit{}
+	}
+	hit.kind = CacheSubgraph
+	for _, ent := range entries {
+		if len(ent.answers) == 0 || ent == hit.from {
+			continue
+		}
+		if mayEmbed(q, ent.query, labels, ent.labels) && embeds(q, ent.query, s) {
+			// q ⊆ ent.query: every answer of ent is an answer of q.
+			hit.confirmed = append(hit.confirmed, ent.answers...)
+		}
+	}
+	slices.Sort(hit.confirmed)
+	hit.confirmed = slices.Compact(hit.confirmed)
+	return hit
 }
 
 // verifyPool answers q by testing only the graphs of the candidate pool,
-// skipping those already confirmed by a supergraph hit.
-func (e *Cached) verifyPool(q *graph.Graph, pool []int, confirmed map[int]bool, opts QueryOptions) (res *Result) {
+// skipping those already confirmed by a supergraph hit. pool and confirmed
+// are ascending.
+func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed []int, opts QueryOptions, s *matching.Scratch) (res *Result) {
 	res = &Result{Candidates: len(pool)}
 	o := opts.Observer
-	defer queryGuard(e.Name(), o, res)
+	defer queryGuard(e.name, o, res)
 	h := opts.Handle
 	h.SetPhase(inflight.PhaseVerify)
 	h.SetGraphsTotal(len(pool))
 	h.AddCandidates(len(pool))
 	step := func(gid int) (r matching.Result, qe *QueryError) {
-		defer graphGuard(e.Name(), gid, o, &qe)
+		defer graphGuard(e.name, gid, o, &qe)
 		var tv time.Time
 		if o != nil {
 			tv = time.Now()
 		}
-		r = (matching.CFQL{}).FindFirst(q, e.db.Graph(gid), matching.Options{
+		r = (matching.CFQL{}).FindFirst(q, db.Graph(gid), matching.Options{
 			Deadline:   opts.Deadline,
 			Cancel:     opts.Cancel,
 			StepBudget: opts.StepBudgetPerGraph,
 			Progress:   h.StepCounter(),
+			Scratch:    s,
 		})
 		if o != nil {
 			o.ObserveVerify(gid, r.Steps, time.Since(tv), r.Found())
@@ -199,7 +378,10 @@ func (e *Cached) verifyPool(q *graph.Graph, pool []int, confirmed map[int]bool, 
 	}
 	t0 := time.Now()
 	for _, gid := range pool {
-		if confirmed[gid] {
+		for len(confirmed) > 0 && confirmed[0] < gid {
+			confirmed = confirmed[1:]
+		}
+		if len(confirmed) > 0 && confirmed[0] == gid {
 			// Supergraph hit: answered without a subgraph isomorphism
 			// test, so no verification event is emitted.
 			res.Answers = append(res.Answers, gid)
@@ -232,18 +414,59 @@ func (e *Cached) verifyPool(q *graph.Graph, pool []int, confirmed map[int]bool, 
 	return res
 }
 
-// store inserts the (query, answers) pair, evicting the oldest entry when
-// full.
-func (e *Cached) store(q *graph.Graph, answers []int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	ent := cacheEntry{query: q, answers: append([]int(nil), answers...)}
-	if len(e.entries) == e.max {
-		copy(e.entries, e.entries[1:])
-		e.entries[len(e.entries)-1] = ent
+// store publishes (q, res.Answers) unless the result is not cacheable, the
+// database changed since the query's snapshot, or an isomorphic query
+// already holds a slot; when full it evicts the least recently used entry.
+func (e *Cached) store(q *graph.Graph, fp telemetry.Fingerprint, res *Result, epoch uint64, s *matching.Scratch) {
+	// Only complete answer sets are cacheable: a timed-out, cancelled,
+	// failed or partially-skipped query yields a lower bound that would
+	// poison later containment reasoning.
+	if res.TimedOut || res.Err != nil || res.Skipped != 0 {
 		return
 	}
-	e.entries = append(e.entries, ent)
+	ent := &cacheEntry{key: fp, query: q, labels: sortedLabels(q), answers: slices.Clone(res.Answers)}
+	ent.used.Store(e.clock.Add(1))
+
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	if epoch != e.epoch {
+		return
+	}
+	// The chain is non-empty only for a twin stored by a concurrent query
+	// since this one's lookup, or a fingerprint collision — rare enough to
+	// match under the lock.
+	for _, old := range e.byKey[fp] {
+		if isomorphic(old.query, q, s) {
+			return
+		}
+	}
+	var victim *cacheEntry
+	if len(e.entries) >= e.max {
+		victim = e.entries[0]
+		for _, old := range e.entries[1:] {
+			if old.used.Load() < victim.used.Load() {
+				victim = old
+			}
+		}
+		e.byKey[victim.key] = without(e.byKey[victim.key], victim)
+		if len(e.byKey[victim.key]) == 0 {
+			delete(e.byKey, victim.key)
+		}
+	}
+	e.entries = append(without(e.entries, victim), ent)
+	e.byKey[fp] = append(without(e.byKey[fp], nil), ent)
+}
+
+// without returns a fresh copy of list with drop removed and room for one
+// more entry — the copy-on-write step behind every cache mutation.
+func without(list []*cacheEntry, drop *cacheEntry) []*cacheEntry {
+	out := make([]*cacheEntry, 0, len(list)+1)
+	for _, ent := range list {
+		if ent != drop {
+			out = append(out, ent)
+		}
+	}
+	return out
 }
 
 // AppendGraph implements Updatable when the inner engine does; the cache
@@ -258,7 +481,7 @@ func (e *Cached) AppendGraph(g *graph.Graph) (int, error) {
 		return 0, err
 	}
 	e.mu.Lock()
-	e.entries = nil
+	e.invalidate()
 	e.mu.Unlock()
 	return gid, nil
 }

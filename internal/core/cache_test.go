@@ -2,9 +2,13 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 
+	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
+	"subgraphquery/internal/matching"
+	"subgraphquery/internal/telemetry"
 )
 
 // extendQuery grows q by one pendant edge whose endpoint label exists in
@@ -40,10 +44,10 @@ func TestCachedMatchesInner(t *testing.T) {
 			t.Fatalf("query %d: cached answers %v != plain %v", i, got.Answers, want.Answers)
 		}
 	}
-	if cached.Hits == 0 {
+	if cached.Hits() == 0 {
 		t.Error("no cache hits on repeated/contained queries")
 	}
-	if cached.Misses == 0 {
+	if cached.Misses() == 0 {
 		t.Error("first queries must miss")
 	}
 }
@@ -61,8 +65,8 @@ func TestCachedRepeatHitsPool(t *testing.T) {
 	if !equalInts(first.Answers, second.Answers) {
 		t.Fatalf("repeat query changed answers: %v vs %v", second.Answers, first.Answers)
 	}
-	if cached.Hits != 1 || cached.Misses != 1 {
-		t.Errorf("hits/misses = %d/%d, want 1/1", cached.Hits, cached.Misses)
+	if cached.Hits() != 1 || cached.Misses() != 1 {
+		t.Errorf("hits/misses = %d/%d, want 1/1", cached.Hits(), cached.Misses())
 	}
 	// The repeat's candidate pool is the previous answer set.
 	if second.Candidates != len(first.Answers) {
@@ -81,10 +85,7 @@ func TestCachedEviction(t *testing.T) {
 		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 2+k%3)
 		cached.Query(q, QueryOptions{})
 	}
-	cached.mu.Lock()
-	n := len(cached.entries)
-	cached.mu.Unlock()
-	if n > 2 {
+	if n := cachedLen(cached); n > 2 {
 		t.Errorf("cache holds %d entries, capacity 2", n)
 	}
 }
@@ -101,10 +102,7 @@ func TestCachedBuildClears(t *testing.T) {
 	if err := cached.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	cached.mu.Lock()
-	n := len(cached.entries)
-	cached.mu.Unlock()
-	if n != 0 {
+	if n := cachedLen(cached); n != 0 {
 		t.Errorf("Build left %d cache entries", n)
 	}
 }
@@ -150,5 +148,327 @@ func TestCachedOverNonUpdatable(t *testing.T) {
 	}
 	if _, err := cached.AppendGraph(randomConnected(r, 5, 3, 2)); err == nil {
 		t.Error("append over gIndex should fail (mining-based index)")
+	}
+}
+
+// cachedLen returns how many slots the cache holds, checking on the way
+// that the fingerprint index and the entry list agree.
+func cachedLen(e *Cached) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	indexed := 0
+	for _, chain := range e.byKey {
+		indexed += len(chain)
+	}
+	if indexed != len(e.entries) {
+		panic("cache index and entry list disagree")
+	}
+	return len(e.entries)
+}
+
+func builtCached(t *testing.T, db *graph.Database, capacity int) *Cached {
+	t.Helper()
+	cached := NewCached(NewCFQL(), capacity)
+	if err := cached.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	return cached
+}
+
+// TestCachedZipfDifferential: over a Zipf-distributed sequence whose
+// repeats arrive freshly renumbered (as a re-parsed request would), the
+// cached engine answers every query exactly as plain CFQL does, whatever
+// the capacity — one slot thrashes, four evict constantly, 64 hold all.
+func TestCachedZipfDifferential(t *testing.T) {
+	r := rand.New(rand.NewSource(443))
+	db := randomDB(r, 40, 10, 3)
+	plain := NewCFQL()
+	if err := plain.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var shapes []*graph.Graph
+	for k := 0; k < 15; k++ {
+		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 2+r.Intn(4))
+		shapes = append(shapes, q, extendQuery(q, q.Label(0)))
+	}
+	zipf := rand.NewZipf(r, 1.3, 4, uint64(len(shapes)-1))
+	sequence := make([]*graph.Graph, 300)
+	want := make([][]int, len(sequence))
+	for i := range sequence {
+		sequence[i] = gen.Renumber(shapes[zipf.Uint64()], r)
+		want[i] = plain.Query(sequence[i], QueryOptions{}).Answers
+	}
+	for _, capacity := range []int{1, 4, 64} {
+		cached := builtCached(t, db, capacity)
+		kinds := map[string]int{}
+		for i, q := range sequence {
+			got := cached.Query(q, QueryOptions{})
+			if !equalInts(got.Answers, want[i]) {
+				t.Fatalf("capacity %d, query %d (%s hit): answers %v, want %v", capacity, i, got.Cache, got.Answers, want[i])
+			}
+			kinds[got.Cache]++
+		}
+		if n := cachedLen(cached); n > capacity {
+			t.Errorf("capacity %d: cache holds %d entries", capacity, n)
+		}
+		if kinds[CacheExact] == 0 || kinds[""] == 0 {
+			t.Errorf("capacity %d: outcomes %v, want exact hits and misses", capacity, kinds)
+		}
+		if capacity == 64 && kinds[CacheSubgraph] == 0 {
+			t.Errorf("capacity 64: outcomes %v, want subgraph hits too", kinds)
+		}
+		if kinds[CacheExact]+kinds[CacheSubgraph] != cached.Hits() || kinds[""] != cached.Misses() {
+			t.Errorf("capacity %d: outcomes %v disagree with Hits/Misses %d/%d", capacity, kinds, cached.Hits(), cached.Misses())
+		}
+	}
+}
+
+// TestCachedFingerprintCollision: two non-isomorphic queries of equal
+// size forced onto one key must each get their own answers — the key is a
+// hint, the embedding test decides — and both must be cacheable.
+func TestCachedFingerprintCollision(t *testing.T) {
+	path := graph.MustFromEdges([]graph.Label{0, 0, 0, 0}, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}})
+	star := graph.MustFromEdges([]graph.Label{0, 0, 0, 0}, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}})
+	db := graph.NewDatabase([]*graph.Graph{
+		path, star,
+		graph.MustFromEdges([]graph.Label{0, 0, 0, 0, 0}, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}, {U: 3, V: 4}}),
+		graph.MustFromEdges([]graph.Label{0, 0, 0, 0, 0}, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 3, V: 4}}),
+	})
+	wantPath, wantStar := trueAnswers(db, path), trueAnswers(db, star)
+	if equalInts(wantPath, wantStar) {
+		t.Fatal("fixture: path and star have the same answers")
+	}
+	cached := builtCached(t, db, 8)
+	opts := QueryOptions{Fingerprint: telemetry.Fingerprint(0xc0111de)}
+	for round, wantKind := range []string{"", CacheExact, CacheExact} {
+		for _, c := range []struct {
+			name string
+			q    *graph.Graph
+			want []int
+		}{{"path", path, wantPath}, {"star", star, wantStar}} {
+			got := cached.Query(c.q, opts)
+			if !equalInts(got.Answers, c.want) {
+				t.Fatalf("round %d: %s answers %v, want %v", round, c.name, got.Answers, c.want)
+			}
+			if got.Cache != wantKind {
+				t.Errorf("round %d: %s outcome %q, want %q", round, c.name, got.Cache, wantKind)
+			}
+		}
+	}
+	if n := cachedLen(cached); n != 2 {
+		t.Errorf("cache holds %d entries, want both colliding queries", n)
+	}
+}
+
+// TestCachedAppendAfterExactHit: an append invalidates what exact hits
+// serve, so the next repeat sees the new graph.
+func TestCachedAppendAfterExactHit(t *testing.T) {
+	r := rand.New(rand.NewSource(449))
+	db := randomDB(r, 8, 8, 2)
+	cached := builtCached(t, db, 8)
+	extra := randomConnected(r, 8, 6, 2)
+	q := walkQuery(r, extra, 3)
+	cached.Query(q, QueryOptions{})
+	if hit := cached.Query(q, QueryOptions{}); hit.Cache != CacheExact {
+		t.Fatalf("repeat outcome %q, want an exact hit", hit.Cache)
+	}
+	gid, err := cached.AppendGraph(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := cached.Query(gen.Renumber(q, r), QueryOptions{})
+	if after.Cache != "" || !after.Contains(gid) {
+		t.Fatalf("repeat after append: outcome %q, answers %v, want a miss containing graph %d", after.Cache, after.Answers, gid)
+	}
+}
+
+// appendDuringQuery is an engine whose Query is overtaken by an append:
+// the answers it returns were computed before the database grew.
+type appendDuringQuery struct {
+	Engine
+	overtake func()
+}
+
+func (e *appendDuringQuery) Query(q *graph.Graph, opts QueryOptions) *Result {
+	res := e.Engine.Query(q, opts)
+	if e.overtake != nil {
+		e.overtake()
+		e.overtake = nil
+	}
+	return res
+}
+
+func (e *appendDuringQuery) AppendGraph(g *graph.Graph) (int, error) {
+	return e.Engine.(Updatable).AppendGraph(g)
+}
+
+// TestCachedDropsStaleStore: an answer set computed before an append must
+// not be published after it.
+func TestCachedDropsStaleStore(t *testing.T) {
+	r := rand.New(rand.NewSource(457))
+	db := randomDB(r, 8, 8, 2)
+	extra := randomConnected(r, 8, 6, 2)
+	q := walkQuery(r, extra, 3)
+	inner := &appendDuringQuery{Engine: NewCFQL()}
+	cached := NewCached(inner, 8)
+	if err := cached.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	var gid int
+	inner.overtake = func() {
+		var err error
+		if gid, err = cached.AppendGraph(extra); err != nil {
+			t.Error(err)
+		}
+	}
+	cached.Query(q, QueryOptions{})
+	if n := cachedLen(cached); n != 0 {
+		t.Fatalf("stale answer set was stored (%d entries)", n)
+	}
+	if res := cached.Query(q, QueryOptions{}); res.Cache != "" || !res.Contains(gid) {
+		t.Fatalf("query after the overtaking append: outcome %q, answers %v, want a miss containing graph %d", res.Cache, res.Answers, gid)
+	}
+}
+
+// TestCachedLRUOneSlotPerQuery: a repeated query holds one slot however
+// often and however it hits, and eviction takes the least recently *used*
+// entry, not the oldest.
+func TestCachedLRUOneSlotPerQuery(t *testing.T) {
+	// Single-edge queries over disjoint label pairs: no containment
+	// between them, so every outcome is exact or a miss.
+	edge := func(a, b graph.Label) *graph.Graph {
+		return graph.MustFromEdges([]graph.Label{a, b}, []graph.Edge{{U: 0, V: 1}})
+	}
+	qa, qb, qc := edge(0, 1), edge(2, 3), edge(4, 5)
+	db := graph.NewDatabase([]*graph.Graph{qa, qb, qc, extendQuery(qa, 1)})
+	cached := builtCached(t, db, 2)
+	r := rand.New(rand.NewSource(461))
+
+	for i := 0; i < 5; i++ {
+		cached.Query(gen.Renumber(qa, r), QueryOptions{})
+	}
+	if n := cachedLen(cached); n != 1 {
+		t.Fatalf("five repeats hold %d slots, want 1", n)
+	}
+	// A containment hit stores the new query once; its repeats are exact.
+	ext := extendQuery(qa, 1)
+	for i, want := range []string{CacheSubgraph, CacheExact, CacheExact} {
+		if got := cached.Query(ext, QueryOptions{}); got.Cache != want {
+			t.Fatalf("extension, pass %d: outcome %q, want %q", i, got.Cache, want)
+		}
+	}
+	if n := cachedLen(cached); n != 2 {
+		t.Fatalf("query and its extension hold %d slots, want 2", n)
+	}
+
+	cached = builtCached(t, db, 2)
+	cached.Query(qa, QueryOptions{})
+	cached.Query(qb, QueryOptions{})
+	cached.Query(qa, QueryOptions{}) // qa is now the more recently used
+	cached.Query(qc, QueryOptions{}) // evicts qb
+	if got := cached.Query(qa, QueryOptions{}); got.Cache != CacheExact {
+		t.Errorf("recently used query was evicted (outcome %q)", got.Cache)
+	}
+	if got := cached.Query(qb, QueryOptions{}); got.Cache != "" {
+		t.Errorf("least recently used query survived (outcome %q)", got.Cache)
+	}
+}
+
+// TestCachedStorm mixes exact repeats, containment hits and appends from
+// many goroutines under the caller-side lock the server uses (queries
+// share, appends exclude), with unlocked readers of the counters beside
+// them. Every answer set must equal a VF2 scan of the database as it was
+// during the query, and no arena may stay checked out. Run with -race.
+func TestCachedStorm(t *testing.T) {
+	r := rand.New(rand.NewSource(463))
+	db := randomDB(r, 25, 9, 2)
+	cached := builtCached(t, db, 6)
+	var shapes []*graph.Graph
+	for k := 0; k < 8; k++ {
+		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 2+r.Intn(3))
+		shapes = append(shapes, q, extendQuery(q, q.Label(0)))
+	}
+	baseline := matching.ScratchLive()
+
+	const workers, rounds = 8, 60
+	var dbLock sync.RWMutex
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				_ = cached.Hits() + cached.Misses() + int(cached.IndexMemory())
+			}
+		}
+	}()
+	var queriers sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		queriers.Add(1)
+		go func(seed int64) {
+			defer queriers.Done()
+			r := rand.New(rand.NewSource(seed))
+			for i := 0; i < rounds; i++ {
+				if r.Intn(15) == 0 {
+					g := randomConnected(r, 3+r.Intn(8), r.Intn(6), 2)
+					dbLock.Lock()
+					_, err := cached.AppendGraph(g)
+					dbLock.Unlock()
+					if err != nil {
+						t.Error(err)
+					}
+					continue
+				}
+				q := gen.Renumber(shapes[r.Intn(len(shapes))], r)
+				dbLock.RLock()
+				got := cached.Query(q, QueryOptions{})
+				want := trueAnswers(db, q)
+				dbLock.RUnlock()
+				if !equalInts(got.Answers, want) {
+					t.Errorf("%s outcome: answers %v, want %v", got.Cache, got.Answers, want)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	queriers.Wait()
+	close(stop)
+	wg.Wait()
+	if live := matching.ScratchLive(); live != baseline {
+		t.Errorf("ScratchLive = %d after the storm, want %d", live, baseline)
+	}
+	if cached.Hits() == 0 || cached.Misses() == 0 {
+		t.Errorf("storm saw %d hits and %d misses, want both", cached.Hits(), cached.Misses())
+	}
+}
+
+// TestCachedExactHitAllocs: an exact hit allocates the Result and the
+// copy of the answers, nothing that grows with the query, the cache or
+// the database.
+func TestCachedExactHitAllocs(t *testing.T) {
+	if !allocCountsHold {
+		t.Skip("allocation counts are for production builds: off under -race and -tags sqdebug")
+	}
+	r := rand.New(rand.NewSource(467))
+	db := randomDB(r, 60, 12, 2)
+	cached := builtCached(t, db, 0)
+	var q *graph.Graph
+	for k := 0; k < 20; k++ {
+		q = walkQuery(r, db.Graph(r.Intn(db.Len())), 6)
+		cached.Query(q, QueryOptions{})
+	}
+	twin := gen.Renumber(q, r)
+	if res := cached.Query(twin, QueryOptions{}); res.Cache != CacheExact || len(res.Answers) == 0 {
+		t.Fatalf("warm-up outcome %q with %d answers, want a non-empty exact hit", res.Cache, len(res.Answers))
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		cached.Query(twin, QueryOptions{})
+	})
+	if allocs > 2 {
+		t.Errorf("exact hit allocates %.0f objects per query, want at most 2", allocs)
 	}
 }

@@ -191,6 +191,11 @@ type Result struct {
 	// QueryOptions.Fingerprint or computed at engine entry. Never zero on a
 	// Result returned by an engine.
 	Fingerprint telemetry.Fingerprint
+
+	// Cache says how a Cached engine used its result cache for this query:
+	// CacheExact, CacheSubgraph, or "" for a miss (and for every engine
+	// without a cache).
+	Cache string
 }
 
 // QueryTime returns the paper's "query time" metric: filtering plus

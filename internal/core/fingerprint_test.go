@@ -78,7 +78,7 @@ func TestFingerprintCacheHitPath(t *testing.T) {
 	}
 	first := e.Query(q, QueryOptions{})
 	second := e.Query(q, QueryOptions{})
-	if e.Hits == 0 {
+	if e.Hits() == 0 {
 		t.Skip("repeat query did not hit the cache; nothing to compare")
 	}
 	if first.Fingerprint == 0 || first.Fingerprint != second.Fingerprint {

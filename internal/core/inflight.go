@@ -16,15 +16,17 @@ import "subgraphquery/internal/inflight"
 // Callers invoke it after fingerprintQuery (so the handle carries the
 // resolved fingerprint) and after degenerate (an empty query returns
 // before doing any trackable work).
-func trackInflight(engine string, opts *QueryOptions) (h *inflight.Handle, untrack func()) {
+func trackInflight(engine string, opts *QueryOptions) (*inflight.Handle, func()) {
 	if opts.Handle != nil {
 		return opts.Handle, func() {}
 	}
 	if opts.Inflight == nil {
 		return nil, func() {}
 	}
+	// h is assigned once, so untrack captures it by value: the paths above
+	// allocate nothing.
 	reg := opts.Inflight
-	h = reg.Register(inflight.RegisterOptions{
+	h := reg.Register(inflight.RegisterOptions{
 		Engine:      engine,
 		Fingerprint: uint64(opts.Fingerprint),
 	})

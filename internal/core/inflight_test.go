@@ -85,7 +85,7 @@ func TestInflightTrackingLifecycle(t *testing.T) {
 	}
 	cached.Query(q, QueryOptions{Inflight: reg})
 	cached.Query(q, QueryOptions{Inflight: reg}) // exact-subgraph cache hit
-	if cached.Hits == 0 {
+	if cached.Hits() == 0 {
 		t.Fatal("second identical query did not hit the cache")
 	}
 	if reg.Len() != 0 {

@@ -285,3 +285,20 @@ func ComputeQuerySetStats(queries []*graph.Graph) QuerySetStats {
 	s.TreeFraction /= n
 	return s
 }
+
+// Renumber returns an isomorphic copy of g with its vertices renumbered by
+// a permutation drawn from r — what a client re-submitting the same query
+// with a different vertex order sends. Answer sets and the WL fingerprint
+// are invariant under it; vertex ids and adjacency order are not.
+func Renumber(g *graph.Graph, r *rand.Rand) *graph.Graph {
+	perm := r.Perm(g.NumVertices())
+	labels := make([]graph.Label, g.NumVertices())
+	for v, l := range g.Labels() {
+		labels[perm[v]] = l
+	}
+	edges := g.Edges()
+	for i, e := range edges {
+		edges[i] = graph.Edge{U: graph.VertexID(perm[e.U]), V: graph.VertexID(perm[e.V])}
+	}
+	return graph.MustFromEdges(labels, edges)
+}

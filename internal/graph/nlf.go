@@ -33,6 +33,45 @@ func NLFOf(g *Graph, v VertexID) NLF {
 	return p
 }
 
+// NLFArena is reusable backing storage for the profiles of all vertices of
+// one graph at a time: the runs of every profile live in two flat buffers,
+// so recomputing the profiles for another graph allocates only when that
+// graph has more edges than any seen before. The zero value is ready.
+type NLFArena struct {
+	profs  []NLF
+	labels []Label
+	counts []uint32
+}
+
+// Of computes the profile of every vertex of g into the arena. The result
+// is valid until the next call.
+func (a *NLFArena) Of(g *Graph) []NLF {
+	// A vertex has at most one run per neighbor, so 2|E| bounds the total
+	// and the buffers never regrow (and move) mid-pass.
+	if need := 2 * g.NumEdges(); cap(a.labels) < need {
+		a.labels = make([]Label, 0, need)
+		a.counts = make([]uint32, 0, need)
+	}
+	labels, counts := a.labels[:0], a.counts[:0]
+	a.profs = a.profs[:0]
+	for v := 0; v < g.NumVertices(); v++ {
+		nbrs := g.Neighbors(VertexID(v))
+		start := len(labels)
+		for i := 0; i < len(nbrs); {
+			l := g.Label(nbrs[i])
+			j := i + 1
+			for j < len(nbrs) && g.Label(nbrs[j]) == l {
+				j++
+			}
+			labels = append(labels, l)
+			counts = append(counts, uint32(j-i))
+			i = j
+		}
+		a.profs = append(a.profs, NLF{labels: labels[start:len(labels):len(labels)], counts: counts[start:len(counts):len(counts)]})
+	}
+	return a.profs
+}
+
 // AllNLF computes the profile of every vertex of g.
 func AllNLF(g *Graph) []NLF {
 	out := make([]NLF, g.NumVertices())

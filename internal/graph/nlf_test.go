@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -81,5 +82,32 @@ func TestSubsumesReflexive(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestNLFArenaMatchesNLFOf: one arena reused across graphs of varying size
+// yields exactly the per-vertex profiles, and a graph no larger than one
+// already seen costs no allocation.
+func TestNLFArenaMatchesNLFOf(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	var arena NLFArena
+	for trial := 0; trial < 50; trial++ {
+		g := randomGraph(r, 2+r.Intn(20), r.Intn(30), 1+r.Intn(4))
+		profs := arena.Of(g)
+		if len(profs) != g.NumVertices() {
+			t.Fatalf("trial %d: %d profiles for %d vertices", trial, len(profs), g.NumVertices())
+		}
+		for v, got := range profs {
+			want := NLFOf(g, VertexID(v))
+			if !slices.Equal(got.labels, want.labels) || !slices.Equal(got.counts, want.counts) {
+				t.Fatalf("trial %d vertex %d: arena profile %v/%v, want %v/%v", trial, v, got.labels, got.counts, want.labels, want.counts)
+			}
+		}
+	}
+	big := randomGraph(r, 30, 40, 3)
+	small := randomGraph(r, 10, 10, 3)
+	arena.Of(big)
+	if allocs := testing.AllocsPerRun(100, func() { arena.Of(small); arena.Of(big) }); allocs != 0 {
+		t.Errorf("warmed arena allocated %v times per run, want 0", allocs)
 	}
 }

@@ -49,9 +49,11 @@ type Scratch struct {
 
 	// Neighborhood-label-frequency profiles of the query vertices. They
 	// depend only on q, so they are computed once per (Scratch, query)
-	// pair and reused across every data graph.
-	profQ *graph.Graph
-	profs []graph.NLF
+	// pair and reused across every data graph; the arena keeps a change of
+	// query (one per entry in the result cache's probes) allocation-free.
+	profQ     *graph.Graph
+	profs     []graph.NLF
+	profArena graph.NLFArena
 
 	// GraphQL refinement: the reusable bipartite matcher and its
 	// per-query-neighbor adjacency rows.
@@ -160,14 +162,10 @@ func (s *Scratch) ensureCFL(nq, nd int) {
 // the first call for this query and reusing them for every subsequent
 // data graph.
 func (s *Scratch) profilesFor(q *graph.Graph) []graph.NLF {
-	if s.profQ == q {
-		return s.profs
+	if s.profQ != q {
+		s.profs = s.profArena.Of(q)
+		s.profQ = q
 	}
-	s.profs = s.profs[:0]
-	for u := 0; u < q.NumVertices(); u++ {
-		s.profs = append(s.profs, graph.NLFOf(q, graph.VertexID(u)))
-	}
-	s.profQ = q
 	return s.profs
 }
 

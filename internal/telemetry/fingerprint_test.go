@@ -5,30 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
 )
-
-// permuteGraph renumbers g's vertices by perm (perm[old] = new) — an
-// isomorphic copy with a different vertex order.
-func permuteGraph(g *graph.Graph, perm []int) *graph.Graph {
-	n := g.NumVertices()
-	labels := make([]graph.Label, n)
-	for v := 0; v < n; v++ {
-		labels[perm[v]] = g.Label(graph.VertexID(v))
-	}
-	var edges []graph.Edge
-	for v := 0; v < n; v++ {
-		for _, w := range g.Neighbors(graph.VertexID(v)) {
-			if int(w) > v {
-				edges = append(edges, graph.Edge{
-					U: graph.VertexID(perm[v]),
-					V: graph.VertexID(perm[int(w)]),
-				})
-			}
-		}
-	}
-	return graph.MustFromEdges(labels, edges)
-}
 
 // randomGraph builds a random connected-ish labeled graph.
 func randomGraph(rng *rand.Rand, n, extraEdges, numLabels int) *graph.Graph {
@@ -71,8 +50,7 @@ func TestFingerprintRenumberingInvariance(t *testing.T) {
 		g := randomGraph(rng, n, rng.Intn(2*n), 1+rng.Intn(4))
 		want := Compute(g)
 		for p := 0; p < 5; p++ {
-			perm := rng.Perm(n)
-			h := permuteGraph(g, perm)
+			h := gen.Renumber(g, rng)
 			if got := Compute(h); got != want {
 				t.Fatalf("trial %d perm %d: fingerprint changed under renumbering: %s vs %s",
 					trial, p, got, want)

@@ -41,4 +41,7 @@ go test -tags sqchaos -race -count=1 -run 'TestInflightStormUnderChaos' ./cmd/sq
 echo "== scatter-gather tier: shard-kill chaos storm (race)"
 make test-cluster
 
+echo "== result-cache bench smoke (one Zipf block through bare and cached CFQL)"
+go test -run '^$' -bench 'CachedZipf' -benchtime 1x .
+
 echo "ok"
