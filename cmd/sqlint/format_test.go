@@ -13,7 +13,7 @@ import (
 func sampleDiags(root string) []Diagnostic {
 	return []Diagnostic{
 		{
-			Pos:      token.Position{Filename: filepath.Join(root, "internal", "core", "parallel.go"), Line: 202, Column: 3},
+			Pos:      token.Position{Filename: filepath.Join(root, "internal", "core", "run.go"), Line: 202, Column: 3},
 			Analyzer: "chansend",
 			Message:  "blocking send on jobs outside a select; 50% slower, see a:b",
 		},
@@ -54,8 +54,8 @@ func TestFormatJSONRoundTrip(t *testing.T) {
 			t.Errorf("finding %d file %q is not root-relative slash form", i, f.File)
 		}
 	}
-	if got.Findings[0].File != "internal/core/parallel.go" {
-		t.Errorf("file = %q, want internal/core/parallel.go", got.Findings[0].File)
+	if got.Findings[0].File != "internal/core/run.go" {
+		t.Errorf("file = %q, want internal/core/run.go", got.Findings[0].File)
 	}
 }
 
@@ -70,7 +70,7 @@ func TestFormatGitHub(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("want 2 annotations, got %d:\n%s", len(lines), buf.String())
 	}
-	want := "::error file=internal/core/parallel.go,line=202,col=3,title=sqlint/chansend::blocking send on jobs outside a select; 50%25 slower, see a:b"
+	want := "::error file=internal/core/run.go,line=202,col=3,title=sqlint/chansend::blocking send on jobs outside a select; 50%25 slower, see a:b"
 	if lines[0] != want {
 		t.Errorf("annotation = %q, want %q", lines[0], want)
 	}

@@ -48,13 +48,13 @@ var hotallocFiles = map[string]bool{
 	"bipartite.go":  true,
 	"scratch.go":    true,
 	"matching.go":   true,
-	// internal/core: per-data-graph loops, and the result cache's
-	// per-entry loops (exact-hit chain, containment probes) and its pool
-	// verification — one pooled Scratch per query, never one per entry.
-	"vcfv.go":     true,
-	"parallel.go": true,
-	"ivcfv.go":    true,
-	"cache.go":    true,
+	// internal/core: the one per-data-graph loop every engine configuration
+	// runs through (run.go: the executor, the fold and both per-graph
+	// tests), and the result cache's per-entry loops (exact-hit chain,
+	// containment probes) — one pooled Scratch per query or per worker,
+	// never one per graph or per entry.
+	"run.go":   true,
+	"cache.go": true,
 	// internal/telemetry: the per-query fast path — fingerprinting
 	// (refinement loops over pooled buffers), event construction, the
 	// sampling decision in Emit, and Profile.Record's eviction scan — must

@@ -92,50 +92,53 @@ var EngineNames = []string{
 	"vcGrapes", "vcGGSX", // IvcFV
 }
 
+// engines is the one name → constructor table: every comparable engine
+// configuration, in the extension study's presentation order. NewEngine,
+// IsIndexed and ExtensionEngines all read it.
+var engines = []struct {
+	name string
+	new  func() core.Engine
+}{
+	{"Scan-VF2", core.NewScan},
+	// enumeration-based IFV
+	{"GraphGrep", core.NewGraphGrep},
+	{"Grapes", core.NewGrapes},
+	{"GGSX", core.NewGGSX},
+	{"CT-Index", core.NewCTIndex},
+	// mining-based IFV
+	{"gIndex", core.NewGIndex},
+	{"TreePi", core.NewTreePi},
+	{"FG-Index", core.NewFGIndex},
+	// index-free
+	{"CFL", core.NewCFL},
+	{"GraphQL", core.NewGraphQL},
+	{"CFQL", core.NewCFQL},
+	{"TurboIso", core.NewTurboIso},
+	{"CFQL-parallel", func() core.Engine { return core.NewParallelCFQL(0) }},
+	// integrated
+	{"vcGrapes", core.NewVcGrapes},
+	{"vcGGSX", core.NewVcGGSX},
+}
+
 // NewEngine constructs an engine by its paper name.
 func NewEngine(name string) (core.Engine, error) {
-	switch name {
-	case "CT-Index":
-		return core.NewCTIndex(), nil
-	case "Grapes":
-		return core.NewGrapes(), nil
-	case "GGSX":
-		return core.NewGGSX(), nil
-	case "CFL":
-		return core.NewCFL(), nil
-	case "GraphQL":
-		return core.NewGraphQL(), nil
-	case "CFQL":
-		return core.NewCFQL(), nil
-	case "vcGrapes":
-		return core.NewVcGrapes(), nil
-	case "vcGGSX":
-		return core.NewVcGGSX(), nil
-	case "Scan-VF2":
-		return core.NewScan(), nil
-	case "TurboIso":
-		return core.NewTurboIso(), nil
-	case "CFQL-parallel":
-		return core.NewParallelCFQL(0), nil
-	case "GraphGrep":
-		return core.NewGraphGrep(), nil
-	case "gIndex":
-		return core.NewGIndex(), nil
-	case "TreePi":
-		return core.NewTreePi(), nil
-	case "FG-Index":
-		return core.NewFGIndex(), nil
+	for _, e := range engines {
+		if e.name == name {
+			return e.new(), nil
+		}
 	}
 	return nil, fmt.Errorf("bench: unknown engine %q", name)
 }
 
-// IsIndexed reports whether the named engine builds a persistent index.
+// IsIndexed reports whether the named engine builds a persistent index —
+// asked of the engine itself, so a new configuration cannot be forgotten.
 func IsIndexed(name string) bool {
-	switch name {
-	case "CT-Index", "Grapes", "GGSX", "vcGrapes", "vcGGSX", "GraphGrep", "gIndex":
-		return true
+	e, err := NewEngine(name)
+	if err != nil {
+		return false
 	}
-	return false
+	ix, ok := e.(interface{ Indexed() bool })
+	return ok && ix.Indexed()
 }
 
 // querySets generates the twelve query sets (4 sizes × sparse/dense/

@@ -57,16 +57,23 @@ func TestNewEngineKnowsAllNames(t *testing.T) {
 	}
 }
 
+// TestIsIndexed covers every engine name: the nine configurations with an
+// index stage, the six without, and an unknown name.
 func TestIsIndexed(t *testing.T) {
-	for _, name := range []string{"CT-Index", "Grapes", "GGSX", "vcGrapes", "vcGGSX"} {
-		if !IsIndexed(name) {
-			t.Errorf("IsIndexed(%q) = false", name)
+	indexed := map[string]bool{
+		"CT-Index": true, "Grapes": true, "GGSX": true, "vcGrapes": true, "vcGGSX": true,
+		"GraphGrep": true, "gIndex": true, "TreePi": true, "FG-Index": true,
+	}
+	if len(ExtensionEngines) != 15 {
+		t.Fatalf("%d engine names, want 15: %v", len(ExtensionEngines), ExtensionEngines)
+	}
+	for _, name := range ExtensionEngines {
+		if got := IsIndexed(name); got != indexed[name] {
+			t.Errorf("IsIndexed(%q) = %v, want %v", name, got, indexed[name])
 		}
 	}
-	for _, name := range []string{"CFL", "GraphQL", "CFQL", "Scan-VF2"} {
-		if IsIndexed(name) {
-			t.Errorf("IsIndexed(%q) = true", name)
-		}
+	if IsIndexed("bogus") {
+		t.Error("IsIndexed(bogus) = true")
 	}
 }
 

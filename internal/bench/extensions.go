@@ -15,14 +15,15 @@ import (
 // each design point sits on the indexing-cost / filtering-power /
 // verification-speed surface.
 
-// ExtensionEngines lists every comparable engine configuration.
-var ExtensionEngines = []string{
-	"Scan-VF2",
-	"GraphGrep", "Grapes", "GGSX", "CT-Index", // enumeration-based IFV
-	"gIndex", "TreePi", "FG-Index", // mining-based IFV
-	"CFL", "GraphQL", "CFQL", "TurboIso", "CFQL-parallel", // index-free
-	"vcGrapes", "vcGGSX", // integrated
-}
+// ExtensionEngines lists every comparable engine configuration: the names
+// of the engines table, in its order.
+var ExtensionEngines = func() []string {
+	names := make([]string, len(engines))
+	for i, e := range engines {
+		names[i] = e.name
+	}
+	return names
+}()
 
 // ExtensionRow holds one engine's aggregate behaviour.
 type ExtensionRow struct {

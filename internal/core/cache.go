@@ -45,8 +45,9 @@ const (
 // graphs. They run on a snapshot of the entries taken under the mutex and
 // match outside it, so concurrent queries never wait on each other's
 // probes; size, edge-count and label-multiset screens reject most entries
-// before any matching. Probes and pool verification share the query's one
-// pooled matching.Scratch.
+// before any matching. The probes share the query's one pooled
+// matching.Scratch; the pool is verified by the engines' per-graph loop
+// (run.each), on its own.
 //
 // Replacement is least-recently-used, and a query occupies at most one
 // slot. Build and AppendGraph bump an epoch; an answer set computed under
@@ -174,7 +175,7 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 	_, untrack := trackInflight(e.name, &opts)
 	defer untrack()
 	// One arena for everything the wrapper itself matches: the exact-hit
-	// confirmation, the containment probes and the pool verification.
+	// confirmation and the containment probes.
 	s := matching.AcquireScratch()
 	defer matching.ReleaseScratch(s)
 
@@ -192,7 +193,7 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 		res = e.inner.Query(q, opts)
 	} else {
 		e.hits.Add(1)
-		res = e.answer(q, view, hit, took, opts, s)
+		res = e.answer(q, view, hit, took, opts)
 	}
 	if hit.kind != CacheExact {
 		e.store(q, fp, res, view.epoch, s)
@@ -206,7 +207,7 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 
 // answer builds the Result of a hit: the stored answers themselves
 // (exact), or the verified pool (subgraph).
-func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Duration, opts QueryOptions, s *matching.Scratch) *Result {
+func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Duration, opts QueryOptions) *Result {
 	hit.from.used.Store(e.clock.Add(1))
 	if o := opts.Observer; o != nil {
 		// The lookup stood in for the filtering step: it produced the
@@ -229,7 +230,7 @@ func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Dur
 			Candidates: len(hit.from.answers),
 		}
 	} else {
-		res = e.verifyPool(q, v.db, hit.from.answers, hit.confirmed, opts, s)
+		res = e.verifyPool(q, v.db, hit.from.answers, hit.confirmed, opts)
 	}
 	res.Cache = hit.kind
 	res.FilterTime = took
@@ -347,10 +348,14 @@ func probe(q *graph.Graph, entries []*cacheEntry, s *matching.Scratch) cacheHit 
 	return hit
 }
 
-// verifyPool answers q by testing only the graphs of the candidate pool,
-// skipping those already confirmed by a supergraph hit. pool and confirmed
-// are ascending.
-func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed []int, opts QueryOptions, s *matching.Scratch) (res *Result) {
+// cfqlFirst is the pool's subgraph isomorphism test: the whole CFQL
+// matcher, first match, on a graph that is already a candidate.
+var cfqlFirst = matcherTest(matching.CFQL{}.FindFirst)
+
+// verifyPool answers q by testing only the graphs of the candidate pool
+// through the engines' per-graph loop (run.each), skipping those already
+// confirmed by a supergraph hit. pool and confirmed are ascending.
+func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed []int, opts QueryOptions) (res *Result) {
 	res = &Result{Candidates: len(pool)}
 	o := opts.Observer
 	defer queryGuard(e.name, o, res)
@@ -358,56 +363,26 @@ func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed 
 	h.SetPhase(inflight.PhaseVerify)
 	h.SetGraphsTotal(len(pool))
 	h.AddCandidates(len(pool))
-	step := func(gid int) (r matching.Result, qe *QueryError) {
-		defer graphGuard(e.name, gid, o, &qe)
-		var tv time.Time
-		if o != nil {
-			tv = time.Now()
-		}
-		r = (matching.CFQL{}).FindFirst(q, db.Graph(gid), matching.Options{
-			Deadline:   opts.Deadline,
-			Cancel:     opts.Cancel,
-			StepBudget: opts.StepBudgetPerGraph,
-			Progress:   h.StepCounter(),
-			Scratch:    s,
-		})
-		if o != nil {
-			o.ObserveVerify(gid, r.Steps, time.Since(tv), r.Found())
-		}
-		return r, nil
-	}
-	t0 := time.Now()
+	todo := make([]int, 0, len(pool))
 	for _, gid := range pool {
 		for len(confirmed) > 0 && confirmed[0] < gid {
 			confirmed = confirmed[1:]
 		}
-		if len(confirmed) > 0 && confirmed[0] == gid {
-			// Supergraph hit: answered without a subgraph isomorphism
-			// test, so no verification event is emitted.
-			res.Answers = append(res.Answers, gid)
-			h.GraphDone()
-			h.AddAnswers(1)
+		if len(confirmed) == 0 || confirmed[0] != gid {
+			todo = append(todo, gid)
 			continue
 		}
-		if halt(&opts, res) {
-			break
-		}
-		r, qe := step(gid)
+		// Supergraph hit: answered without a subgraph isomorphism test,
+		// so no verification event is emitted.
+		res.Answers = append(res.Answers, gid)
 		h.GraphDone()
-		if qe != nil {
-			recordGraphError(res, qe)
-			continue
-		}
-		res.VerifySteps += r.Steps
-		if r.Aborted {
-			noteAbort(&opts, res)
-		}
-		if r.Found() {
-			res.Answers = append(res.Answers, gid)
-			h.AddAnswers(1)
-		}
+		h.AddAnswers(1)
 	}
+	rn := &run{name: e.name, db: db, q: q, opts: &opts, res: res, h: h, test: cfqlFirst}
+	t0 := time.Now()
+	rn.each(todo, len(todo), 1)
 	res.VerifyTime = time.Since(t0)
+	slices.Sort(res.Answers)
 	if o != nil {
 		o.ObservePhase(obs.PhaseVerify, res.VerifyTime)
 	}

@@ -45,6 +45,16 @@ type Engine interface {
 	IndexMemory() int64
 }
 
+// Updatable is implemented by engines that can incorporate a newly
+// appended data graph without a full index rebuild. All vcFV engines
+// qualify trivially (they are index-free); IFV/IvcFV engines qualify when
+// their index supports incremental insertion (see index.Appender).
+type Updatable interface {
+	// AppendGraph adds g to the engine's database and updates any index,
+	// returning the new graph's id.
+	AppendGraph(g *graph.Graph) (int, error)
+}
+
 // BuildOptions bounds index construction; vcFV engines ignore it.
 type BuildOptions struct {
 	// Deadline aborts index construction (paper: 24 hours).
@@ -80,8 +90,10 @@ type QueryOptions struct {
 	// StepBudgetPerGraph bounds each subgraph isomorphism test's search
 	// steps, a deterministic timeout proxy for tests. 0 = unlimited.
 	StepBudgetPerGraph uint64
-	// Workers parallelizes per-graph verification where supported
-	// (the Grapes configurations). 0 selects 1.
+	// Workers sets the pool size of the per-graph loop for the
+	// configurations that pool — every indexed one and CFQL-parallel;
+	// the others ignore it. 0 selects the configuration's default (6 for
+	// Grapes, vcGrapes and CFQL-parallel, otherwise 1).
 	Workers int
 	// Observer, when non-nil, receives streaming telemetry as the query
 	// executes: phase spans (obs.PhaseFilter, obs.PhaseVerify — their

@@ -20,14 +20,19 @@ func observeOrder(ex *obs.Explain, order []graph.VertexID, cand *matching.Candid
 	ex.ObserveOrder(steps)
 }
 
-// filterIndex probes an engine's index, routing through FilterExplain when
-// the index can report per-probe statistics and an Explain is attached.
-// With ex == nil this is exactly idx.Filter(q).
-func filterIndex(idx index.Index, q *graph.Graph, ex *obs.Explain) []int {
+// probeIndex probes an engine's index for the surviving graph ids. An
+// index that recognises the query verbatim (index.ExactFilter) reports
+// exact: the ids are A(q) itself. Otherwise the probe routes through
+// FilterExplain when the index can report per-probe statistics and an
+// Explain is attached; with ex == nil it is exactly idx.Filter(q).
+func probeIndex(idx index.Index, q *graph.Graph, ex *obs.Explain) (ids []int, exact bool) {
+	if ef, ok := idx.(index.ExactFilter); ok {
+		return ef.FilterExact(q)
+	}
 	if ex != nil {
 		if ei, ok := idx.(index.Explainable); ok {
-			return ei.FilterExplain(q, ex)
+			return ei.FilterExplain(q, ex), false
 		}
 	}
-	return idx.Filter(q)
+	return idx.Filter(q), false
 }

@@ -11,25 +11,22 @@ import (
 	"subgraphquery/internal/obs"
 )
 
-// poisonedCFQL returns a CFQL-configured vcFV whose filter panics on the
+// poisonedCFQL returns a CFQL-configured engine whose filter panics on the
 // given data graphs — the test double for a graph that trips a latent bug.
+// It honours QueryOptions.Workers (default 1), so the same double drives
+// the sequential loop and the pool.
 func poisonedCFQL(db *graph.Database, poison ...int) Engine {
 	bad := map[*graph.Graph]bool{}
 	for _, gid := range poison {
 		bad[db.Graph(gid)] = true
 	}
-	return &vcFV{
-		name: "CFQL-poisoned",
-		filter: func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
-			if bad[g] {
-				panic("poisoned data graph")
-			}
-			return matching.CFLFilter(q, g, opts)
-		},
-		order: func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
-			return matching.GraphQLOrderScratch(q, cand, s)
-		},
+	filter := func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
+		if bad[g] {
+			panic("poisoned data graph")
+		}
+		return matching.CFLFilter(q, g, opts)
 	}
+	return &engine{name: "CFQL-poisoned", test: fusedTest(filter, graphQLOrder), fused: true, workers: 1}
 }
 
 // waitGoroutines retries until the goroutine count drops back to the
@@ -114,13 +111,10 @@ func TestPanicMidEnumerationReleasesScratch(t *testing.T) {
 	db := randomDB(r, 10, 9, 2)
 	q := walkQuery(r, db.Graph(0), 3)
 
-	eng := &vcFV{
-		name:   "CFQL-ordpanic",
-		filter: matching.CFLFilter,
-		order: func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
-			panic("mid-pipeline")
-		},
+	order := func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
+		panic("mid-pipeline")
 	}
+	eng := &engine{name: "CFQL-ordpanic", test: fusedTest(matching.CFLFilter, order), fused: true}
 	if err := eng.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -215,9 +209,11 @@ func TestMemoryBudgetSkipsGraph(t *testing.T) {
 	}
 }
 
-// TestCancelStopsQuery: a closed Cancel channel halts every engine
-// promptly with Cancelled and TimedOut set (the answer set is a lower
-// bound either way), and parallel worker pools wind down without leaks.
+// TestCancelStopsQuery: a Cancel channel closed before Query halts every
+// engine before it does any work — Cancelled and TimedOut set, no answers,
+// no index probe (FG-Index's verification-free path must not answer an
+// abandoned query, and no other index is worth paying for), no subgraph
+// isomorphism test — and parallel worker pools wind down without leaks.
 func TestCancelStopsQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	db := randomDB(r, 20, 9, 2)
@@ -231,10 +227,21 @@ func TestCancelStopsQuery(t *testing.T) {
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res := eng.Query(q, QueryOptions{Cancel: cancelled, Workers: 3})
+		o, ex := newCountingObserver(), obs.NewExplain()
+		res := eng.Query(q, QueryOptions{Cancel: cancelled, Workers: 3, Observer: o, Explain: ex})
 		if !res.Cancelled || !res.TimedOut {
 			t.Errorf("%s: Cancelled=%v TimedOut=%v with a closed Cancel, want both true",
 				name, res.Cancelled, res.TimedOut)
+		}
+		if len(res.Answers) != 0 {
+			t.Errorf("%s: answered %v for a query cancelled before it started", name, res.Answers)
+		}
+		if probes := ex.Snapshot().IndexProbes; len(probes) != 0 {
+			t.Errorf("%s: probed the index for a cancelled query: %+v", name, probes)
+		}
+		if _, probed := o.phase[obs.PhaseIndexFilter]; probed || o.events != 0 {
+			t.Errorf("%s: index-probe span %v, %d verify events for a cancelled query, want neither",
+				name, probed, o.events)
 		}
 	}
 	waitGoroutines(t, baseline)
@@ -250,21 +257,16 @@ func TestCancelMidFlight(t *testing.T) {
 
 	cancel := make(chan struct{})
 	started := make(chan struct{}, db.Len()+1)
-	eng := &vcFV{
-		name: "CFQL-blocking",
-		filter: func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
-			started <- struct{}{}
-			// Block like a pathological pass until the caller cancels;
-			// then behave like a cooperative filter observing its Cancel.
-			<-opts.Cancel
-			cand := matching.CFLFilter(q, g, matching.FilterOptions{Scratch: opts.Scratch})
-			cand.Aborted = true
-			return cand
-		},
-		order: func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
-			return matching.GraphQLOrderScratch(q, cand, s)
-		},
+	filter := func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
+		started <- struct{}{}
+		// Block like a pathological pass until the caller cancels; then
+		// behave like a cooperative filter observing its Cancel.
+		<-opts.Cancel
+		cand := matching.CFLFilter(q, g, matching.FilterOptions{Scratch: opts.Scratch})
+		cand.Aborted = true
+		return cand
 	}
+	eng := &engine{name: "CFQL-blocking", test: fusedTest(filter, graphQLOrder), fused: true}
 	if err := eng.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -284,40 +286,73 @@ func TestCancelMidFlight(t *testing.T) {
 	}
 }
 
-// TestCancelParallelWorkersMidFlight drives the parallel CFQL and IvcFV
-// worker pools with a Cancel raised while workers are mid-graph: the query
-// returns promptly with Cancelled/TimedOut accounting and no goroutine
-// survives the pool.
+// TestCancelParallelWorkersMidFlight drives every configuration that pools with a
+// Cancel raised while every worker is busy and the producer is blocked
+// handing out the next graph: the query returns promptly with
+// Cancelled/TimedOut accounting, and no goroutine or arena survives the
+// pool. The configuration keeps its own index, probe and pool settings;
+// only the per-graph test is swapped for one that holds its worker until
+// the cancel, so saturation does not depend on timing.
 func TestCancelParallelWorkersMidFlight(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
-	// Large-ish graphs so the workers are actually mid-flight when the
-	// cancel lands; correctness does not depend on the timing either way.
-	db := randomDB(r, 40, 16, 2)
-	q := walkQuery(r, db.Graph(0), 4)
+	db := randomDB(r, 40, 12, 2)
+	q := walkQuery(r, db.Graph(0), 5) // too large to be a mined FG-Index feature
+	const workers = 3
+	pool := clampWorkers(workers)
+	if pool < 2 {
+		t.Skip("GOMAXPROCS=1: no configuration pools")
+	}
 
-	for name, eng := range map[string]Engine{
-		"CFQL-parallel": NewParallelCFQL(3),
-		"vcGrapes":      NewVcGrapes(),
-	} {
+	pooled := 0
+	for name, e := range allEngines() {
+		eng, ok := e.(*engine)
+		if !ok || eng.poolSize(workers) != pool {
+			continue // runs on the caller's goroutine
+		}
+		pooled++
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		baseline := runtime.NumGoroutine()
+		if n := eng.Query(q, QueryOptions{}).Candidates; n <= pool {
+			t.Fatalf("%s: %d candidates cannot saturate %d workers", name, n, pool)
+		}
+		started := make(chan struct{}, db.Len())
+		eng.test = func(rn *run, gid int, s *matching.Scratch, out *outcome) {
+			started <- struct{}{}
+			<-rn.opts.Cancel
+			out.r.Aborted = true // a cooperative matcher observing its Cancel
+		}
+
+		goroutines, arenas := runtime.NumGoroutine(), matching.ScratchLive()
 		cancel := make(chan struct{})
 		done := make(chan *Result, 1)
-		go func() { done <- eng.Query(q, QueryOptions{Cancel: cancel, Workers: 3}) }()
-		time.Sleep(500 * time.Microsecond)
+		go func() { done <- eng.Query(q, QueryOptions{Cancel: cancel, Workers: workers}) }()
+		for i := 0; i < pool; i++ {
+			select {
+			case <-started: // one more worker holds a graph
+			case <-time.After(10 * time.Second):
+				t.Fatalf("%s: only %d of %d workers took a graph", name, i, pool)
+			}
+		}
 		close(cancel)
 		select {
 		case res := <-done:
-			// The query may have finished before the cancel landed; only a
-			// cut-short run must carry the cancellation marks.
-			if res.Cancelled && !res.TimedOut {
-				t.Errorf("%s: Cancelled without TimedOut", name)
+			if !res.Cancelled || !res.TimedOut {
+				t.Errorf("%s: Cancelled=%v TimedOut=%v after a mid-flight cancel, want both",
+					name, res.Cancelled, res.TimedOut)
+			}
+			if len(res.Answers) != 0 {
+				t.Errorf("%s: answers %v from tests that all aborted", name, res.Answers)
 			}
 		case <-time.After(10 * time.Second):
 			t.Fatalf("%s: query did not return after cancellation", name)
 		}
-		waitGoroutines(t, baseline)
+		waitGoroutines(t, goroutines)
+		if got := matching.ScratchLive(); got != arenas {
+			t.Errorf("%s: scratch arenas leaked: live %d, was %d", name, got, arenas)
+		}
+	}
+	if pooled != 10 {
+		t.Errorf("%d configurations pooled, want 10 (every indexed one and CFQL-parallel)", pooled)
 	}
 }

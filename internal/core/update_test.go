@@ -3,61 +3,61 @@ package core
 import (
 	"math/rand"
 	"testing"
+
+	"subgraphquery/internal/graph"
 )
 
-// TestAppendGraphKeepsEnginesCorrect: after incremental appends, every
-// Updatable engine must answer queries over the extended database exactly
-// like a freshly built engine.
-func TestAppendGraphKeepsEnginesCorrect(t *testing.T) {
-	r := rand.New(rand.NewSource(111))
-	base := randomDB(r, 10, 8, 2)
-	extras := make([]int, 0)
+// TestAppendGraphEqualsRebuild: for every Updatable configuration that
+// accepts appends, AppendGraph-then-query equals rebuild-then-query (and
+// the scan). The queries are drawn from the appended graphs, so every
+// answer set contains a graph the original Build never saw.
+func TestAppendGraphEqualsRebuild(t *testing.T) {
+	full := genDB(t, 20, 3)
+	const base = 12
+	copyDB := func(n int) *graph.Database {
+		db := graph.NewDatabase(nil)
+		for i := 0; i < n; i++ {
+			db.Append(full.Graph(i))
+		}
+		return db
+	}
+	appended := graph.NewDatabase(nil)
+	for i := base; i < full.Len(); i++ {
+		appended.Append(full.Graph(i))
+	}
+	queries := genQueries(t, appended, 30)
+	oracle := builtScan(t, full)
 
-	engines := allEngines()
-	for name, e := range engines {
-		if err := e.Build(base, BuildOptions{}); err != nil {
+	rebuilt := allEngines()
+	for name, e := range allEngines() {
+		if name == "gIndex" || name == "TreePi" || name == "FG-Index" {
+			continue // mining-based: refuse incremental appends (TestUpdatableCoverage)
+		}
+		if err := e.Build(copyDB(base), BuildOptions{}); err != nil {
 			t.Fatalf("%s build: %v", name, err)
 		}
-	}
-
-	// Each engine needs its own database copy (Append mutates), so rebuild
-	// per engine over a private copy.
-	for name, e := range engines {
-		if name == "gIndex" || name == "TreePi" || name == "FG-Index" {
-			continue // refuse incremental appends (mining-based)
+		for i := base; i < full.Len(); i++ {
+			gid, err := e.(Updatable).AppendGraph(full.Graph(i))
+			if err != nil || gid != i {
+				t.Fatalf("%s: AppendGraph = %d, %v; want %d", name, gid, err, i)
+			}
 		}
-		u, ok := e.(Updatable)
-		if !ok {
-			continue
-		}
-		db := randomDB(r, 0, 8, 2) // empty shell
-		for i := 0; i < base.Len(); i++ {
-			db.Append(base.Graph(i))
-		}
-		if err := e.Build(db, BuildOptions{}); err != nil {
+		if err := rebuilt[name].Build(copyDB(full.Len()), BuildOptions{}); err != nil {
 			t.Fatalf("%s rebuild: %v", name, err)
 		}
-		for k := 0; k < 4; k++ {
-			g := randomConnected(r, 6+r.Intn(6), r.Intn(8), 2)
-			gid, err := u.AppendGraph(g)
-			if err != nil {
-				t.Fatalf("%s append: %v", name, err)
+		for qi, q := range queries {
+			want := oracle.Query(q, QueryOptions{}).Answers
+			if len(want) == 0 || want[len(want)-1] < base {
+				t.Fatalf("q%d: scan answers %v hold no appended graph", qi, want)
 			}
-			extras = append(extras, gid)
-			// A query drawn from the appended graph must find it.
-			q := walkQuery(r, g, 2)
-			res := e.Query(q, QueryOptions{})
-			if !res.Contains(gid) {
-				t.Fatalf("%s: appended graph %d missing from answers %v", name, gid, res.Answers)
+			if got := e.Query(q, QueryOptions{}).Answers; !equalInts(got, want) {
+				t.Errorf("%s q%d after appends: answers %v, want %v", name, qi, got, want)
 			}
-			// Cross-check the full answer set against ground truth.
-			want := trueAnswers(db, q)
-			if !equalInts(res.Answers, want) {
-				t.Fatalf("%s after append: answers %v, want %v", name, res.Answers, want)
+			if got := rebuilt[name].Query(q, QueryOptions{}).Answers; !equalInts(got, want) {
+				t.Errorf("%s q%d after rebuild: answers %v, want %v", name, qi, got, want)
 			}
 		}
 	}
-	_ = extras
 }
 
 // TestUpdatableCoverage documents which engines support incremental
