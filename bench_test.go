@@ -425,13 +425,10 @@ func BenchmarkAblation_ResultCache(b *testing.B) {
 	}
 }
 
-// BenchmarkCachedZipf is the repeat-heavy traffic the result cache exists
-// for: a block of 400 draws from Zipf(s=1.3, v=4) over 80 Q4-Q32 sparse and
-// dense queries, through bare CFQL and through the default 64-entry cache.
-// Every repeat is a freshly renumbered copy, as a re-parsed request would
-// be. ns/query is the figure to compare; hit_share says how much of the
-// block the cache answered.
-func BenchmarkCachedZipf(b *testing.B) {
+// aidsQueries draws the 80 Q4-Q32 sparse and dense queries over fixAIDS that
+// BenchmarkCachedZipf and BenchmarkBudgetedQuery share.
+func aidsQueries(b *testing.B) []*graph.Graph {
+	b.Helper()
 	fixtures(b)
 	var queries []*graph.Graph
 	for i, m := range []gen.QueryMethod{gen.QueryRandomWalk, gen.QueryBFS} {
@@ -443,6 +440,50 @@ func BenchmarkCachedZipf(b *testing.B) {
 			queries = append(queries, qs...)
 		}
 	}
+	return queries
+}
+
+// BenchmarkBudgetedQuery is the configuration the server runs: bare CFQL
+// over the AIDS fixtures without a Deadline and with one an hour away, which
+// is what sqserver -budget sets on every query. The two rows return the
+// same answers; the gap between their ns/query is what carrying a deadline
+// costs the per-graph loop in clock reads.
+func BenchmarkBudgetedQuery(b *testing.B) {
+	queries := aidsQueries(b)
+	e := core.NewCFQL()
+	if err := e.Build(fixAIDS, core.BuildOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	want := 0 // answers summed over the queries: the same in either row
+	for _, name := range []string{"NoDeadline", "Deadline"} {
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				var opts core.QueryOptions
+				if name == "Deadline" {
+					opts.Deadline = time.Now().Add(time.Hour)
+				}
+				total := 0
+				for _, q := range queries {
+					total += len(e.Query(q, opts).Answers)
+				}
+				if total == 0 || (want != 0 && total != want) {
+					b.Fatalf("%d answers over the queries, want %d (and not 0)", total, want)
+				}
+				want = total
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)), "ns/query")
+		})
+	}
+}
+
+// BenchmarkCachedZipf is the repeat-heavy traffic the result cache exists
+// for: a block of 400 draws from Zipf(s=1.3, v=4) over 80 Q4-Q32 sparse and
+// dense queries, through bare CFQL and through the default 64-entry cache.
+// Every repeat is a freshly renumbered copy, as a re-parsed request would
+// be. ns/query is the figure to compare; hit_share says how much of the
+// block the cache answered.
+func BenchmarkCachedZipf(b *testing.B) {
+	queries := aidsQueries(b)
 	r := rand.New(rand.NewSource(1))
 	r.Shuffle(len(queries), func(i, j int) { queries[i], queries[j] = queries[j], queries[i] })
 	zipf := rand.NewZipf(r, 1.3, 4, uint64(len(queries)-1))

@@ -378,10 +378,9 @@ func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed 
 		h.GraphDone()
 		h.AddAnswers(1)
 	}
-	rn := &run{name: e.name, db: db, q: q, opts: &opts, res: res, h: h, test: cfqlFirst}
-	t0 := time.Now()
-	rn.each(todo, len(todo), 1)
-	res.VerifyTime = time.Since(t0)
+	rn := newRun(e.name, db, q, &opts, res, h, cfqlFirst)
+	now := rn.read()
+	res.VerifyTime = rn.each(todo, len(todo), 1, now) - now
 	slices.Sort(res.Answers)
 	if o != nil {
 		o.ObservePhase(obs.PhaseVerify, res.VerifyTime)

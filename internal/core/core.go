@@ -148,10 +148,17 @@ type Result struct {
 
 	// FilterTime is the time spent in the filtering step. For vcFV and
 	// IvcFV engines it includes extracting the candidate vertex sets, as
-	// the paper prescribes.
+	// the paper prescribes. The per-graph loop chains its clock readings —
+	// a graph's filter starts at the reading that ended the graph before —
+	// so on a sequential vcFV or IvcFV engine FilterTime + VerifyTime is
+	// the wall time of the probe and the loop, with the bookkeeping between
+	// graphs attributed to the filter; on a pool they are sums over the
+	// workers.
 	FilterTime time.Duration
 
-	// VerifyTime is the time spent in the verification step.
+	// VerifyTime is the time spent in the verification step: per-graph
+	// enumeration for vcFV and IvcFV engines, the wall time of the loop
+	// for the others.
 	VerifyTime time.Duration
 
 	// VerifySteps sums search-tree steps across all verification calls.
@@ -226,10 +233,6 @@ func (r *Result) Contains(id int) bool {
 		}
 	}
 	return lo < len(r.Answers) && r.Answers[lo] == id
-}
-
-func expired(deadline time.Time) bool {
-	return !deadline.IsZero() && time.Now().After(deadline)
 }
 
 // clampWorkers bounds a requested worker count to [1, GOMAXPROCS]. Worker

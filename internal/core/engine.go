@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/index"
@@ -251,11 +250,13 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 	defer untrack()
 	opts.Explain.SetEngine(e.name)
 
+	rn := newRun(e.name, e.db, q, &opts, res, h, e.test)
+	now := rn.read()
 	var ids []int // nil: every data graph
 	n := e.db.Len()
 	if e.idx != nil {
 		h.SetPhase(inflight.PhaseFilter)
-		if halt(&opts, res) {
+		if rn.stop(now) {
 			// Already cancelled or past deadline: don't even probe the
 			// index. The per-graph loop would notice too, but only after
 			// the probe was paid for — and the verification-free path
@@ -263,9 +264,10 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 			// query the caller abandoned.
 			return res
 		}
-		t0 := time.Now()
 		survivors, exact := probeIndex(e.idx, q, opts.Explain)
-		res.FilterTime = time.Since(t0)
+		probed := rn.read()
+		res.FilterTime = probed - now
+		now = probed
 		if o != nil {
 			if e.fused {
 				// Sub-span of the filter phase: the index probe alone, so
@@ -298,11 +300,9 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 	if o != nil && workers > 1 {
 		o.ObserveWorkers(workers)
 	}
-	rn := &run{name: e.name, db: e.db, q: q, opts: &opts, res: res, h: h, test: e.test}
-	t1 := time.Now()
-	rn.each(ids, n, workers)
+	end := rn.each(ids, n, workers, now)
 	if !e.fused {
-		res.VerifyTime = time.Since(t1)
+		res.VerifyTime = end - now
 	}
 	if o != nil {
 		if e.fused {

@@ -155,25 +155,8 @@ func recordGraphError(res *Result, qe *QueryError) {
 	}
 }
 
-// halt reports whether the query loop must stop before taking on the next
-// data graph, recording why on res: Cancelled (and TimedOut — the answer
-// set is a lower bound either way) for cooperative cancellation, TimedOut
-// alone for a passed deadline.
-func halt(opts *QueryOptions, res *Result) bool {
-	if budget.Cancelled(opts.Cancel) {
-		res.Cancelled = true
-		res.TimedOut = true
-		return true
-	}
-	if expired(opts.Deadline) {
-		res.TimedOut = true
-		return true
-	}
-	return false
-}
-
 // noteAbort records a filter/enumeration abort: cancellation refines the
-// timeout the same way halt does.
+// timeout the same way run.stop does.
 func noteAbort(opts *QueryOptions, res *Result) {
 	res.TimedOut = true
 	if budget.Cancelled(opts.Cancel) {

@@ -209,11 +209,13 @@ func TestMemoryBudgetSkipsGraph(t *testing.T) {
 	}
 }
 
-// TestCancelStopsQuery: a Cancel channel closed before Query halts every
-// engine before it does any work — Cancelled and TimedOut set, no answers,
-// no index probe (FG-Index's verification-free path must not answer an
-// abandoned query, and no other index is worth paying for), no subgraph
-// isomorphism test — and parallel worker pools wind down without leaks.
+// TestCancelStopsQuery: a Cancel channel closed before Query, or a Deadline
+// already passed, halts every engine before it does any work — TimedOut
+// set, Cancelled set for the closed channel and clear for the deadline, no
+// answers, no index probe (FG-Index's verification-free path must not
+// answer an abandoned query, and no other index is worth paying for), no
+// subgraph isomorphism test — and parallel worker pools wind down without
+// leaks.
 func TestCancelStopsQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	db := randomDB(r, 20, 9, 2)
@@ -221,27 +223,39 @@ func TestCancelStopsQuery(t *testing.T) {
 
 	cancelled := make(chan struct{})
 	close(cancelled)
+	stops := map[string]QueryOptions{
+		"closed Cancel":   {Cancel: cancelled},
+		"passed Deadline": {Deadline: time.Now().Add(-time.Second)},
+	}
 
 	baseline := runtime.NumGoroutine()
 	for name, eng := range allEngines() {
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		o, ex := newCountingObserver(), obs.NewExplain()
-		res := eng.Query(q, QueryOptions{Cancel: cancelled, Workers: 3, Observer: o, Explain: ex})
-		if !res.Cancelled || !res.TimedOut {
-			t.Errorf("%s: Cancelled=%v TimedOut=%v with a closed Cancel, want both true",
-				name, res.Cancelled, res.TimedOut)
-		}
-		if len(res.Answers) != 0 {
-			t.Errorf("%s: answered %v for a query cancelled before it started", name, res.Answers)
-		}
-		if probes := ex.Snapshot().IndexProbes; len(probes) != 0 {
-			t.Errorf("%s: probed the index for a cancelled query: %+v", name, probes)
-		}
-		if _, probed := o.phase[obs.PhaseIndexFilter]; probed || o.events != 0 {
-			t.Errorf("%s: index-probe span %v, %d verify events for a cancelled query, want neither",
-				name, probed, o.events)
+		for why, opts := range stops {
+			for _, workers := range []int{1, 3} {
+				o, ex := newCountingObserver(), obs.NewExplain()
+				opts.Workers, opts.Observer, opts.Explain = workers, o, ex
+				res := eng.Query(q, opts)
+				if !res.TimedOut || res.Cancelled != (opts.Cancel != nil) {
+					t.Errorf("%s, %s, %d workers: TimedOut=%v Cancelled=%v, want true and %v",
+						name, why, workers, res.TimedOut, res.Cancelled, opts.Cancel != nil)
+				}
+				if len(res.Answers) != 0 {
+					t.Errorf("%s, %s: answered %v for a query stopped before it started", name, why, res.Answers)
+				}
+				if probes := ex.Snapshot().IndexProbes; len(probes) != 0 {
+					t.Errorf("%s, %s: probed the index for a stopped query: %+v", name, why, probes)
+				}
+				if _, probed := o.phase[obs.PhaseIndexFilter]; probed || o.events != 0 {
+					t.Errorf("%s, %s: index-probe span %v, %d verify events for a stopped query, want neither",
+						name, why, probed, o.events)
+				}
+				if pre := ex.Snapshot().Prefilter; pre != nil {
+					t.Errorf("%s, %s, %d workers: filtered %d graphs for a stopped query", name, why, workers, pre.Graphs)
+				}
+			}
 		}
 	}
 	waitGoroutines(t, baseline)

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"time"
 
+	"subgraphquery/internal/budget"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/matching"
@@ -25,19 +27,46 @@ type run struct {
 	res  *Result
 	h    *inflight.Handle
 	test graphTest
-	// stopped is set by fold when a graph's filter aborted: the whole
-	// query stops, not just that graph.
+	// The run's clock: readings are monotonic offsets from base, and limit
+	// is the deadline on that scale (out of reach when there is none), so
+	// one reading both times a phase and answers "past the deadline?".
+	base  time.Time
+	limit time.Duration
+	// stopped: the query takes no more graphs. Set by stop, and by fold
+	// when a graph's filter aborted — the whole query stops, not just that
+	// graph.
 	stopped bool
 }
 
+// since is the clock every reading of a run goes through; the clock-budget
+// test swaps it to count them.
+var since = time.Since
+
+func newRun(name string, db *graph.Database, q *graph.Graph, opts *QueryOptions, res *Result, h *inflight.Handle, test graphTest) *run {
+	rn := &run{name: name, db: db, q: q, opts: opts, res: res, h: h, test: test,
+		base: time.Now(), limit: math.MaxInt64}
+	if !opts.Deadline.IsZero() {
+		rn.limit = opts.Deadline.Sub(rn.base)
+	}
+	return rn
+}
+
+// read takes one clock reading. The loop takes one per phase boundary and
+// chains them: the reading that ends one graph's filter or verification
+// starts the next phase and is the one stop compares with the deadline.
+func (rn *run) read() time.Duration { return since(rn.base) }
+
 // graphTest decides one data graph on the worker's arena and reports into
-// the worker's outcome record. It may panic; the loop skips the graph.
+// the worker's outcome record. On entry out.at is the reading at which the
+// graph was taken; the test leaves its own last reading there. It may
+// panic; the loop skips the graph.
 type graphTest func(rn *run, gid int, s *matching.Scratch, out *outcome)
 
 // outcome is what one graph's test hands to fold. A worker reuses one
 // record for all its graphs and passes it by pointer, so whatever the test
 // wrote before a panic still reaches the fold.
 type outcome struct {
+	at             time.Duration // the latest clock reading
 	filter, verify time.Duration // fused tests only
 	r              matching.Result
 	mem            int64 // candidate-structure footprint, when pass
@@ -61,7 +90,7 @@ type (
 func fusedTest(filter filterFunc, order orderFunc) graphTest {
 	return func(rn *run, gid int, s *matching.Scratch, out *outcome) {
 		q, g, opts := rn.q, rn.db.Graph(gid), rn.opts
-		t0 := time.Now()
+		t0 := out.at
 		cand := filter(q, g, matching.FilterOptions{
 			Deadline:     opts.Deadline,
 			Cancel:       opts.Cancel,
@@ -69,7 +98,8 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 			Explain:      opts.Explain,
 			Scratch:      s,
 		})
-		out.filter = time.Since(t0)
+		out.at = rn.read()
+		out.filter = out.at - t0
 		switch {
 		case cand.BudgetExceeded:
 			// Skip this graph; the remaining graphs may still fit.
@@ -89,7 +119,7 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 		rn.h.AddCandidates(1)
 		rn.h.GrowAux(out.mem)
 
-		t1 := time.Now()
+		t1 := out.at
 		ord := order(q, g, cand, s)
 		observeOrder(opts.Explain, ord, cand)
 		r, err := matching.Enumerate(q, g, cand, ord, matching.Options{
@@ -100,7 +130,8 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 			Scratch:    s,
 			Progress:   rn.h.StepCounter(),
 		})
-		out.verify = time.Since(t1)
+		out.at = rn.read()
+		out.verify = out.at - t1
 		if err != nil {
 			// Orders from the built-in strategies are always valid for
 			// connected queries; surface misuse loudly.
@@ -120,11 +151,7 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 func matcherTest(findFirst func(q, g *graph.Graph, opts matching.Options) matching.Result) graphTest {
 	return func(rn *run, gid int, s *matching.Scratch, out *outcome) {
 		opts := rn.opts
-		o := opts.Observer
-		var tv time.Time
-		if o != nil {
-			tv = time.Now()
-		}
+		t0 := out.at
 		out.r = findFirst(rn.q, rn.db.Graph(gid), matching.Options{
 			Deadline:   opts.Deadline,
 			Cancel:     opts.Cancel,
@@ -132,22 +159,37 @@ func matcherTest(findFirst func(q, g *graph.Graph, opts matching.Options) matchi
 			Scratch:    s,
 			Progress:   rn.h.StepCounter(),
 		})
-		if o != nil {
-			o.ObserveVerify(gid, out.r.Steps, time.Since(tv), out.r.Found())
+		out.at = rn.read()
+		if o := opts.Observer; o != nil {
+			o.ObserveVerify(gid, out.r.Steps, out.at-t0, out.r.Found())
 		}
 	}
 }
 
-// stop reports whether the loop must not take another graph: a filter
-// abort already stopped the query, or halt says so now (and records why).
-func (rn *run) stop() bool {
-	return rn.stopped || halt(rn.opts, rn.res)
+// stop reports whether the query must not take on more work at clock
+// reading now, recording why on the Result: a filter abort already stopped
+// it, Cancel closed (Cancelled, and TimedOut — the answer set is a lower
+// bound either way), or now is past the deadline (TimedOut alone).
+func (rn *run) stop(now time.Duration) bool {
+	switch {
+	case rn.stopped:
+	case budget.Cancelled(rn.opts.Cancel):
+		rn.res.Cancelled = true
+		rn.res.TimedOut = true
+	case now > rn.limit:
+		rn.res.TimedOut = true
+	default:
+		return false
+	}
+	rn.stopped = true
+	return true
 }
 
-// guarded runs the test on one graph behind the per-graph panic boundary:
-// a panicking graph ends up in out.qe and is skipped, the query continues.
+// guarded runs the test on one graph, taken at reading out.at, behind the
+// per-graph panic boundary: a panicking graph ends up in out.qe and is
+// skipped, the query continues.
 func (rn *run) guarded(gid int, s *matching.Scratch, out *outcome) {
-	*out = outcome{}
+	*out = outcome{at: out.at}
 	defer graphGuard(rn.name, gid, rn.opts.Observer, &out.qe)
 	rn.test(rn, gid, s, out)
 }
@@ -185,11 +227,13 @@ func (rn *run) fold(gid int, out *outcome) {
 }
 
 // each runs the test on the n graphs ids[0..n) — or 0..n-1 when ids is
-// nil — checking stop before each one, with one arena per worker. With
+// nil — from clock reading now on, checking stop before each one, with one
+// arena per worker, and returns the reading at which the loop ended. With
 // workers <= 1 everything happens on the caller's goroutine in id order,
-// lock-free; otherwise a pool draws ids from a channel and the answers are
-// sorted at the end.
-func (rn *run) each(ids []int, n, workers int) {
+// lock-free, and each graph starts at the reading the one before ended on;
+// otherwise a pool draws ids from a channel, a worker reads the clock when
+// it takes one, and the answers are sorted at the end.
+func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration {
 	at := func(i int) int {
 		if ids == nil {
 			return i
@@ -199,13 +243,13 @@ func (rn *run) each(ids []int, n, workers int) {
 	if workers <= 1 {
 		s := matching.AcquireScratch()
 		defer matching.ReleaseScratch(s)
-		var out outcome
-		for i := 0; i < n && !rn.stop(); i++ {
+		out := outcome{at: now}
+		for i := 0; i < n && !rn.stop(out.at); i++ {
 			gid := at(i)
 			rn.guarded(gid, s, &out)
 			rn.fold(gid, &out)
 		}
-		return
+		return out.at
 	}
 
 	var mu sync.Mutex // guards rn.res and rn.stopped
@@ -239,6 +283,13 @@ func (rn *run) each(ids []int, n, workers int) {
 			defer matching.ReleaseScratch(s)
 			var out outcome
 			for gid := range jobs {
+				out.at = rn.read()
+				if out.at > rn.limit {
+					mu.Lock()
+					rn.stop(out.at)
+					mu.Unlock()
+					continue // drain: the producer is about to notice
+				}
 				rn.guarded(gid, s, &out)
 				mu.Lock()
 				rn.fold(gid, &out)
@@ -247,8 +298,10 @@ func (rn *run) each(ids []int, n, workers int) {
 		}()
 	}
 	for i := 0; i < n; i++ {
+		// The deadline is the workers' to notice, on the reading they take
+		// with each job; now only covers one that had passed at the start.
 		mu.Lock()
-		stop := rn.stop()
+		stop := rn.stop(now)
 		mu.Unlock()
 		if stop {
 			break
@@ -265,4 +318,5 @@ func (rn *run) each(ids []int, n, workers int) {
 	close(jobs)
 	wg.Wait()
 	sort.Ints(rn.res.Answers)
+	return rn.read()
 }

@@ -10,6 +10,7 @@ import (
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/matching"
+	"subgraphquery/internal/obs"
 )
 
 // The tests in this file exercise the one per-graph loop (run.each) once,
@@ -182,5 +183,53 @@ func TestQueryAllocsDoNotGrowWithDatabase(t *testing.T) {
 	}
 	if small, large := allocs(50), allocs(500); small != large {
 		t.Errorf("CFQL.Query allocates %.0f objects on 50 graphs and %.0f on 500, want equal", small, large)
+	}
+}
+
+// TestClockBudget: the loop reads the clock once per phase boundary and
+// chains the readings, so a sequential fused query over N graphs of which P
+// pass the filter takes at most N + P + 2 readings — one at the start, one
+// after an index probe, one per filter, one per verification — whether or
+// not it carries a Deadline, and FilterTime + VerifyTime is exactly the
+// last reading minus the first.
+func TestClockBudget(t *testing.T) {
+	db := genDB(t, 40, 3)
+	queries := genQueries(t, db, 30)
+	var readings []time.Duration
+	defer func(real func(time.Time) time.Duration) { since = real }(since)
+	since = func(time.Time) time.Duration {
+		// Uneven steps, so that a dropped or doubled interval shows.
+		next := time.Duration(len(readings)*len(readings)+1) * time.Microsecond
+		readings = append(readings, next)
+		return next
+	}
+
+	for _, e := range []Engine{NewCFQL(), NewCFL(), NewGraphQL(), NewVcGGSX()} {
+		if err := e.Build(db, BuildOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		for qi, q := range queries {
+			for _, deadline := range []time.Time{{}, time.Now().Add(time.Hour)} {
+				readings = readings[:0]
+				ex := obs.NewExplain()
+				res := e.Query(q, QueryOptions{Deadline: deadline, Explain: ex})
+				if res.TimedOut || res.Candidates == 0 {
+					t.Fatalf("%s q%d: TimedOut=%v with %d candidates; queries are drawn from the database",
+						e.Name(), qi, res.TimedOut, res.Candidates)
+				}
+				n := db.Len()
+				if probes := ex.Snapshot().IndexProbes; len(probes) > 0 {
+					n = probes[0].Survivors
+				}
+				if budget := n + res.Candidates + 2; len(readings) > budget {
+					t.Errorf("%s q%d (deadline %v): %d clock readings for %d graphs and %d candidates, want at most %d",
+						e.Name(), qi, !deadline.IsZero(), len(readings), n, res.Candidates, budget)
+				}
+				if got, want := res.FilterTime+res.VerifyTime, readings[len(readings)-1]-readings[0]; got != want {
+					t.Errorf("%s q%d (deadline %v): FilterTime + VerifyTime = %v, last reading - first = %v",
+						e.Name(), qi, !deadline.IsZero(), got, want)
+				}
+			}
+		}
 	}
 }

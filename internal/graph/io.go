@@ -65,7 +65,15 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 
 func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<16), 1<<24)
+	if limit == 1 {
+		// One graph is a request body of a few hundred bytes, parsed once
+		// per served query: the scanner starts with its own 4 KB buffer
+		// and grows it. A 64 KB buffer per call would be more than
+		// everything else a served query allocates.
+		sc.Buffer(nil, 1<<24)
+	} else {
+		sc.Buffer(make([]byte, 1<<16), 1<<24)
+	}
 
 	var graphs []*Graph
 	var b *Builder

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -105,5 +106,46 @@ func TestReadGraphTakesFirstOnly(t *testing.T) {
 	}
 	if !sameGraph(g, fig1Query()) {
 		t.Error("ReadGraph should return the first graph")
+	}
+}
+
+// A query is parsed once per served request: ReadGraph on a request-sized
+// graph must not bring a database-sized read buffer with it, and a graph
+// far larger than the scanner's first buffer must still parse.
+func TestReadGraphBufferFitsTheGraph(t *testing.T) {
+	var small bytes.Buffer
+	if err := WriteGraph(&small, 0, fig1Query()); err != nil {
+		t.Fatal(err)
+	}
+	const calls = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < calls; i++ {
+		if _, err := ReadGraph(bytes.NewReader(small.Bytes())); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if got := (after.TotalAlloc - before.TotalAlloc) / calls; got > 16<<10 {
+		t.Errorf("ReadGraph of a %d-byte graph allocates %d bytes, want at most 16 KB", small.Len(), got)
+	}
+
+	const n = 20000 // a path; its text is some 300 KB
+	labels := make([]Label, n)
+	edges := make([]Edge, n-1)
+	for i := range edges {
+		edges[i] = Edge{VertexID(i), VertexID(i + 1)}
+	}
+	long := MustFromEdges(labels, edges)
+	var big bytes.Buffer
+	if err := WriteGraph(&big, 0, long); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadGraph(&big)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameGraph(long, got) {
+		t.Error("large graph changed across serialize/parse round trip")
 	}
 }

@@ -19,8 +19,15 @@ import "sort"
 // search; the table is O(distinct pairs), far below the |Σ|² dense matrix
 // on real label sets.
 
-// nbrMaxKey packs an ordered label pair into a sortable key.
-func nbrMaxKey(l1, l2 Label) uint64 { return uint64(l1)<<32 | uint64(l2) }
+// PairKey packs an ordered label pair into a sortable key.
+func PairKey(l1, l2 Label) uint64 { return uint64(l1)<<32 | uint64(l2) }
+
+// PairDemand is one label-pair demand of a query: some vertex labeled l1
+// must have at least Count neighbors labeled l2, with Key = PairKey(l1, l2).
+type PairDemand struct {
+	Key   uint64
+	Count uint32
+}
 
 // buildNbrMax fills the (l1,l2) → max-l2-neighbors table by walking the
 // per-vertex label runs the CSR index already delimits.
@@ -37,7 +44,7 @@ func (g *Graph) buildNbrMax() {
 		for i := s; i < e; i++ {
 			runLen := g.nlEnds[i] - prev
 			prev = g.nlEnds[i]
-			k := nbrMaxKey(l1, g.nlLabels[i])
+			k := PairKey(l1, g.nlLabels[i])
 			if runLen > acc[k] {
 				acc[k] = runLen
 			}
@@ -61,7 +68,7 @@ func (g *Graph) buildNbrMax() {
 // vertex has any l2-labeled neighbor (including when either label is
 // absent).
 func (g *Graph) MaxNeighborsWithLabel(l1, l2 Label) int {
-	k := nbrMaxKey(l1, l2)
+	k := PairKey(l1, l2)
 	lo, hi := 0, len(g.nbrMaxKeys)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
@@ -75,6 +82,23 @@ func (g *Graph) MaxNeighborsWithLabel(l1, l2 Label) int {
 		return 0
 	}
 	return int(g.nbrMaxVals[lo])
+}
+
+// MeetsPairDemands reports whether the graph meets every demand — whether
+// MaxNeighborsWithLabel(l1, l2) >= Count for each — in one forward merge of
+// the two key-sorted lists. demands must be ascending by Key with no key
+// repeated; a query compiles them once and asks every data graph.
+func (g *Graph) MeetsPairDemands(demands []PairDemand) bool {
+	keys, i := g.nbrMaxKeys, 0
+	for _, d := range demands {
+		for i < len(keys) && keys[i] < d.Key {
+			i++
+		}
+		if i == len(keys) || keys[i] != d.Key || g.nbrMaxVals[i] < d.Count {
+			return false
+		}
+	}
+	return true
 }
 
 // HasLabelPair reports whether some edge of g joins an l1-labeled vertex

@@ -118,24 +118,21 @@ func (ix *GGSX) FilterExplain(q *graph.Graph, ex *obs.Explain) []int {
 	}
 	features := countPaths(q, ix.maxLen())
 	probe.Features = len(features)
-	cand := allGraphIDs(ix.numGraphs)
-	for key := range features {
+	lists := make([]posting, 0, len(features))
+	for _, key := range sortedKeys(features) {
 		node := ix.lookup(key, &probe.NodesVisited)
 		if node == nil {
 			finishProbe(ex, &probe, t0)
 			return nil
 		}
-		cand = intersectSorted(cand, node.graphIDs)
-		if ex != nil {
-			probe.IntersectionSizes = append(probe.IntersectionSizes, len(cand))
-		}
-		if len(cand) == 0 {
-			finishProbe(ex, &probe, t0)
-			return nil
-		}
+		lists = append(lists, posting{ids: node.graphIDs})
 	}
+	cand := intersectPostings(lists, &probe, ex != nil)
 	probe.Survivors = len(cand)
 	finishProbe(ex, &probe, t0)
+	if len(cand) == 0 {
+		return nil
+	}
 	return toInts(cand)
 }
 

@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -247,25 +248,69 @@ func (ix *Grapes) FilterExplain(q *graph.Graph, ex *obs.Explain) []int {
 	}
 	features := countPaths(q, ix.maxLen())
 	probe.Features = len(features)
-	cand := allGraphIDs(ix.numGraphs)
-	for key, need := range features {
+	lists := make([]posting, 0, len(features))
+	for _, key := range sortedKeys(features) {
 		node := ix.lookup(key, &probe.NodesVisited)
 		if node == nil {
 			finishProbe(ex, &probe, t0)
 			return nil
 		}
-		cand = retainWithCount(cand, node.graphIDs, node.counts, need)
-		if ex != nil {
+		lists = append(lists, posting{ids: node.graphIDs, counts: node.counts, need: features[key]})
+	}
+	cand := intersectPostings(lists, &probe, ex != nil)
+	probe.Survivors = len(cand)
+	finishProbe(ex, &probe, t0)
+	if len(cand) == 0 {
+		return nil
+	}
+	return toInts(cand)
+}
+
+// posting is the occurrence list one query feature selects: graph ids
+// ascending and, in Grapes, the feature's count in each graph beside the
+// count the query needs.
+type posting struct {
+	ids, counts []int32
+	need        int32
+}
+
+// sortedKeys returns the feature keys in ascending order. The path indexes
+// look features up in this order, not in map order, so that one query
+// visits the same nodes on every probe — a missing feature ends the probe
+// at the same lookup each time.
+func sortedKeys(features map[string]int32) []string {
+	keys := make([]string, 0, len(features))
+	for key := range features {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// intersectPostings returns the graphs present — often enough, where the
+// lists carry counts — on every list: shortest list first, so the running
+// set starts at its size rather than at |D|, ties in key order. With record
+// set the size after each list goes on the probe.
+func intersectPostings(lists []posting, probe *obs.IndexProbe, record bool) []int32 {
+	sort.SliceStable(lists, func(i, j int) bool { return len(lists[i].ids) < len(lists[j].ids) })
+	var cand []int32
+	for i, p := range lists {
+		if i == 0 {
+			cand = slices.Clone(p.ids)
+		}
+		if p.counts != nil {
+			cand = retainWithCount(cand, p.ids, p.counts, p.need)
+		} else if i > 0 {
+			cand = intersectSorted(cand, p.ids)
+		}
+		if record {
 			probe.IntersectionSizes = append(probe.IntersectionSizes, len(cand))
 		}
 		if len(cand) == 0 {
-			finishProbe(ex, &probe, t0)
 			return nil
 		}
 	}
-	probe.Survivors = len(cand)
-	finishProbe(ex, &probe, t0)
-	return toInts(cand)
+	return cand
 }
 
 // finishProbe stamps the probe's duration and records it (no-op with a

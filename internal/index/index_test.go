@@ -2,11 +2,14 @@ package index
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
+	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/matching"
+	"subgraphquery/internal/obs"
 )
 
 // indexes returns a fresh instance of every index under test.
@@ -303,6 +306,75 @@ func TestSingleVertexQuery(t *testing.T) {
 			}
 			if !found {
 				t.Errorf("%s: dropped answer %d for single-vertex query", name, id)
+			}
+		}
+	}
+}
+
+// TestPathProbesRepeatAndAgree: the path indexes look features up in key
+// order and intersect shortest list first, so two probes of one query
+// report identical IndexProbes (wall time aside), and the survivors are
+// exactly the graphs that hold every path feature of the query often enough
+// — what intersecting in any order from all of D gives.
+func TestPathProbesRepeatAndAgree(t *testing.T) {
+	syn, err := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 30, NumVertices: 14, NumLabels: 3, Degree: 3, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	aids, err := gen.Real(gen.AIDS, 0.001, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for dbName, db := range map[string]*graph.Database{"synthetic": syn, "aids": aids} {
+		var queries []*graph.Graph
+		for _, m := range []gen.QueryMethod{gen.QueryRandomWalk, gen.QueryBFS} {
+			qs, err := gen.QuerySet(db, gen.QuerySetConfig{Count: 5, Edges: 5, Method: m, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			queries = append(queries, qs...)
+		}
+		// A label the database lacks: the probe ends at a missing feature.
+		queries = append(queries, graph.MustFromEdges([]graph.Label{0, 9999}, []graph.Edge{{U: 0, V: 1}}))
+
+		for ixName, ix := range map[string]interface {
+			Index
+			Explainable
+		}{"GGSX": &GGSX{}, "Grapes": &Grapes{}} {
+			if err := ix.Build(db, BuildOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			maxLen, counted := DefaultMaxPathLength, ixName == "Grapes"
+			for qi, q := range queries {
+				var probes [2]obs.IndexProbe
+				var got []int
+				for i := range probes {
+					ex := obs.NewExplain()
+					got = ix.FilterExplain(q, ex)
+					probes[i] = ex.Snapshot().IndexProbes[0]
+					probes[i].DurationUS = 0
+				}
+				if !reflect.DeepEqual(probes[0], probes[1]) {
+					t.Errorf("%s %s q%d: two probes differ:\n%+v\n%+v", dbName, ixName, qi, probes[0], probes[1])
+				}
+
+				var want []int
+				need := countPaths(q, maxLen)
+				for gid := 0; gid < db.Len(); gid++ {
+					have := countPaths(db.Graph(gid), maxLen)
+					ok := true
+					for key, n := range need {
+						if have[key] == 0 || (counted && have[key] < n) {
+							ok = false
+						}
+					}
+					if ok {
+						want = append(want, gid)
+					}
+				}
+				if !reflect.DeepEqual(got, want) {
+					t.Errorf("%s %s q%d: survivors %v, want %v", dbName, ixName, qi, got, want)
+				}
 			}
 		}
 	}

@@ -8,6 +8,7 @@ import (
 	"subgraphquery/internal/fault"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/obs"
+	"subgraphquery/internal/scratch"
 )
 
 // CFL (Bi, Chang, Lin, Qin, Zhang [1]) — the state-of-the-art
@@ -62,32 +63,6 @@ func emitStageCounts(ex *obs.Explain, stage string, cand *Candidates) {
 	ex.ObserveStageDense(stage, counts, cand.dom.NData())
 }
 
-// nlcCompatible is the label-pair prefilter: it checks, against the data
-// graph's neighborhood-frequency table, that every query vertex's NLF
-// profile is satisfiable by *some* data vertex — for each (l, c) demand
-// of a vertex labeled l1, some l1-labeled data vertex must have at least
-// c l-labeled neighbors. Any embedding would exhibit exactly such a
-// vertex, so a failed check proves the graph cannot contain q before any
-// per-vertex filtering runs. O(Σ_u |profile(u)|) binary searches over the
-// per-graph table, no allocation.
-func nlcCompatible(q, g *graph.Graph, profs []graph.NLF) bool {
-	for u := range profs {
-		l1 := q.Label(graph.VertexID(u))
-		ok := true
-		profs[u].ForEach(func(l graph.Label, c int) bool {
-			if g.MaxNeighborsWithLabel(l1, l) < c {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
 // candVolume estimates the scatter volume of generating one query
 // vertex's candidates: the processed neighbors' total candidate count, a
 // lower bound on the (candidate, adjacency) pairs both generation paths
@@ -102,19 +77,14 @@ func candVolume(cand *Candidates, before []graph.VertexID) int {
 
 // emitLDFCounts records CFL's label-and-degree qualification stage: the
 // raw candidate pool size per query vertex before any connectivity
-// pruning (explain-only; duplicates cflRoot's scan, off the nil path).
-func emitLDFCounts(ex *obs.Explain, q, g *graph.Graph) {
+// pruning, read off the class counts cflRoot just filled.
+func emitLDFCounts(ex *obs.Explain, s *Scratch) {
 	if ex == nil {
 		return
 	}
-	counts := make([]int, q.NumVertices())
-	for u := range counts {
-		uu := graph.VertexID(u)
-		for _, vv := range g.LabeledVertices(q.Label(uu)) {
-			if g.Degree(vv) >= q.Degree(uu) {
-				counts[u]++
-			}
-		}
+	counts := make([]int, len(s.plan.classOf))
+	for u, ci := range s.plan.classOf {
+		counts[u] = s.classCount[ci]
 	}
 	ex.ObserveStage(obs.StageCFLLDF, counts)
 }
@@ -126,26 +96,27 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 	if s == nil {
 		s = NewScratch()
 	}
-	nq := q.NumVertices()
-	cand := s.candidates(nq, g.NumVertices())
+	nq, nd := q.NumVertices(), g.NumVertices()
 	if nq == 0 {
-		return cand
+		return s.candidates(0, nd)
 	}
 	// Label-pair prefilter: reject the whole graph by its neighborhood
-	// frequency table before any per-vertex work. The sets are left empty,
-	// which is exactly the "filtered out" signal (AnyEmpty).
-	profs := s.profilesFor(q)
-	if !nlcCompatible(q, g, profs) {
+	// frequency table before any per-vertex work, the candidate structure's
+	// reset included. Empty sets are exactly the "filtered out" signal
+	// (AnyEmpty).
+	plan := s.planFor(q)
+	if !g.MeetsPairDemands(plan.demands) {
 		ex.ObservePrefilter(true)
-		return cand
+		return plan.rejected()
 	}
 	ex.ObservePrefilter(false)
-	emitLDFCounts(ex, q, g)
+	cand := s.candidates(nq, nd)
+	profs := plan.profs
 
-	s.ensureCFL(nq, g.NumVertices())
-	root := cflRoot(q, g)
+	s.ensureCFL(nq, nd)
+	root := cflRoot(q, g, s)
+	emitLDFCounts(ex, s)
 	order := s.bfsOrderInto(q, root)
-	nd := g.NumVertices()
 	bitsVerts, chainVerts := 0, 0
 
 	// Top-down generation along the BFS order. processed[u'] marks query
@@ -154,7 +125,7 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 	// neighbor u' of u, v is adjacent to some candidate of u' (backward
 	// pruning over both tree and non-tree edges).
 	for _, u := range order {
-		if opts.stop(cand) {
+		if opts.stop(s, cand) {
 			return cand
 		}
 		qDeg := q.Degree(u)
@@ -271,7 +242,7 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 	// non-tree edges), N(v) ∩ Φ(u') ≠ ∅. The retention loop is written out
 	// (rather than via Retain's callback) to keep the hot path closure-free.
 	for i := nq - 1; i >= 0; i-- {
-		if opts.stop(cand) {
+		if opts.stop(s, cand) {
 			return cand
 		}
 		u := order[i]
@@ -320,27 +291,27 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 
 // cflRoot selects the BFS root as the query vertex minimizing the ratio of
 // label-and-degree-qualified data vertices to its degree, CFL's root
-// selection rule. The per-label vertex index reduces the scan from
-// O(|V(q)|·|V(G)|) to the qualified vertices only.
-func cflRoot(q, g *graph.Graph) graph.VertexID {
+// selection rule. Vertices of one (label, degree) class score the same, so
+// each class of q's plan is scored once — s.classCount keeps the qualified
+// counts. Classes are in order of their lowest member, so a tie stays with
+// the lowest vertex id, as in a scan over the vertices in id order.
+func cflRoot(q, g *graph.Graph, s *Scratch) graph.VertexID {
+	classes := s.planFor(q).classes
+	s.classCount = scratch.Grow(s.classCount, len(classes))
 	best := graph.VertexID(0)
 	bestScore := -1.0
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.VertexID(u)
+	for ci, c := range classes {
 		cnt := 0
-		for _, vv := range g.LabeledVertices(q.Label(uu)) {
-			if g.Degree(vv) >= q.Degree(uu) {
+		for _, vv := range g.LabeledVertices(c.label) {
+			if g.Degree(vv) >= c.degree {
 				cnt++
 			}
 		}
-		deg := q.Degree(uu)
-		if deg == 0 {
-			deg = 1
-		}
-		score := float64(cnt) / float64(deg)
+		s.classCount[ci] = cnt
+		score := float64(cnt) / float64(max(c.degree, 1))
 		if bestScore < 0 || score < bestScore {
 			bestScore = score
-			best = uu
+			best = c.rep
 		}
 	}
 	return best
@@ -366,7 +337,7 @@ func CFLOrderScratch(q, g *graph.Graph, cand *Candidates, s *Scratch) []graph.Ve
 	if s == nil {
 		s = NewScratch()
 	}
-	root := cflRoot(q, g)
+	root := cflRoot(q, g, s)
 	tree := graph.NewBFSTree(q, root)
 	core := q.TwoCore()
 

@@ -176,7 +176,7 @@ func TestBitset(t *testing.T) {
 
 func TestCFLRootSelection(t *testing.T) {
 	q, g := fig1()
-	root := cflRoot(q, g)
+	root := cflRoot(q, g, NewScratch())
 	// u2 (label C, unique in G, degree 3) has ratio 1/3 — the minimum.
 	if root != 2 {
 		t.Errorf("cflRoot = %d, want 2", root)

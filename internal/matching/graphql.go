@@ -68,25 +68,26 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 		rounds = 0
 	}
 	nq := q.NumVertices()
-	cand := s.candidates(nq, g.NumVertices())
 	if nq == 0 {
-		return cand
+		return s.candidates(0, g.NumVertices())
 	}
-	profs := s.profilesFor(q)
 
 	// Label-pair prefilter: reject the whole graph by its neighborhood
-	// frequency table before any per-vertex work (see nlcCompatible). The
-	// sets are left empty — the "filtered out" signal (AnyEmpty).
-	if !nlcCompatible(q, g, profs) {
+	// frequency table before any per-vertex work (see queryPlan.demands).
+	// Empty sets are the "filtered out" signal (AnyEmpty).
+	plan := s.planFor(q)
+	if !g.MeetsPairDemands(plan.demands) {
 		ex.ObservePrefilter(true)
-		return cand
+		return plan.rejected()
 	}
 	ex.ObservePrefilter(false)
+	cand := s.candidates(nq, g.NumVertices())
+	profs := plan.profs
 
 	// Step 1: candidates by neighborhood profile, in ascending id order.
 	// LabeledVertices is ascending, so every set is born sorted.
 	for u := 0; u < nq; u++ {
-		if opts.stop(cand) {
+		if opts.stop(s, cand) {
 			return cand
 		}
 		uu := graph.VertexID(u)
@@ -116,7 +117,7 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 		executed = r + 1
 		changed := false
 		for u := 0; u < nq; u++ {
-			if opts.stop(cand) {
+			if opts.stop(s, cand) {
 				emitRefineStats(ex, cand, executed, rejected)
 				return cand
 			}

@@ -69,15 +69,17 @@ type Options struct {
 // zero value filters to completion with no instrumentation, the historic
 // behavior.
 type FilterOptions struct {
-	// Deadline aborts the filtering pass when exceeded. The returned
-	// Candidates then has Aborted set and is incomplete: callers must treat
-	// the data graph as timed out, never as filtered out. The zero time
-	// disables the check.
+	// Deadline aborts the filtering pass when exceeded, fewer than
+	// deadlineStride stage boundaries late. The returned Candidates then
+	// has Aborted set and is incomplete: callers must treat the data graph
+	// as timed out, never as filtered out. The zero time disables the
+	// check.
 	Deadline time.Time
 
 	// Cancel aborts the filtering pass cooperatively when closed
-	// (context-compatible: pass ctx.Done()), with the same Aborted
-	// semantics as Deadline. nil disables the check at no cost.
+	// (context-compatible: pass ctx.Done()), at the next stage boundary,
+	// with the same Aborted semantics as Deadline. nil disables the check
+	// at no cost.
 	Cancel <-chan struct{}
 
 	// MemoryBudget bounds the live byte footprint of the candidate
@@ -106,16 +108,13 @@ type FilterOptions struct {
 	Scratch *Scratch
 }
 
-// expired reports whether the filtering deadline has passed or the pass
-// was cancelled. It is called once per query vertex per stage, so the
-// time syscall and channel poll cost is bounded by |V(q)|, not by the
-// data graph.
-func (o *FilterOptions) expired() bool {
-	if budget.Cancelled(o.Cancel) {
-		return true
-	}
-	return !o.Deadline.IsZero() && time.Now().After(o.Deadline)
-}
+// deadlineStride is how many stage boundaries of the filters share one
+// clock read. A stage is one query vertex of one pass — for CFL at most
+// O(|E(G)|) adjacency scanned per neighbor of that vertex — so a pass
+// overshoots FilterOptions.Deadline by fewer than deadlineStride stages;
+// the engines' per-graph loop also compares its own reading against the
+// deadline after every graph.
+const deadlineStride = 8
 
 // overBudget marks cand budget-exceeded (and aborted) when its live
 // footprint passed MemoryBudget, and reports whether the pass must stop.
@@ -129,13 +128,16 @@ func (o *FilterOptions) overBudget(cand *Candidates) bool {
 	return true
 }
 
-// stop is the stage-boundary check of a filtering pass: deadline or
-// cancellation expiry (and, under sqchaos, an injected spurious abort)
-// stops the pass with Aborted set; a blown memory budget stops it with
-// BudgetExceeded set as well. Returns true when the pass must return
-// cand as-is.
-func (o *FilterOptions) stop(cand *Candidates) bool {
-	if o.expired() || fault.Abort(fault.PointFilter) {
+// stop is the stage-boundary check of a filtering pass running on s.
+// Cancellation, polled at every boundary, a passed deadline, for which the
+// clock is read at every deadlineStride-th boundary s has seen, and, under
+// sqchaos, an injected spurious abort stop the pass with Aborted set; a
+// blown memory budget stops it with BudgetExceeded set as well. Returns
+// true when the pass must return cand as-is.
+func (o *FilterOptions) stop(s *Scratch, cand *Candidates) bool {
+	s.boundaries++
+	late := s.boundaries%deadlineStride == 0 && !o.Deadline.IsZero() && time.Until(o.Deadline) < 0
+	if late || budget.Cancelled(o.Cancel) || fault.Abort(fault.PointFilter) {
 		cand.Aborted = true
 		return true
 	}

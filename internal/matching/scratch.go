@@ -1,6 +1,8 @@
 package matching
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -47,13 +49,14 @@ type Scratch struct {
 	bfsDepth  []int32
 	bfsOrder  []graph.VertexID
 
-	// Neighborhood-label-frequency profiles of the query vertices. They
-	// depend only on q, so they are computed once per (Scratch, query)
-	// pair and reused across every data graph; the arena keeps a change of
-	// query (one per entry in the result cache's probes) allocation-free.
-	profQ     *graph.Graph
-	profs     []graph.NLF
-	profArena graph.NLFArena
+	// What the filters need of the query alone (see queryPlan), and the
+	// per-graph class counts cflRoot fills from it.
+	plan       queryPlan
+	classCount []int
+
+	// boundaries counts FilterOptions.stop calls over the Scratch's
+	// lifetime; every deadlineStride-th one reads the clock.
+	boundaries uint
 
 	// GraphQL refinement: the reusable bipartite matcher and its
 	// per-query-neighbor adjacency rows.
@@ -158,15 +161,96 @@ func (s *Scratch) ensureCFL(nq, nd int) {
 	s.adjacent = s.adjacent[:0]
 }
 
-// profilesFor returns the NLF profiles of q's vertices, computing them on
-// the first call for this query and reusing them for every subsequent
-// data graph.
-func (s *Scratch) profilesFor(q *graph.Graph) []graph.NLF {
-	if s.profQ != q {
-		s.profs = s.profArena.Of(q)
-		s.profQ = q
+// queryPlan is the part of a filter pass that depends only on the query
+// graph: compiled once per (Scratch, query) pair and read by every data
+// graph's pass. It lives on the Scratch rather than beside the query
+// because a Scratch already belongs to one goroutine and outlives the
+// query, so a change of query (one per entry the result cache probes)
+// reuses the same storage and allocates nothing.
+type queryPlan struct {
+	q *graph.Graph // the query the plan was compiled for
+
+	// profs are the neighborhood-label-frequency profiles of q's vertices.
+	profs []graph.NLF
+	arena graph.NLFArena
+
+	// demands is the label-pair prefilter's question: for every ordered
+	// label pair (l1, l2) around some query edge, the largest number of
+	// l2-labeled neighbors any l1-labeled query vertex has, ascending by
+	// packed key. Any embedding exhibits a data vertex meeting each
+	// demand, so a graph that fails one (Graph.MeetsPairDemands) cannot
+	// contain q and is rejected before any per-vertex work.
+	demands []graph.PairDemand
+
+	// classes are the distinct (label, degree) pairs among q's vertices.
+	// CFL's root rule scores a query vertex by those two alone, so cflRoot
+	// scans the data graph once per class, not once per vertex. They are in
+	// order of first appearance over the vertex ids; classOf[u] indexes
+	// them.
+	classes []rootClass
+	classOf []int32
+
+	// none is what a filter returns for a graph the prefilter rejects: one
+	// empty set per query vertex, shaped once here so that a rejected graph
+	// costs no O(|V(q)|) reset.
+	none Candidates
+}
+
+// rootClass is one (label, degree) class of query vertices; rep is its
+// lowest-id member, the vertex the per-vertex rule would have picked.
+type rootClass struct {
+	label  graph.Label
+	degree int
+	rep    graph.VertexID
+}
+
+// planFor returns the plan of q, compiling it on the first call for this
+// query and reusing it for every subsequent data graph.
+func (s *Scratch) planFor(q *graph.Graph) *queryPlan {
+	p := &s.plan
+	if p.q != q {
+		p.compile(q)
 	}
-	return s.profs
+	return p
+}
+
+func (p *queryPlan) compile(q *graph.Graph) {
+	p.q = q
+	p.profs = p.arena.Of(q)
+	nq := q.NumVertices()
+	p.demands = p.demands[:0]
+	p.classes = p.classes[:0]
+	p.classOf = scratch.Grow(p.classOf, nq)
+	for u, prof := range p.profs {
+		uu := graph.VertexID(u)
+		l1, deg := q.Label(uu), q.Degree(uu)
+		prof.ForEach(func(l graph.Label, c int) bool {
+			p.demands = append(p.demands, graph.PairDemand{Key: graph.PairKey(l1, l), Count: uint32(c)})
+			return true
+		})
+		ci := slices.IndexFunc(p.classes, func(c rootClass) bool { return c.label == l1 && c.degree == deg })
+		if ci < 0 {
+			ci = len(p.classes)
+			p.classes = append(p.classes, rootClass{label: l1, degree: deg, rep: uu})
+		}
+		p.classOf[u] = int32(ci)
+	}
+	// One demand per key, the largest: sort it to the front of its key's
+	// run and drop the rest. Both calls work in place; sort.Slice would box
+	// the slice and allocate on every change of query.
+	slices.SortFunc(p.demands, func(a, b graph.PairDemand) int {
+		return cmp.Or(cmp.Compare(a.Key, b.Key), cmp.Compare(b.Count, a.Count))
+	})
+	p.demands = slices.CompactFunc(p.demands, func(a, b graph.PairDemand) bool { return a.Key == b.Key })
+	p.none.reset(nq, 0)
+}
+
+// rejected returns the plan's all-empty candidate structure, the answer
+// for a data graph that fails the prefilter. The flags are cleared in case
+// a caller marked the previous one.
+func (p *queryPlan) rejected() *Candidates {
+	p.none.Aborted, p.none.BudgetExceeded = false, false
+	return &p.none
 }
 
 // bfsOrderInto computes the BFS visit order of q from root into the

@@ -44,6 +44,9 @@ make test-cluster
 echo "== result-cache bench smoke (one Zipf block through bare and cached CFQL)"
 go test -run '^$' -bench 'CachedZipf' -benchtime 1x .
 
+echo "== budgeted-query bench smoke (bare CFQL with and without a Deadline, equal answers)"
+go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
+
 echo "== served-path benchmark smoke (real sqserver, traced replay with its self-checks)"
 # -short above skips it; a change that breaks replay/engine parity should
 # fail here, not in the benchmark gate.
