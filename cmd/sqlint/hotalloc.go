@@ -48,6 +48,7 @@ var hotallocFiles = map[string]bool{
 	"bipartite.go":  true,
 	"scratch.go":    true,
 	"matching.go":   true,
+	"words.go":      true,
 	// internal/core: the one per-data-graph loop every engine configuration
 	// runs through (run.go: the executor, the fold and both per-graph
 	// tests), and the result cache's per-entry loops (exact-hit chain,

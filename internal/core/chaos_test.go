@@ -126,6 +126,33 @@ func TestChaosEnginesSurviveFaults(t *testing.T) {
 	}
 }
 
+// TestChaosPointsFireOnWordSizedGraphs: the filter and enumeration fault
+// points sit in front of the word kernels too. Every graph here has at most
+// 64 vertices; a certain panic at the filter point skips each of them, one
+// at the enumeration point skips exactly the graphs that pass the filter.
+func TestChaosPointsFireOnWordSizedGraphs(t *testing.T) {
+	r := rand.New(rand.NewSource(44))
+	db := randomDB(r, 20, 10, 2)
+	q := walkQuery(r, db.Graph(0), 3)
+	eng := NewCFQL()
+	fault.Set(fault.Config{})
+	defer fault.Set(fault.Config{})
+	if err := eng.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	calm := eng.Query(q, QueryOptions{})
+	if calm.Candidates == 0 || calm.Candidates == db.Len() {
+		t.Fatalf("fixture: %d of %d graphs pass the filter, want some but not all", calm.Candidates, db.Len())
+	}
+	for point, want := range map[string]int{fault.PointFilter: db.Len(), fault.PointEnumerate: calm.Candidates} {
+		fault.Set(fault.Config{PanicRate: 1, Points: map[string]bool{point: true}, Seed: 3})
+		res := eng.Query(q, QueryOptions{})
+		if panics, _, _, _ := fault.Counts(); res.Skipped != want || int(panics) != want || len(res.Answers) != 0 {
+			t.Errorf("%s: %d graphs skipped, %d panics fired, %d answers; want %d, %d, 0", point, res.Skipped, panics, len(res.Answers), want, want)
+		}
+	}
+}
+
 type chaosQueryCase struct {
 	q    *graph.Graph
 	want []int

@@ -3,22 +3,8 @@ package core
 import (
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/index"
-	"subgraphquery/internal/matching"
 	"subgraphquery/internal/obs"
 )
-
-// observeOrder records a matching order with per-vertex selectivity into
-// the Explain report (no-op with a nil Explain; allocates nothing then).
-func observeOrder(ex *obs.Explain, order []graph.VertexID, cand *matching.Candidates) {
-	if ex == nil {
-		return
-	}
-	steps := make([]obs.OrderStep, len(order))
-	for i, u := range order {
-		steps[i] = obs.OrderStep{Vertex: int(u), Candidates: cand.Count(u)}
-	}
-	ex.ObserveOrder(steps)
-}
 
 // probeIndex probes an engine's index for the surviving graph ids. An
 // index that recognises the query verbatim (index.ExactFilter) reports

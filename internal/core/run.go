@@ -121,7 +121,7 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 
 		t1 := out.at
 		ord := order(q, g, cand, s)
-		observeOrder(opts.Explain, ord, cand)
+		s.ObserveOrder(opts.Explain, ord, cand)
 		r, err := matching.Enumerate(q, g, cand, ord, matching.Options{
 			Limit:      1,
 			Deadline:   opts.Deadline,
@@ -140,7 +140,7 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 		if o := opts.Observer; o != nil {
 			o.ObserveVerify(gid, r.Steps, out.verify, r.Found())
 		}
-		opts.Explain.ObserveEnumerate(r.Jumps, r.Redos, r.ProbeIsects, r.MergeIsects)
+		opts.Explain.ObserveEnumerate(r.Jumps, r.Redos, r.WordIsects, r.ProbeIsects, r.MergeIsects)
 		out.r = r
 	}
 }

@@ -19,7 +19,11 @@
 // use.
 package domain
 
-import "subgraphquery/internal/scratch"
+import (
+	"math/bits"
+
+	"subgraphquery/internal/scratch"
+)
 
 // Matrix is a bit-matrix of compatibility domains: Row(u) holds the set
 // of data vertices v with bit v set iff v ∈ Φ(u). Cardinalities are
@@ -87,6 +91,14 @@ func (m *Matrix) Count(u int) int { return int(m.counts[u]) }
 // After mutating a row in bulk, call RecountRow(u) to resync the
 // maintained cardinality.
 func (m *Matrix) Row(u int) *scratch.Bits { return &m.rows[u] }
+
+// SetWord makes row u exactly the set w, cardinality included, over a
+// universe of 1 to WordVertices data vertices: the whole row in one store
+// where Add takes a call per member. Row(u).Word(0) reads it back.
+func (m *Matrix) SetWord(u int, w uint64) {
+	m.rows[u].SetWord(0, w)
+	m.counts[u] = int32(bits.OnesCount64(w))
+}
 
 // RecountRow repopulates the maintained cardinality of row u from its
 // words and returns it. Required after bulk mutation through Row.

@@ -17,6 +17,11 @@ package domain
 //     bits are set. Bits win once the candidate rows hold at least on the
 //     order of one set bit per word.
 //
+//   - Whole graph: up to WordVertices data vertices every set over V(G)
+//     is one machine word, and up to as many query vertices so is a
+//     conflict set over order positions. Filter and enumeration then run
+//     on words (UseWords) and nothing is left to switch per operation.
+//
 // The constants below are calibrated by the crossover benchmarks in
 // switch_bench_test.go (BenchmarkIntersectProbeVsMerge,
 // BenchmarkGenerateBitsVsChain) — run them on the target hardware before
@@ -62,4 +67,17 @@ func UseProbe(candCount, nbrCount int) bool {
 func UseBitsGenerate(scatterVol, nData int) bool {
 	words := (nData + 63) / 64
 	return scatterVol*bitsGenerateNumPerWord >= words
+}
+
+// WordVertices is the largest vertex count one machine word covers;
+// graph.Builder keeps a neighbourhood word per vertex up to this size.
+const WordVertices = 64
+
+// UseWords reports whether a query of nQuery vertices against a data graph
+// of nData vertices runs on the word-parallel kernels. Not a tuning knob:
+// up to the cut-off a word operation replaces a loop over a list and is
+// never slower, past it the sets do not fit (and a query wider than the
+// graph cannot match it anyway).
+func UseWords(nQuery, nData int) bool {
+	return nQuery <= WordVertices && nData <= WordVertices
 }

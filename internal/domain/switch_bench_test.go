@@ -1,13 +1,17 @@
-package domain
+package domain_test
 
 import (
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"subgraphquery/internal/domain"
 	"subgraphquery/internal/graph"
 )
 
+// An external test package: internal/graph imports domain for the word
+// cut-off, so the package's own tests cannot import graph.
+//
 // Crossover benchmarks calibrating the representation-switch constants in
 // switch.go. Each benchmark pits the two implementations of one hot-path
 // operation against each other across the size/density regimes the switch
@@ -16,7 +20,7 @@ import (
 // benchSets builds a sorted candidate set of candCount vertices, a sorted
 // neighbor list of nbrCount vertices (both drawn from [0, universe)), and
 // the matching domain row.
-func benchSets(universe, candCount, nbrCount int) (cand, nbrs []graph.VertexID, m *Matrix) {
+func benchSets(universe, candCount, nbrCount int) (cand, nbrs []graph.VertexID, m *domain.Matrix) {
 	rng := rand.New(rand.NewSource(int64(universe + candCount + nbrCount)))
 	pick := func(n int) []graph.VertexID {
 		seen := map[int]bool{}
@@ -38,7 +42,7 @@ func benchSets(universe, candCount, nbrCount int) (cand, nbrs []graph.VertexID, 
 	}
 	cand = pick(candCount)
 	nbrs = pick(nbrCount)
-	m = &Matrix{}
+	m = &domain.Matrix{}
 	m.Reset(1, universe)
 	for _, v := range cand {
 		m.Add(0, uint32(v))
@@ -84,9 +88,9 @@ func BenchmarkGenerateBitsVsChain(b *testing.B) {
 	const universe = 1 << 16
 	for _, candCount := range []int{64, 256, 1024, 4096, 16384} {
 		cand, other, m := benchSets(universe, candCount, candCount)
-		var acc Matrix
+		var acc domain.Matrix
 		acc.Reset(1, universe)
-		var om Matrix
+		var om domain.Matrix
 		om.Reset(1, universe)
 		for _, v := range other {
 			om.Add(0, uint32(v))

@@ -2,7 +2,10 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+
+	"subgraphquery/internal/domain"
 )
 
 // Builder accumulates vertices and edges and produces an immutable Graph.
@@ -53,13 +56,9 @@ func (b *Builder) Build() (*Graph, error) {
 	}
 
 	g := &Graph{
-		labels:     append([]Label(nil), b.labels...),
-		offsets:    make([]uint32, n+1),
-		adj:        make([]VertexID, 2*len(b.edges)),
-		labelCount: make(map[Label]int),
-	}
-	for _, l := range g.labels {
-		g.labelCount[l]++
+		labels:  append([]Label(nil), b.labels...),
+		offsets: make([]uint32, n+1),
+		adj:     make([]VertexID, 2*len(b.edges)),
 	}
 
 	deg := make([]uint32, n)
@@ -99,25 +98,41 @@ func (b *Builder) Build() (*Graph, error) {
 		}
 	}
 	g.buildLabelIndex()
-	g.buildLabelVertexIndex()
+	g.buildLabelDirectory()
 	g.buildNbrMax()
+	if n <= domain.WordVertices {
+		g.nbrWords = make([]uint64, n)
+		for _, e := range b.edges {
+			g.nbrWords[e.U] |= 1 << e.V
+			g.nbrWords[e.V] |= 1 << e.U
+		}
+	}
 	debugCheckGraph(g) // sqdebug builds only; compiles away otherwise
 	return g, nil
 }
 
-// buildLabelVertexIndex groups vertex ids by label, each group ascending,
-// backing LabeledVertices. One shared backing array keeps it a single
-// allocation plus the map.
-func (g *Graph) buildLabelVertexIndex() {
-	g.labelVerts = make(map[Label][]VertexID, len(g.labelCount))
-	backing := make([]VertexID, 0, len(g.labels))
-	for l, c := range g.labelCount {
-		start := len(backing)
-		backing = backing[:start+c]
-		g.labelVerts[l] = backing[start:start:len(backing)]
-	}
+// buildLabelDirectory sorts the vertex ids by (label, id) into byLabel and
+// records where each label's run starts, backing LabeledVertices. The sort
+// runs on packed (label, id) keys, which need no comparison callback.
+func (g *Graph) buildLabelDirectory() {
+	keys := make([]uint64, len(g.labels))
 	for v, l := range g.labels {
-		g.labelVerts[l] = append(g.labelVerts[l], VertexID(v))
+		keys[v] = PairKey(l, Label(v))
+	}
+	slices.Sort(keys)
+	runs := 0
+	for i, k := range keys {
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			runs++
+		}
+	}
+	g.byLabel = make([]VertexID, len(keys))
+	g.dir = make([]labelRun, 0, runs)
+	for i, k := range keys {
+		g.byLabel[i] = VertexID(k)
+		if i == 0 || k>>32 != keys[i-1]>>32 {
+			g.dir = append(g.dir, labelRun{label: Label(k >> 32), start: uint32(i)})
+		}
 	}
 }
 

@@ -40,9 +40,22 @@ type Graph struct {
 	nbrMaxKeys []uint64
 	nbrMaxVals []uint32
 
-	maxDegree  uint32
-	labelCount map[Label]int        // number of vertices per label
-	labelVerts map[Label][]VertexID // vertices per label, ascending
+	maxDegree uint32
+
+	// Label directory: byLabel holds the vertex ids sorted by (label, id);
+	// dir holds the distinct labels, ascending, with where each one's run
+	// starts in it.
+	dir     []labelRun
+	byLabel []VertexID
+
+	// nbrWords[v] has bit w set iff (v, w) is an edge: one neighbourhood
+	// word per vertex, nil past domain.WordVertices vertices.
+	nbrWords []uint64
+}
+
+type labelRun struct {
+	label Label
+	start uint32
 }
 
 // NumVertices returns |V(g)|.
@@ -108,22 +121,37 @@ func (g *Graph) HasEdge(u, v VertexID) bool {
 }
 
 // LabelFrequency returns the number of vertices in g with label l.
-func (g *Graph) LabelFrequency(l Label) int { return g.labelCount[l] }
+func (g *Graph) LabelFrequency(l Label) int { return len(g.LabeledVertices(l)) }
 
 // DistinctLabels returns the number of distinct vertex labels in g.
-func (g *Graph) DistinctLabels() int { return len(g.labelCount) }
+func (g *Graph) DistinctLabels() int { return len(g.dir) }
 
 // VerticesWithLabel appends to dst all vertices of g labeled l and returns
 // the extended slice.
 func (g *Graph) VerticesWithLabel(dst []VertexID, l Label) []VertexID {
-	return append(dst, g.labelVerts[l]...)
+	return append(dst, g.LabeledVertices(l)...)
 }
 
 // LabeledVertices returns the vertices of g labeled l, in ascending id
 // order, without copying. Callers must not modify the returned slice. This
 // is the index that turns every "scan V(G) for label L(u)" loop in the
 // filters into an O(|candidates|) walk.
-func (g *Graph) LabeledVertices(l Label) []VertexID { return g.labelVerts[l] }
+func (g *Graph) LabeledVertices(l Label) []VertexID {
+	lo := sort.Search(len(g.dir), func(i int) bool { return g.dir[i].label >= l })
+	if lo == len(g.dir) || g.dir[lo].label != l {
+		return nil
+	}
+	end := len(g.byLabel)
+	if lo+1 < len(g.dir) {
+		end = int(g.dir[lo+1].start)
+	}
+	return g.byLabel[g.dir[lo].start:end:end]
+}
+
+// NeighborWords returns one adjacency word per vertex — bit w of word v iff
+// (v, w) is an edge — or nil when g has more than domain.WordVertices
+// vertices. Callers must not modify it.
+func (g *Graph) NeighborWords() []uint64 { return g.nbrWords }
 
 // SubsumesProfile reports whether vertex v's neighborhood label frequency
 // profile subsumes q — v has at least q.counts[j] neighbors of label
@@ -148,12 +176,14 @@ func (g *Graph) SubsumesProfile(v VertexID, q NLF) bool {
 }
 
 // MemoryFootprint returns the approximate number of bytes held by the CSR
-// arrays of g plus the label-pair prefilter table. This is the "Datasets"
-// storage cost the paper reports — a label array, an offset array and an
-// edge array — with the O(distinct label pairs) table built alongside.
+// arrays of g — the "Datasets" storage cost the paper reports: a label
+// array, an offset array and an edge array — plus what is built alongside:
+// the O(distinct label pairs) prefilter table, the label directory with its
+// by-label vertex array, and the neighbourhood words of a small graph.
 func (g *Graph) MemoryFootprint() int64 {
 	return int64(len(g.labels))*4 + int64(len(g.offsets))*4 + int64(len(g.adj))*4 +
-		int64(len(g.nbrMaxKeys))*8 + int64(len(g.nbrMaxVals))*4
+		int64(len(g.nbrMaxKeys))*8 + int64(len(g.nbrMaxVals))*4 +
+		int64(len(g.dir))*8 + int64(len(g.byLabel))*4 + int64(len(g.nbrWords))*8
 }
 
 // String returns a short diagnostic description of g.

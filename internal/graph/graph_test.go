@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -440,11 +442,86 @@ func TestDatabaseStats(t *testing.T) {
 
 func TestMemoryFootprint(t *testing.T) {
 	// 5 vertices, 5 edges, 6 distinct ordered label pairs around edges
-	// (A-B, A-C, B-A, B-C, C-A, C-B) in the prefilter table.
+	// (A-B, A-C, B-A, B-C, C-A, C-B) in the prefilter table; 3 labels in the
+	// directory over 5 by-label vertex ids; 5 neighbourhood words.
 	g := fig1Data()
-	want := int64(5*4+6*4+10*4) + int64(6*8+6*4)
+	want := int64(5*4+6*4+10*4) + int64(6*8+6*4) + int64(3*8+5*4) + int64(5*8)
 	if got := g.MemoryFootprint(); got != want {
 		t.Errorf("MemoryFootprint = %d, want %d", got, want)
+	}
+
+	// Past the cut-off the words go: 65 isolated vertices of one label cost
+	// labels, offsets, one directory entry and the by-label array.
+	big := MustFromEdges(make([]Label, 65), nil)
+	if big.NeighborWords() != nil {
+		t.Error("a 65-vertex graph keeps neighbourhood words")
+	}
+	if got, want := big.MemoryFootprint(), int64(65*4+66*4+1*8+65*4); got != want {
+		t.Errorf("MemoryFootprint of 65 isolated vertices = %d, want %d", got, want)
+	}
+}
+
+// TestLabelDirectory checks the four label accessors against a scan of the
+// label array, absent labels below, between and above the present ones
+// included.
+func TestLabelDirectory(t *testing.T) {
+	g := MustFromEdges([]Label{7, 3, 7, 9, 3, 7}, []Edge{{0, 1}, {2, 3}})
+	if got := g.DistinctLabels(); got != 3 {
+		t.Errorf("DistinctLabels = %d, want 3", got)
+	}
+	for l := Label(0); l <= 10; l++ {
+		var want []VertexID
+		for v, lv := range g.Labels() {
+			if lv == l {
+				want = append(want, VertexID(v))
+			}
+		}
+		if got := g.LabeledVertices(l); !slices.Equal(got, want) {
+			t.Errorf("LabeledVertices(%d) = %v, want %v", l, got, want)
+		}
+		if got := g.LabelFrequency(l); got != len(want) {
+			t.Errorf("LabelFrequency(%d) = %d, want %d", l, got, len(want))
+		}
+		if got := g.VerticesWithLabel([]VertexID{42}, l); !slices.Equal(got[1:], want) || got[0] != 42 {
+			t.Errorf("VerticesWithLabel(%d) = %v, want 42 then %v", l, got, want)
+		}
+	}
+	// Appending to a returned run must not reach the next label's run.
+	run := g.LabeledVertices(3)
+	_ = append(run, 99)
+	if got := g.LabeledVertices(7); !slices.Equal(got, []VertexID{0, 2, 5}) {
+		t.Errorf("LabeledVertices(7) = %v after an append to label 3's run", got)
+	}
+}
+
+// TestNeighborWords checks the words against HasEdge at the cut-off sizes,
+// vertex 63 included.
+func TestNeighborWords(t *testing.T) {
+	for _, n := range []int{1, 63, 64} {
+		var edges []Edge
+		for v := 1; v < n; v++ {
+			edges = append(edges, Edge{VertexID(v / 2), VertexID(v)}, Edge{VertexID(n - 1), VertexID((v * 7) % (n - 1))})
+		}
+		for i, e := range edges {
+			edges[i] = Edge{min(e.U, e.V), max(e.U, e.V)}
+		}
+		slices.SortFunc(edges, func(a, b Edge) int { return cmp.Or(cmp.Compare(a.U, b.U), cmp.Compare(a.V, b.V)) })
+		edges = slices.CompactFunc(edges, func(a, b Edge) bool { return a == b })
+		g, err := FromEdges(make([]Label, n), edges)
+		if err != nil {
+			t.Fatal(err)
+		}
+		words := g.NeighborWords()
+		if len(words) != n {
+			t.Fatalf("|V| = %d: %d neighbourhood words", n, len(words))
+		}
+		for v := 0; v < n; v++ {
+			for w := 0; w < n; w++ {
+				if got, want := words[v]>>w&1 == 1, g.HasEdge(VertexID(v), VertexID(w)); got != want {
+					t.Fatalf("|V| = %d: word bit (%d,%d) = %v, HasEdge = %v", n, v, w, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -3,6 +3,8 @@ package graph
 import (
 	"cmp"
 	"fmt"
+
+	"subgraphquery/internal/domain"
 )
 
 // Runtime invariant assertions over the CSR representation, active only
@@ -79,19 +81,7 @@ func debugCheckGraph(g *Graph) {
 		}
 	}
 
-	// Label counts.
-	counts := make(map[Label]int, len(g.labelCount))
-	for _, l := range g.labels {
-		counts[l]++
-	}
-	if len(counts) != len(g.labelCount) {
-		debugFailf("labelCount has %d labels, recomputed %d", len(g.labelCount), len(counts))
-	}
-	for l, c := range counts {
-		if g.labelCount[l] != c {
-			debugFailf("labelCount[%d] = %d, recomputed %d", l, g.labelCount[l], c)
-		}
-	}
+	debugCheckNeighborWords(g)
 }
 
 // debugCheckLabelRuns validates the per-vertex label-run index against the
@@ -150,27 +140,50 @@ func debugCheckSortedUnique[T cmp.Ordered](what string, s []T) {
 	}
 }
 
-// debugCheckLabelVertices validates the per-label vertex index: every
-// label's list is ascending, lists tile V exactly, and every entry has the
-// label it is filed under.
+// debugCheckLabelVertices validates the label directory: byLabel lists
+// every vertex once, sorted by (label, id), and dir names exactly the
+// labels present, ascending, each with the start of its run.
 func debugCheckLabelVertices(g *Graph) {
 	if !debugInvariants {
 		return
 	}
-	total := 0
-	for l, vs := range g.labelVerts {
-		for i, v := range vs {
-			if g.labels[v] != l {
-				debugFailf("labelVerts[%d] lists vertex %d with label %d", l, v, g.labels[v])
-			}
-			if i > 0 && vs[i-1] >= v {
-				debugFailf("labelVerts[%d] not strictly ascending at %d", l, i)
-			}
+	key := func(v VertexID) uint64 { return PairKey(g.labels[v], Label(v)) }
+	runs := 0
+	for i, v := range g.byLabel {
+		if int(v) >= g.NumVertices() || i > 0 && key(g.byLabel[i-1]) >= key(v) {
+			debugFailf("label directory: byLabel not sorted by (label, id) over V at position %d", i)
 		}
-		total += len(vs)
+		if i == 0 || g.labels[v] != g.labels[g.byLabel[i-1]] {
+			if runs == len(g.dir) || g.dir[runs] != (labelRun{g.labels[v], uint32(i)}) {
+				debugFailf("label directory: no entry for the run of label %d starting at %d", g.labels[v], i)
+			}
+			runs++
+		}
 	}
-	if total != g.NumVertices() {
-		debugFailf("labelVerts covers %d of %d vertices", total, g.NumVertices())
+	if len(g.byLabel) != g.NumVertices() || runs != len(g.dir) {
+		debugFailf("label directory: %d runs over %d vertices, want %d over %d", len(g.dir), len(g.byLabel), runs, g.NumVertices())
+	}
+}
+
+// debugCheckNeighborWords validates the neighbourhood words against the
+// CSR: one per vertex up to domain.WordVertices vertices and none beyond,
+// word v holding exactly the neighbors of v.
+func debugCheckNeighborWords(g *Graph) {
+	want := 0
+	if g.NumVertices() <= domain.WordVertices {
+		want = g.NumVertices()
+	}
+	if len(g.nbrWords) != want {
+		debugFailf("%d neighbourhood words for %d vertices, want %d", len(g.nbrWords), g.NumVertices(), want)
+	}
+	for v, word := range g.nbrWords {
+		var adj uint64
+		for _, w := range g.Neighbors(VertexID(v)) {
+			adj |= 1 << w
+		}
+		if word != adj {
+			debugFailf("neighbourhood word of %d is %#x, adjacency gives %#x", v, word, adj)
+		}
 	}
 }
 

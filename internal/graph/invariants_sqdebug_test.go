@@ -71,10 +71,16 @@ func TestDebugCheckGraphCorruptLabelRun(t *testing.T) {
 	mustPanicWith(t, "run", func() { debugCheckGraph(g) })
 }
 
-func TestDebugCheckGraphWrongLabelCount(t *testing.T) {
+func TestDebugCheckGraphWrongLabelDirectory(t *testing.T) {
 	g := debugTestGraph(t)
-	g.labelCount[0]++
-	mustPanicWith(t, "labelCount", func() { debugCheckGraph(g) })
+	g.dir[1].start++ // label 1 loses its first vertex to label 0
+	mustPanicWith(t, "label directory", func() { debugCheckGraph(g) })
+}
+
+func TestDebugCheckGraphWrongNeighborWord(t *testing.T) {
+	g := debugTestGraph(t)
+	g.nbrWords[0] |= 1 << 3 // no edge (0, 3)
+	mustPanicWith(t, "neighbourhood word", func() { debugCheckGraph(g) })
 }
 
 func TestDebugCheckGraphAsymmetricEdge(t *testing.T) {

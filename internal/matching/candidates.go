@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"subgraphquery/internal/domain"
@@ -92,6 +93,18 @@ func (c *Candidates) Add(u graph.VertexID, v graph.VertexID) {
 	}
 }
 
+// listSets fills the still empty Sets from the domain rows, for a structure
+// over at most 64 data vertices: ascending by construction.
+func (c *Candidates) listSets() {
+	for u := range c.Sets {
+		set := c.Sets[u]
+		for x := c.dom.Row(u).Word(0); x != 0; x &= x - 1 {
+			set = append(set, graph.VertexID(bits.TrailingZeros64(x)))
+		}
+		c.Sets[u] = set
+	}
+}
+
 // Contains reports whether v ∈ Φ(u).
 func (c *Candidates) Contains(u, v graph.VertexID) bool {
 	return c.dom.Contains(int(u), uint32(v))
@@ -152,9 +165,11 @@ func (c *Candidates) TotalSize() int {
 // the current data graph, not what the arena has reserved; ReservedBytes
 // reports the latter.
 func (c *Candidates) MemoryFootprint() int64 {
+	// By the rows' cardinalities: they mirror the sets, and exist while a
+	// word-path filter has yet to list them.
 	var b int64
-	for _, s := range c.Sets {
-		b += int64(len(s)) * vertexIDBytes
+	for u := range c.Sets {
+		b += int64(c.dom.Count(u)) * vertexIDBytes
 	}
 	return b + c.dom.LiveBytes()
 }

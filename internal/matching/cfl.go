@@ -50,17 +50,19 @@ func CFLFilterTopDownOnly(q, g *graph.Graph, opts FilterOptions) *Candidates {
 }
 
 // emitStageCounts records the current per-vertex candidate counts of one
-// filter stage (no-op with a nil Explain; a plain function rather than a
-// closure so the nil path stays allocation-free).
-func emitStageCounts(ex *obs.Explain, stage string, cand *Candidates) {
+// filter stage (no-op with a nil Explain; a plain method rather than a
+// closure so the nil path stays allocation-free): the domain rows'
+// cardinalities — popcounts on the word path, which lists the sets only
+// after its last stage — in an arena buffer Explain sums and does not keep.
+func (s *Scratch) emitStageCounts(ex *obs.Explain, stage string, cand *Candidates) {
 	if ex == nil {
 		return
 	}
-	counts := make([]int, len(cand.Sets))
-	for u, s := range cand.Sets {
-		counts[u] = len(s)
+	s.counts = scratch.Grow(s.counts, len(cand.Sets))
+	for u := range s.counts {
+		s.counts[u] = cand.dom.Count(u)
 	}
-	ex.ObserveStageDense(stage, counts, cand.dom.NData())
+	ex.ObserveStageDense(stage, s.counts, cand.dom.NData())
 }
 
 // candVolume estimates the scatter volume of generating one query
@@ -78,15 +80,15 @@ func candVolume(cand *Candidates, before []graph.VertexID) int {
 // emitLDFCounts records CFL's label-and-degree qualification stage: the
 // raw candidate pool size per query vertex before any connectivity
 // pruning, read off the class counts cflRoot just filled.
-func emitLDFCounts(ex *obs.Explain, s *Scratch) {
+func (s *Scratch) emitLDFCounts(ex *obs.Explain) {
 	if ex == nil {
 		return
 	}
-	counts := make([]int, len(s.plan.classOf))
+	s.counts = scratch.Grow(s.counts, len(s.plan.classOf))
 	for u, ci := range s.plan.classOf {
-		counts[u] = s.classCount[ci]
+		s.counts[u] = s.classCount[ci]
 	}
-	ex.ObserveStage(obs.StageCFLLDF, counts)
+	ex.ObserveStage(obs.StageCFLLDF, s.counts)
 }
 
 func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates {
@@ -115,8 +117,13 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 
 	s.ensureCFL(nq, nd)
 	root := cflRoot(q, g, s)
-	emitLDFCounts(ex, s)
+	s.emitLDFCounts(ex)
 	order := s.bfsOrderInto(q, root)
+	if domain.UseWords(nq, nd) {
+		cflWords(q, g, bottomUp, &opts, s, cand, order)
+		cand.listSets()
+		return cand
+	}
 	bitsVerts, chainVerts := 0, 0
 
 	// Top-down generation along the BFS order. processed[u'] marks query
@@ -222,15 +229,15 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 		}
 		if cand.Count(u) == 0 {
 			if ex != nil {
-				ex.ObserveDomainRep(bitsVerts, chainVerts)
+				ex.ObserveDomainRep(0, bitsVerts, chainVerts)
 			}
-			emitStageCounts(ex, obs.StageCFLTopDown, cand)
+			s.emitStageCounts(ex, obs.StageCFLTopDown, cand)
 			return cand
 		}
 		s.processed[u] = true
 	}
-	ex.ObserveDomainRep(bitsVerts, chainVerts)
-	emitStageCounts(ex, obs.StageCFLTopDown, cand)
+	ex.ObserveDomainRep(0, bitsVerts, chainVerts)
+	s.emitStageCounts(ex, obs.StageCFLTopDown, cand)
 
 	if !bottomUp {
 		return cand
@@ -280,11 +287,11 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 		}
 		cand.Sets[u] = kept
 		if cand.Count(u) == 0 {
-			emitStageCounts(ex, obs.StageCFLBottomUp, cand)
+			s.emitStageCounts(ex, obs.StageCFLBottomUp, cand)
 			return cand
 		}
 	}
-	emitStageCounts(ex, obs.StageCFLBottomUp, cand)
+	s.emitStageCounts(ex, obs.StageCFLBottomUp, cand)
 	debugCheckMonotone("CFL bottom-up", snap, cand)
 	return cand
 }
@@ -293,21 +300,26 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 // label-and-degree-qualified data vertices to its degree, CFL's root
 // selection rule. Vertices of one (label, degree) class score the same, so
 // each class of q's plan is scored once — s.classCount keeps the qualified
-// counts. Classes are in order of their lowest member, so a tie stays with
-// the lowest vertex id, as in a scan over the vertices in id order.
+// counts and s.classMask the qualified vertices as a word (the word
+// kernels' label-and-degree mask; meaningless past 64 data vertices).
+// Classes are in order of their lowest member, so a tie stays with the
+// lowest vertex id, as in a scan over the vertices in id order.
 func cflRoot(q, g *graph.Graph, s *Scratch) graph.VertexID {
 	classes := s.planFor(q).classes
 	s.classCount = scratch.Grow(s.classCount, len(classes))
+	s.classMask = scratch.Grow(s.classMask, len(classes))
 	best := graph.VertexID(0)
 	bestScore := -1.0
 	for ci, c := range classes {
-		cnt := 0
+		cnt, mask := 0, uint64(0)
 		for _, vv := range g.LabeledVertices(c.label) {
 			if g.Degree(vv) >= c.degree {
 				cnt++
+				mask |= bit(vv)
 			}
 		}
 		s.classCount[ci] = cnt
+		s.classMask[ci] = mask
 		score := float64(cnt) / float64(max(c.degree, 1))
 		if bestScore < 0 || score < bestScore {
 			bestScore = score

@@ -54,15 +54,7 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 		s = NewScratch()
 	}
 	s.mapping = scratch.Grow(s.mapping, n)
-	s.used.Reset(g.NumVertices())
 	s.ownerPos = scratch.Grow(s.ownerPos, g.NumVertices())
-	if cap(s.conf) < n {
-		grown := make([]scratch.Bits, n)
-		copy(grown, s.conf[:cap(s.conf)])
-		s.conf = grown
-	} else {
-		s.conf = s.conf[:n]
-	}
 	e := enumerator{
 		q:        q,
 		g:        g,
@@ -71,11 +63,28 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 		opts:     opts,
 		budget:   newBudget(&opts),
 		mapping:  s.mapping,
-		used:     &s.used,
 		ownerPos: s.ownerPos,
-		conf:     s.conf,
 		backward: s.backward.Take(n),
-		isect:    s.isect.Take(n),
+	}
+	words := domain.UseWords(n, g.NumVertices())
+	if words {
+		// One word per set: Φ(u) off the domain rows, which mirror Sets.
+		s.phi = scratch.Grow(s.phi, n)
+		s.confWords = scratch.Grow(s.confWords, n)
+		for u := range s.phi {
+			s.phi[u] = cand.dom.Row(u).Word(0)
+		}
+		e.nbr, e.phi, e.confWords = g.NeighborWords(), s.phi, s.confWords
+	} else {
+		s.used.Reset(g.NumVertices())
+		if cap(s.conf) < n {
+			grown := make([]scratch.Bits, n)
+			copy(grown, s.conf[:cap(s.conf)])
+			s.conf = grown
+		} else {
+			s.conf = s.conf[:n]
+		}
+		e.used, e.conf, e.isect = &s.used, s.conf, s.isect.Take(n)
 	}
 
 	// Precompute, for each position i > 0, the query neighbors of order[i]
@@ -117,10 +126,15 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 		seen[u] = true
 	}
 
-	e.search(0)
+	if words {
+		e.searchWords(0)
+	} else {
+		e.search(0)
+	}
 	return Result{
 		Embeddings: e.found, Steps: e.budget.steps, Aborted: e.budget.aborted, Stopped: e.stopped,
-		Jumps: e.jumps, Redos: e.redos, ProbeIsects: e.probeIsects, MergeIsects: e.mergeIsects,
+		Jumps: e.jumps, Redos: e.redos,
+		WordIsects: e.wordIsects, ProbeIsects: e.probeIsects, MergeIsects: e.mergeIsects,
 	}, nil
 }
 
@@ -136,15 +150,35 @@ type enumerator struct {
 	opts     Options            // by value: storing &opts would heap-allocate it per call
 	budget   searchBudget
 
+	// searchWords' state, in place of isect, conf and used.
+	nbr, phi, confWords []uint64 // g.NeighborWords(), Φ(u), per-depth conflict sets
+	usedWord            uint64
+
 	mapping     []graph.VertexID
 	used        *scratch.Bits
 	found       uint64
 	jumps       uint64 // backjumps skipping at least one position
 	redos       uint64 // dead-end backtracks (conflict-analyzed)
+	wordIsects  uint64 // intersections on single words
 	probeIsects uint64 // intersections via domain-row probing
 	mergeIsects uint64 // intersections via sorted merge
 	stop        bool
 	stopped     bool // an OnEmbedding callback returned false
+}
+
+// embedding reports the complete mapping reached at the given depth and
+// returns the chronological backtrack target.
+func (e *enumerator) embedding(depth int) int {
+	debugCheckEmbedding(e.q, e.g, e.mapping) // sqdebug builds only
+	e.found++
+	if e.opts.OnEmbedding != nil && !e.opts.OnEmbedding(e.mapping) {
+		e.stop = true
+		e.stopped = true
+	}
+	if e.opts.Limit != 0 && e.found >= e.opts.Limit {
+		e.stop = true
+	}
+	return depth - 1
 }
 
 // search extends the partial embedding at the given depth and returns the
@@ -156,16 +190,7 @@ type enumerator struct {
 // or the budget is exhausted.
 func (e *enumerator) search(depth int) int {
 	if depth == len(e.order) {
-		debugCheckEmbedding(e.q, e.g, e.mapping) // sqdebug builds only
-		e.found++
-		if e.opts.OnEmbedding != nil && !e.opts.OnEmbedding(e.mapping) {
-			e.stop = true
-			e.stopped = true
-		}
-		if e.opts.Limit != 0 && e.found >= e.opts.Limit {
-			e.stop = true
-		}
-		return depth - 1
+		return e.embedding(depth)
 	}
 	if e.budget.spend() {
 		e.stop = true

@@ -99,11 +99,11 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 			}
 		}
 		if cand.Count(uu) == 0 {
-			emitStageCounts(ex, obs.StageGraphQLProfile, cand)
+			s.emitStageCounts(ex, obs.StageGraphQLProfile, cand)
 			return cand
 		}
 	}
-	emitStageCounts(ex, obs.StageGraphQLProfile, cand)
+	s.emitStageCounts(ex, obs.StageGraphQLProfile, cand)
 	snap := debugSnapshotCounts(cand) // sqdebug: stage monotonicity baseline
 
 	// Step 2: pseudo subgraph isomorphism pruning via semi-perfect
@@ -118,7 +118,7 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 		changed := false
 		for u := 0; u < nq; u++ {
 			if opts.stop(s, cand) {
-				emitRefineStats(ex, cand, executed, rejected)
+				s.emitRefineStats(ex, cand, executed, rejected)
 				return cand
 			}
 			uu := graph.VertexID(u)
@@ -159,7 +159,7 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 			}
 			cand.Sets[uu] = kept
 			if cand.Count(uu) == 0 {
-				emitRefineStats(ex, cand, executed, rejected)
+				s.emitRefineStats(ex, cand, executed, rejected)
 				return cand
 			}
 			if cand.Count(uu) != before {
@@ -170,18 +170,18 @@ func graphQLFilter(q, g *graph.Graph, opts FilterOptions) *Candidates {
 			break
 		}
 	}
-	emitRefineStats(ex, cand, executed, rejected)
+	s.emitRefineStats(ex, cand, executed, rejected)
 	debugCheckMonotone("GraphQL refinement", snap, cand)
 	return cand
 }
 
 // emitRefineStats records GraphQL's refinement outcome for one data graph
 // (no-op with a nil Explain).
-func emitRefineStats(ex *obs.Explain, cand *Candidates, rounds int, rejected int64) {
+func (s *Scratch) emitRefineStats(ex *obs.Explain, cand *Candidates, rounds int, rejected int64) {
 	if ex == nil {
 		return
 	}
-	emitStageCounts(ex, obs.StageGraphQLRefine, cand)
+	s.emitStageCounts(ex, obs.StageGraphQLRefine, cand)
 	ex.ObserveRefineRounds(rounds)
 	ex.ObserveRejections(rejected)
 }

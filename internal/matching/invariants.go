@@ -76,14 +76,15 @@ func debugCheckSortedSets(stage string, cand *Candidates) {
 }
 
 // debugSnapshotCounts captures per-vertex candidate counts before a
-// refinement stage; returns nil in normal builds.
+// refinement stage (the rows' cardinalities: current even while a word-path
+// filter has yet to list the sets); returns nil in normal builds.
 func debugSnapshotCounts(cand *Candidates) []int {
 	if !debugInvariants {
 		return nil
 	}
 	counts := make([]int, len(cand.Sets))
-	for u, s := range cand.Sets {
-		counts[u] = len(s)
+	for u := range counts {
+		counts[u] = cand.dom.Count(u)
 	}
 	return counts
 }
@@ -94,9 +95,9 @@ func debugCheckMonotone(stage string, before []int, cand *Candidates) {
 	if !debugInvariants || before == nil {
 		return
 	}
-	for u, s := range cand.Sets {
-		if len(s) > before[u] {
-			debugFailf("%s: Φ(%d) grew from %d to %d candidates", stage, u, before[u], len(s))
+	for u := range cand.Sets {
+		if n := cand.dom.Count(u); n > before[u] {
+			debugFailf("%s: Φ(%d) grew from %d to %d candidates", stage, u, before[u], n)
 		}
 	}
 }

@@ -167,9 +167,10 @@ type Result struct {
 	Jumps uint64
 	Redos uint64
 
-	// ProbeIsects and MergeIsects count candidate-set ∩ neighborhood
-	// intersections by the representation the density switch chose:
-	// domain-bit-row probing vs sorted-slice merging.
+	// WordIsects, ProbeIsects and MergeIsects count candidate-set ∩
+	// neighborhood intersections by representation: single words, or what
+	// the density switch chose, bit-row probing vs sorted-slice merging.
+	WordIsects  uint64
 	ProbeIsects uint64
 	MergeIsects uint64
 }

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 
 	"subgraphquery/internal/graph"
+	"subgraphquery/internal/obs"
 	"subgraphquery/internal/scratch"
 )
 
@@ -53,6 +54,14 @@ type Scratch struct {
 	// per-graph class counts cflRoot fills from it.
 	plan       queryPlan
 	classCount []int
+	classMask  []uint64
+
+	// Word kernels: Φ(u) per query vertex, conflict set per depth.
+	phi, confWords []uint64
+
+	// Explain's per-graph views, which it sums or copies and never keeps.
+	counts []int
+	steps  []obs.OrderStep
 
 	// boundaries counts FilterOptions.stop calls over the Scratch's
 	// lifetime; every deadlineStride-th one reads the clock.
@@ -147,6 +156,19 @@ func (s *Scratch) candidates(nq, nd int) *Candidates {
 	return &s.cand
 }
 
+// ObserveOrder records a matching order with per-vertex selectivity into
+// the Explain report, through an arena buffer (no-op with a nil Explain).
+func (s *Scratch) ObserveOrder(ex *obs.Explain, order []graph.VertexID, cand *Candidates) {
+	if ex == nil {
+		return
+	}
+	s.steps = s.steps[:0]
+	for _, u := range order {
+		s.steps = append(s.steps, obs.OrderStep{Vertex: int(u), Candidates: cand.Count(u)})
+	}
+	ex.ObserveOrder(s.steps)
+}
+
 // ensureCFL sizes the CFL filter buffers for a query with nq vertices
 // against a data graph with nd vertices. Only capacity growth allocates.
 func (s *Scratch) ensureCFL(nq, nd int) {
@@ -155,6 +177,7 @@ func (s *Scratch) ensureCFL(nq, nd int) {
 	s.processed = scratch.Grow(s.processed, nq)
 	clear(s.processed)
 	s.pos = scratch.Grow(s.pos, nq)
+	s.phi = scratch.Grow(s.phi, nq)
 	s.bfsDepth = scratch.Grow(s.bfsDepth, nq)
 	s.bfsOrder = s.bfsOrder[:0]
 	s.marked = s.marked[:0]

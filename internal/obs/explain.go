@@ -36,12 +36,14 @@ type Explain struct {
 	prefilterGraphs int
 	prefilterPruned int
 
+	domainWordVerts  int64
 	domainBitsVerts  int64
 	domainChainVerts int64
 
 	enumCalls uint64
 	enumJumps uint64
 	enumRedos uint64
+	enumWord  uint64
 	enumProbe uint64
 	enumMerge uint64
 
@@ -152,13 +154,15 @@ func (e *Explain) ObservePrefilter(pruned bool) {
 }
 
 // ObserveDomainRep records, for one data graph, how many query vertices
-// the top-down generation handled on the packed bit-row path vs the
-// sparse chain path — the representation switch's actual behavior.
-func (e *Explain) ObserveDomainRep(bitsVerts, chainVerts int) {
-	if e == nil || (bitsVerts == 0 && chainVerts == 0) {
+// the top-down generation handled as single words (a data graph of at most
+// 64 vertices), on the packed bit-row path and on the sparse chain path —
+// the representation switches' actual behavior.
+func (e *Explain) ObserveDomainRep(wordVerts, bitsVerts, chainVerts int) {
+	if e == nil || (wordVerts == 0 && bitsVerts == 0 && chainVerts == 0) {
 		return
 	}
 	e.mu.Lock()
+	e.domainWordVerts += int64(wordVerts)
 	e.domainBitsVerts += int64(bitsVerts)
 	e.domainChainVerts += int64(chainVerts)
 	e.mu.Unlock()
@@ -166,9 +170,9 @@ func (e *Explain) ObserveDomainRep(bitsVerts, chainVerts int) {
 
 // ObserveEnumerate accumulates one enumeration's backtracking and
 // intersection statistics: conflict-directed backjumps taken, dead-end
-// backtracks analyzed, and intersections done by domain-row probing vs
-// sorted merge.
-func (e *Explain) ObserveEnumerate(jumps, redos, probe, merge uint64) {
+// backtracks analyzed, and intersections done on single words, by
+// domain-row probing and by sorted merge.
+func (e *Explain) ObserveEnumerate(jumps, redos, word, probe, merge uint64) {
 	if e == nil {
 		return
 	}
@@ -176,6 +180,7 @@ func (e *Explain) ObserveEnumerate(jumps, redos, probe, merge uint64) {
 	e.enumCalls++
 	e.enumJumps += jumps
 	e.enumRedos += redos
+	e.enumWord += word
 	e.enumProbe += probe
 	e.enumMerge += merge
 	e.mu.Unlock()
@@ -342,9 +347,10 @@ type PrefilterStats struct {
 	Pruned int `json:"pruned"`
 }
 
-// DomainRepStats reports the representation switch's choices during
+// DomainRepStats reports the representation switches' choices during
 // top-down candidate generation, in query vertices handled per path.
 type DomainRepStats struct {
+	WordVertices  int64 `json:"word_vertices"`
 	BitsVertices  int64 `json:"bits_vertices"`
 	ChainVertices int64 `json:"chain_vertices"`
 }
@@ -358,8 +364,9 @@ type EnumerateStats struct {
 	// order position; Redos counts all analyzed dead-end backtracks.
 	Jumps uint64 `json:"jumps"`
 	Redos uint64 `json:"redos"`
-	// ProbeIntersections and MergeIntersections count candidate-set ∩
-	// neighborhood steps by chosen representation.
+	// WordIntersections, ProbeIntersections and MergeIntersections count
+	// candidate-set ∩ neighborhood steps by chosen representation.
+	WordIntersections  uint64 `json:"word_intersections"`
 	ProbeIntersections uint64 `json:"probe_intersections"`
 	MergeIntersections uint64 `json:"merge_intersections"`
 }
@@ -446,14 +453,15 @@ func (e *Explain) Snapshot() ExplainSnapshot {
 	if e.prefilterGraphs > 0 {
 		s.Prefilter = &PrefilterStats{Graphs: e.prefilterGraphs, Pruned: e.prefilterPruned}
 	}
-	if e.domainBitsVerts > 0 || e.domainChainVerts > 0 {
-		s.DomainRep = &DomainRepStats{BitsVertices: e.domainBitsVerts, ChainVertices: e.domainChainVerts}
+	if e.domainWordVerts > 0 || e.domainBitsVerts > 0 || e.domainChainVerts > 0 {
+		s.DomainRep = &DomainRepStats{WordVertices: e.domainWordVerts, BitsVertices: e.domainBitsVerts, ChainVertices: e.domainChainVerts}
 	}
 	if e.enumCalls > 0 {
 		s.Enumerate = &EnumerateStats{
 			Enumerations:       e.enumCalls,
 			Jumps:              e.enumJumps,
 			Redos:              e.enumRedos,
+			WordIntersections:  e.enumWord,
 			ProbeIntersections: e.enumProbe,
 			MergeIntersections: e.enumMerge,
 		}
@@ -549,13 +557,13 @@ func (s ExplainSnapshot) WriteText(w io.Writer) {
 		tw.Flush()
 	}
 	if s.DomainRep != nil {
-		fmt.Fprintf(w, "  domain representation: %d query vertices on bit rows, %d on chains\n",
-			s.DomainRep.BitsVertices, s.DomainRep.ChainVertices)
+		fmt.Fprintf(w, "  domain representation: %d query vertices on words, %d on bit rows, %d on chains\n",
+			s.DomainRep.WordVertices, s.DomainRep.BitsVertices, s.DomainRep.ChainVertices)
 	}
 	if s.Enumerate != nil {
-		fmt.Fprintf(w, "  enumeration: %d runs, %d backjumps of %d dead ends, %d probe / %d merge intersections\n",
+		fmt.Fprintf(w, "  enumeration: %d runs, %d backjumps of %d dead ends, %d word / %d probe / %d merge intersections\n",
 			s.Enumerate.Enumerations, s.Enumerate.Jumps, s.Enumerate.Redos,
-			s.Enumerate.ProbeIntersections, s.Enumerate.MergeIntersections)
+			s.Enumerate.WordIntersections, s.Enumerate.ProbeIntersections, s.Enumerate.MergeIntersections)
 	}
 	if s.RefineRounds != nil {
 		mean := float64(s.RefineRounds.Total) / float64(s.RefineRounds.Graphs)

@@ -11,8 +11,8 @@ func TestExplainNilIsSafe(t *testing.T) {
 	ex.ObserveStage(StageCFLLDF, []int{1, 2})
 	ex.ObserveStageDense(StageCFLTopDown, []int{1}, 50)
 	ex.ObservePrefilter(true)
-	ex.ObserveDomainRep(1, 2)
-	ex.ObserveEnumerate(1, 2, 3, 4)
+	ex.ObserveDomainRep(1, 2, 3)
+	ex.ObserveEnumerate(1, 2, 3, 4, 5)
 	ex.ObserveRefineRounds(3)
 	ex.ObserveRejections(7)
 	ex.ObserveIndexProbe(IndexProbe{Index: "Grapes"})
@@ -35,8 +35,8 @@ func TestExplainNilAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(200, func() {
 		ex.ObserveStage(StageCFLTopDown, counts)
 		ex.ObservePrefilter(false)
-		ex.ObserveDomainRep(1, 1)
-		ex.ObserveEnumerate(1, 1, 1, 1)
+		ex.ObserveDomainRep(1, 1, 1)
+		ex.ObserveEnumerate(1, 1, 1, 1, 1)
 		ex.ObserveRefineRounds(2)
 		ex.ObserveRejections(9)
 		ex.ObserveIndexProbe(probe)
@@ -81,11 +81,12 @@ func TestExplainDensityPrefilterDomainEnumerate(t *testing.T) {
 	ex.ObservePrefilter(false)
 	ex.ObserveStageDense(StageCFLTopDown, []int{10, 30}, 100)
 	ex.ObserveStageDense(StageCFLTopDown, []int{20, 20}, 100)
-	ex.ObserveDomainRep(3, 1)
-	ex.ObserveDomainRep(0, 0) // no-op: nothing generated
-	ex.ObserveDomainRep(0, 2)
-	ex.ObserveEnumerate(2, 5, 7, 11)
-	ex.ObserveEnumerate(0, 0, 1, 0)
+	ex.ObserveDomainRep(0, 3, 1)
+	ex.ObserveDomainRep(0, 0, 0) // no-op: nothing generated
+	ex.ObserveDomainRep(0, 0, 2)
+	ex.ObserveDomainRep(6, 0, 0) // a graph of at most 64 vertices
+	ex.ObserveEnumerate(2, 5, 0, 7, 11)
+	ex.ObserveEnumerate(0, 0, 13, 1, 0)
 
 	s := ex.Snapshot()
 	if s.Prefilter == nil || s.Prefilter.Graphs != 3 || s.Prefilter.Pruned != 1 {
@@ -99,13 +100,13 @@ func TestExplainDensityPrefilterDomainEnumerate(t *testing.T) {
 	if d := st.MeanDensity(); d != 0.2 {
 		t.Fatalf("MeanDensity = %v, want 0.2", d)
 	}
-	if s.DomainRep == nil || s.DomainRep.BitsVertices != 3 || s.DomainRep.ChainVertices != 3 {
-		t.Fatalf("domain rep = %+v, want bits=3 chains=3", s.DomainRep)
+	if s.DomainRep == nil || s.DomainRep.WordVertices != 6 || s.DomainRep.BitsVertices != 3 || s.DomainRep.ChainVertices != 3 {
+		t.Fatalf("domain rep = %+v, want words=6 bits=3 chains=3", s.DomainRep)
 	}
 	e := s.Enumerate
 	if e == nil || e.Enumerations != 2 || e.Jumps != 2 || e.Redos != 5 ||
-		e.ProbeIntersections != 8 || e.MergeIntersections != 11 {
-		t.Fatalf("enumerate = %+v, want 2 runs jumps=2 redos=5 probe=8 merge=11", e)
+		e.WordIntersections != 13 || e.ProbeIntersections != 8 || e.MergeIntersections != 11 {
+		t.Fatalf("enumerate = %+v, want 2 runs jumps=2 redos=5 word=13 probe=8 merge=11", e)
 	}
 
 	// Counts-only stages report no density.
@@ -122,8 +123,8 @@ func TestExplainWriteTextNewSections(t *testing.T) {
 	ex.ObservePrefilter(true)
 	ex.ObservePrefilter(false)
 	ex.ObserveStageDense(StageCFLTopDown, []int{25, 75}, 1000)
-	ex.ObserveDomainRep(4, 2)
-	ex.ObserveEnumerate(3, 9, 100, 40)
+	ex.ObserveDomainRep(7, 4, 2)
+	ex.ObserveEnumerate(3, 9, 55, 100, 40)
 
 	var b strings.Builder
 	ex.Snapshot().WriteText(&b)
@@ -132,8 +133,8 @@ func TestExplainWriteTextNewSections(t *testing.T) {
 		"prefilter (label-pair): 1/2 graphs pruned",
 		"density",
 		"0.0500", // (25+75)/2 / 1000
-		"domain representation: 4 query vertices on bit rows, 2 on chains",
-		"enumeration: 1 runs, 3 backjumps of 9 dead ends, 100 probe / 40 merge intersections",
+		"domain representation: 7 query vertices on words, 4 on bit rows, 2 on chains",
+		"enumeration: 1 runs, 3 backjumps of 9 dead ends, 55 word / 100 probe / 40 merge intersections",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteText output missing %q:\n%s", want, out)

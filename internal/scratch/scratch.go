@@ -74,6 +74,21 @@ func (b *Bits) Clear(i uint32) {
 	}
 }
 
+// Word returns the i-th 64-slot word of the set; words beyond the set's
+// length read as zero.
+func (b *Bits) Word(i int) uint64 {
+	if i >= len(b.words) || b.epoch[i] != b.cur {
+		return 0
+	}
+	return b.words[i]
+}
+
+// SetWord replaces the i-th 64-slot word of the set.
+func (b *Bits) SetWord(i int, w uint64) {
+	b.words[i] = w
+	b.epoch[i] = b.cur
+}
+
 // Len returns the number of slots the set currently addresses (rounded up
 // to whole words).
 func (b *Bits) Len() int { return len(b.words) * 64 }

@@ -47,6 +47,9 @@ go test -run '^$' -bench 'CachedZipf' -benchtime 1x .
 echo "== budgeted-query bench smoke (bare CFQL with and without a Deadline, equal answers)"
 go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 
+echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"
+go test -run '^$' -bench 'SmallGraphKernels' -benchtime 1x ./internal/matching
+
 echo "== served-path benchmark smoke (real sqserver, traced replay with its self-checks)"
 # -short above skips it; a change that breaks replay/engine parity should
 # fail here, not in the benchmark gate.
