@@ -5,7 +5,8 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# Pre-commit gate: gofmt + vet + build + sqlint + race-short tests.
+# Pre-commit gate: gofmt + vet + build + sqlint + race-short tests + the
+# non-short harness smoke tests.
 check:
 	sh scripts/check.sh
 
@@ -15,7 +16,8 @@ check:
 lint:
 	$(GO) run ./cmd/sqlint -v -baseline cmd/sqlint/baseline.txt ./...
 
-# Full suite (slow: bench smoke tests build every index).
+# Full suite (tier-1; about two minutes on 2 cores, most of it the harness
+# smoke tests of internal/bench).
 test:
 	$(GO) test ./...
 

@@ -42,6 +42,7 @@ var hotallocAnalyzer = &Analyzer{
 var hotallocFiles = map[string]bool{
 	// internal/matching: per-candidate and per-vertex loops.
 	"candidates.go": true,
+	"matcher.go":    true,
 	"cfl.go":        true,
 	"graphql.go":    true,
 	"enumerate.go":  true,

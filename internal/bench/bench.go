@@ -41,6 +41,23 @@ type Config struct {
 	Workers int
 	// Out receives the rendered tables; nil discards them.
 	Out io.Writer
+
+	// maxFeatures and stepBudget are the deterministic stand-ins for the
+	// two wall-clock budgets (core.BuildOptions.MaxFeatures,
+	// core.QueryOptions.StepBudgetPerGraph; 0: unbounded). The smoke tests
+	// set them, with wall-clock budgets out of reach, so that an index
+	// build or a query runs out of budget in the same cells on every host.
+	maxFeatures int64
+	stepBudget  uint64
+}
+
+// buildOptions returns the budget of one index construction, starting now.
+func (c Config) buildOptions() core.BuildOptions {
+	return core.BuildOptions{
+		Deadline:    time.Now().Add(c.IndexBudget),
+		Workers:     c.Workers,
+		MaxFeatures: c.maxFeatures,
+	}
 }
 
 // Defaults returns the scaled-down default configuration.

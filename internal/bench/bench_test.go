@@ -6,23 +6,26 @@ import (
 	"testing"
 	"time"
 
-	"subgraphquery/internal/core"
 	"subgraphquery/internal/gen"
 )
 
-func coreBuild(cfg Config) core.BuildOptions {
-	return core.BuildOptions{Deadline: time.Now().Add(cfg.IndexBudget), Workers: cfg.Workers}
-}
-
-// tinyConfig keeps harness tests fast: miniature datasets, few queries.
+// tinyConfig keeps harness tests fast and their outcome the same on every
+// host: miniature datasets, few queries, and deterministic budgets — features
+// enumerated per index build, search steps per subgraph isomorphism test —
+// under wall-clock budgets no build or query of that size can reach. 600k
+// features let every index build on the AIDS- and PDBS-like datasets and on
+// the sparsest synthetic cell (d(G)=4); every other build is OOT, after a
+// second or two at most (CT-Index, the costliest per feature).
 func tinyConfig() Config {
 	return Config{
 		Scale:       0.002,
 		QueryCount:  3,
 		Seed:        2,
-		IndexBudget: time.Second,
-		QueryBudget: 250 * time.Millisecond,
+		IndexBudget: time.Minute,
+		QueryBudget: 30 * time.Second,
 		Workers:     2,
+		maxFeatures: 600_000,
+		stepBudget:  200_000,
 	}
 }
 
@@ -156,7 +159,7 @@ func TestRunQuerySetMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Build(db, coreBuild(cfg)); err != nil {
+	if err := e.Build(db, cfg.buildOptions()); err != nil {
 		t.Fatal(err)
 	}
 	m := RunQuerySet(e, queries, cfg)
@@ -255,7 +258,6 @@ func TestRunSyntheticSmoke(t *testing.T) {
 		t.Skip("full harness run")
 	}
 	cfg := tinyConfig()
-	cfg.IndexBudget = 10 * time.Second
 	var buf bytes.Buffer
 	cfg.Out = &buf
 	ev, err := RunSynthetic(cfg)
@@ -265,6 +267,17 @@ func TestRunSyntheticSmoke(t *testing.T) {
 	for _, axis := range SweepAxes() {
 		if len(ev.Cells[axis]) != 5 {
 			t.Fatalf("%s: %d cells, want 5", axis, len(ev.Cells[axis]))
+		}
+	}
+	// The feature budget, not the clock, decides which index builds run out:
+	// all of them, on every host, except on the sparsest cell.
+	for _, axis := range SweepAxes() {
+		for i, cell := range ev.Cells[axis] {
+			for en, c := range cell.IndexTime {
+				if built := axis == AxisDegree && i == 0; c.OOT == built {
+					t.Errorf("%s cell %d: %s OOT=%v", axis, i, en, c.OOT)
+				}
+			}
 		}
 	}
 	// The |Σ|=1 cell must show precision ≈ 1 with all graphs as candidates

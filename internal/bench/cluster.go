@@ -108,10 +108,7 @@ func RunCluster(cfg Config, study ClusterStudyConfig) ([]ClusterRow, error) {
 		}
 		row := ClusterRow{Shards: n, Replicas: study.Replicas}
 		t0 := time.Now()
-		if err := c.Build(db, core.BuildOptions{
-			Deadline: time.Now().Add(cfg.IndexBudget),
-			Workers:  cfg.Workers,
-		}); err != nil {
+		if err := c.Build(db, cfg.buildOptions()); err != nil {
 			return nil, fmt.Errorf("bench: building %d-shard cluster: %w", n, err)
 		}
 		row.BuildTime = time.Since(t0)

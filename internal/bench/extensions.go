@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"subgraphquery/internal/core"
 	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
 )
@@ -63,10 +62,7 @@ func RunExtensions(cfg Config) ([]ExtensionRow, error) {
 		}
 		row := ExtensionRow{Engine: name}
 		t0 := time.Now()
-		buildErr := e.Build(db, core.BuildOptions{
-			Deadline: time.Now().Add(cfg.IndexBudget),
-			Workers:  cfg.Workers,
-		})
+		buildErr := e.Build(db, cfg.buildOptions())
 		row.BuildTime = time.Since(t0)
 		if buildErr != nil {
 			row.BuildOOT = true

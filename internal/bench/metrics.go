@@ -68,8 +68,9 @@ func RunQuerySet(e core.Engine, queries []*graph.Graph, cfg Config) SetMetrics {
 
 	for _, q := range queries {
 		res := e.Query(q, core.QueryOptions{
-			Deadline: time.Now().Add(cfg.QueryBudget),
-			Workers:  cfg.Workers,
+			Deadline:           time.Now().Add(cfg.QueryBudget),
+			Workers:            cfg.Workers,
+			StepBudgetPerGraph: cfg.stepBudget,
 		})
 		m.Queries++
 		if res.TimedOut {

@@ -159,10 +159,7 @@ func runSyntheticCell(axis SweepAxis, value int, cfg Config) (SyntheticCell, err
 			return cell, err
 		}
 		t0 := time.Now()
-		buildErr := e.Build(db, core.BuildOptions{
-			Deadline: time.Now().Add(cfg.IndexBudget),
-			Workers:  cfg.Workers,
-		})
+		buildErr := e.Build(db, cfg.buildOptions())
 		if contains(SyntheticIndexEngines, en) {
 			cell.IndexTime[en] = IndexCell{Time: time.Since(t0), OOT: buildErr != nil}
 		}

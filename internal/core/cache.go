@@ -279,7 +279,7 @@ func embeds(small, big *graph.Graph, s *matching.Scratch) (found bool) {
 			found = false
 		}
 	}()
-	return (matching.CFQL{}).FindFirst(small, big, matching.Options{StepBudget: probeSteps, Scratch: s}).Found()
+	return matching.CFQL.FindFirst(small, big, matching.Options{StepBudget: probeSteps, Scratch: s}).Found()
 }
 
 // sortedLabels returns g's vertex labels in ascending order.
@@ -350,7 +350,7 @@ func probe(q *graph.Graph, entries []*cacheEntry, s *matching.Scratch) cacheHit 
 
 // cfqlFirst is the pool's subgraph isomorphism test: the whole CFQL
 // matcher, first match, on a graph that is already a candidate.
-var cfqlFirst = matcherTest(matching.CFQL{}.FindFirst)
+var cfqlFirst = matcherTest(matching.CFQL.FindFirst)
 
 // verifyPool answers q by testing only the graphs of the candidate pool
 // through the engines' per-graph loop (run.each), skipping those already

@@ -42,7 +42,7 @@ var (
 	// cfqlFused is CFQL's test (§III-B): CFL's Filter (faster) with
 	// GraphQL's join-based Verify (more robust). The IvcFV engines and
 	// CFQL-parallel run it too.
-	cfqlFused = fusedTest(matching.CFLFilter, graphQLOrder)
+	cfqlFused = fusedTest(matching.CFQL)
 	// vf2First is the verification of the IFV algorithms (Table II):
 	// plain VF2, first match.
 	vf2First = matcherTest(func(q, g *graph.Graph, opts matching.Options) matching.Result {
@@ -50,21 +50,17 @@ var (
 	})
 )
 
-func graphQLOrder(q, _ *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
-	return matching.GraphQLOrderScratch(q, cand, s)
-}
-
 // NewCFL returns the vcFV engine that integrates CFL [1]: CFL's
 // preprocessing as Filter and CFL's path-based enumeration as Verify.
 func NewCFL() Engine {
-	return &engine{name: "CFL", test: fusedTest(matching.CFLFilter, matching.CFLOrderScratch), fused: true}
+	return &engine{name: "CFL", test: fusedTest(matching.CFL), fused: true}
 }
 
 // NewGraphQL returns the vcFV engine that integrates GraphQL [14]:
 // GraphQL's preprocessing as Filter and its join-based enumeration as
 // Verify.
 func NewGraphQL() Engine {
-	return &engine{name: "GraphQL", test: fusedTest(matching.GraphQLFilter, graphQLOrder), fused: true}
+	return &engine{name: "GraphQL", test: fusedTest(matching.GraphQL), fused: true}
 }
 
 // NewCFQL returns the paper's hybrid vcFV engine: CFL's Filter with
@@ -89,11 +85,11 @@ func NewParallelCFQL(workers int) Engine {
 // counts and parallel VF2 verification (6 workers by default, the paper's
 // configuration).
 func NewGrapes() Engine {
-	return &engine{name: "Grapes", idx: &index.Grapes{}, test: vf2First, workers: 6}
+	return &engine{name: "Grapes", idx: index.NewGrapes(), test: vf2First, workers: 6}
 }
 
-// NewGGSX returns the GGSX IFV engine: suffix-tree path index, sequential
-// VF2 verification.
+// NewGGSX returns the GGSX IFV engine: path-trie index with per-graph
+// presence only, sequential VF2 verification.
 func NewGGSX() Engine {
 	return &engine{name: "GGSX", idx: &index.GGSX{}, test: vf2First}
 }
@@ -116,30 +112,30 @@ func NewGraphGrep() Engine {
 // NewGIndex returns a mining-based IFV engine in the spirit of gIndex:
 // frequent, discriminative path features (Table II's mining-based row).
 func NewGIndex() Engine {
-	return &engine{name: "gIndex", idx: &index.GIndexLite{}, test: vf2First}
+	return &engine{name: "gIndex", idx: index.NewGIndex(), test: vf2First}
 }
 
 // NewTreePi returns a mining-based IFV engine in the spirit of TreePi /
 // SwiftIndex: frequent subtree features with AHU canonical codes.
 func NewTreePi() Engine {
-	return &engine{name: "TreePi", idx: &index.TreePiLite{}, test: vf2First}
+	return &engine{name: "TreePi", idx: index.NewTreePi(), test: vf2First}
 }
 
 // NewFGIndex returns a mining-based IFV engine in the spirit of FG-Index:
 // frequent connected-subgraph features with exact canonical codes, and
 // verification-free answers for queries that match a feature verbatim.
 func NewFGIndex() Engine {
-	return &engine{name: "FG-Index", idx: &index.FGIndexLite{}, test: vf2First}
+	return &engine{name: "FG-Index", idx: index.NewFGIndex(), test: vf2First}
 }
 
 // NewVcGrapes returns the vcGrapes IvcFV engine (§III-C): Grapes' trie
 // index, then CFQL's filtering and verification on the survivors, with
 // Grapes' parallel configuration.
 func NewVcGrapes() Engine {
-	return &engine{name: "vcGrapes", idx: &index.Grapes{}, test: cfqlFused, fused: true, workers: 6}
+	return &engine{name: "vcGrapes", idx: index.NewGrapes(), test: cfqlFused, fused: true, workers: 6}
 }
 
-// NewVcGGSX returns the vcGGSX IvcFV engine: GGSX's suffix-tree index plus
+// NewVcGGSX returns the vcGGSX IvcFV engine: GGSX's presence trie plus
 // CFQL filtering and verification.
 func NewVcGGSX() Engine {
 	return &engine{name: "vcGGSX", idx: &index.GGSX{}, test: cfqlFused, fused: true}

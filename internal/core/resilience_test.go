@@ -26,7 +26,7 @@ func poisonedCFQL(db *graph.Database, poison ...int) Engine {
 		}
 		return matching.CFLFilter(q, g, opts)
 	}
-	return &engine{name: "CFQL-poisoned", test: fusedTest(filter, graphQLOrder), fused: true, workers: 1}
+	return &engine{name: "CFQL-poisoned", test: fusedTest(matching.Matcher{Filter: filter, Order: matching.JoinOrder}), fused: true, workers: 1}
 }
 
 // waitGoroutines retries until the goroutine count drops back to the
@@ -114,7 +114,7 @@ func TestPanicMidEnumerationReleasesScratch(t *testing.T) {
 	order := func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID {
 		panic("mid-pipeline")
 	}
-	eng := &engine{name: "CFQL-ordpanic", test: fusedTest(matching.CFLFilter, order), fused: true}
+	eng := &engine{name: "CFQL-ordpanic", test: fusedTest(matching.Matcher{Filter: matching.CFLFilter, Order: order}), fused: true}
 	if err := eng.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestCancelMidFlight(t *testing.T) {
 		cand.Aborted = true
 		return cand
 	}
-	eng := &engine{name: "CFQL-blocking", test: fusedTest(filter, graphQLOrder), fused: true}
+	eng := &engine{name: "CFQL-blocking", test: fusedTest(matching.Matcher{Filter: filter, Order: matching.JoinOrder}), fused: true}
 	if err := eng.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -75,23 +75,19 @@ type outcome struct {
 	qe             *QueryError
 }
 
-type (
-	filterFunc func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates
-	orderFunc  func(q, g *graph.Graph, cand *matching.Candidates, s *matching.Scratch) []graph.VertexID
-)
-
 // fusedTest is the body of Algorithm 2's loop: Filter (the preprocessing
 // phase of a subgraph matching algorithm) builds candidate vertex sets; a
 // graph with no empty set is a candidate and is verified by the
 // enumeration phase stopped at the first embedding. The two halves are
 // fused per graph because the candidate sets live in the arena and are
-// overwritten by the next filter call. With a nil Explain, filter must
-// behave exactly like the plain filter.
-func fusedTest(filter filterFunc, order orderFunc) graphTest {
+// overwritten by the next filter call. It runs m's two halves itself, not
+// m.FindFirst, to time them apart and to hand Explain, the memory budget
+// and the in-flight handle through.
+func fusedTest(m matching.Matcher) graphTest {
 	return func(rn *run, gid int, s *matching.Scratch, out *outcome) {
 		q, g, opts := rn.q, rn.db.Graph(gid), rn.opts
 		t0 := out.at
-		cand := filter(q, g, matching.FilterOptions{
+		cand := m.Filter(q, g, matching.FilterOptions{
 			Deadline:     opts.Deadline,
 			Cancel:       opts.Cancel,
 			MemoryBudget: opts.MemoryBudget,
@@ -120,7 +116,7 @@ func fusedTest(filter filterFunc, order orderFunc) graphTest {
 		rn.h.GrowAux(out.mem)
 
 		t1 := out.at
-		ord := order(q, g, cand, s)
+		ord := m.Order(q, g, cand, s)
 		s.ObserveOrder(opts.Explain, ord, cand)
 		r, err := matching.Enumerate(q, g, cand, ord, matching.Options{
 			Limit:      1,

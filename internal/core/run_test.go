@@ -8,6 +8,7 @@ import (
 
 	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
+	"subgraphquery/internal/index"
 	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/matching"
 	"subgraphquery/internal/obs"
@@ -55,6 +56,23 @@ func builtScan(t *testing.T, db *graph.Database) Engine {
 	return oracle
 }
 
+// catalogueEngines returns every literal of the matcher and index
+// catalogues as an engine, beside allEngines' constructors: each matcher as
+// Algorithm 2's body, each index in front of VF2 (Algorithm 1) and in front
+// of CFQL (§III-C). A new literal is covered without an edit here.
+func catalogueEngines() map[string]Engine {
+	es := allEngines()
+	for _, m := range matching.Matchers {
+		es["vcFV:"+m.Name] = &engine{name: m.Name, test: fusedTest(m), fused: true}
+	}
+	for _, mk := range index.Catalogue {
+		name := mk().Name()
+		es["IFV:"+name] = &engine{name: name, idx: mk(), test: vf2First}
+		es["IvcFV:"+name] = &engine{name: "vc" + name, idx: mk(), test: cfqlFused, fused: true}
+	}
+	return es
+}
+
 // TestEnginesAgreeAcrossWorkers: every configuration, on the caller's
 // goroutine and on pools of 2 and 3 workers, returns exactly the scan
 // engine's answer set.
@@ -63,7 +81,7 @@ func TestEnginesAgreeAcrossWorkers(t *testing.T) {
 		db := genDB(t, 24, seed)
 		queries := genQueries(t, db, 10*seed)
 		oracle := builtScan(t, db)
-		for name, e := range allEngines() {
+		for name, e := range catalogueEngines() {
 			if err := e.Build(db, BuildOptions{}); err != nil {
 				t.Fatalf("%s build: %v", name, err)
 			}
@@ -114,7 +132,7 @@ func TestFilterAbortStopsQuery(t *testing.T) {
 			}
 			return cand
 		}
-		eng := &engine{name: "CFQL-aborting", test: fusedTest(filter, graphQLOrder), fused: true, workers: 1}
+		eng := &engine{name: "CFQL-aborting", test: fusedTest(matching.Matcher{Filter: filter, Order: matching.JoinOrder}), fused: true, workers: 1}
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatal(err)
 		}

@@ -9,8 +9,10 @@ import (
 
 // TestAppendGraphEqualsRebuild: for every Updatable configuration that
 // accepts appends, AppendGraph-then-query equals rebuild-then-query (and
-// the scan). The queries are drawn from the appended graphs, so every
-// answer set contains a graph the original Build never saw.
+// the scan), and the appended-to index reports the size of the rebuilt one
+// — for both configurations of the path trie the same nodes and entries.
+// The queries are drawn from the appended graphs, so every answer set
+// contains a graph the original Build never saw.
 func TestAppendGraphEqualsRebuild(t *testing.T) {
 	full := genDB(t, 20, 3)
 	const base = 12
@@ -44,6 +46,9 @@ func TestAppendGraphEqualsRebuild(t *testing.T) {
 		}
 		if err := rebuilt[name].Build(copyDB(full.Len()), BuildOptions{}); err != nil {
 			t.Fatalf("%s rebuild: %v", name, err)
+		}
+		if got, want := e.IndexMemory(), rebuilt[name].IndexMemory(); got != want {
+			t.Errorf("%s: IndexMemory %d after appends, %d after rebuild", name, got, want)
 		}
 		for qi, q := range queries {
 			want := oracle.Query(q, QueryOptions{}).Answers

@@ -19,45 +19,11 @@ type Appender interface {
 	InsertGraph(g *graph.Graph, gid int) error
 }
 
-// InsertGraph implements Appender for the Grapes trie.
-func (ix *Grapes) InsertGraph(g *graph.Graph, gid int) error {
-	if ix.root == nil {
-		ix.root = &grapesNode{}
-		ix.nodes = 1
-	}
-	counts := countPaths(g, ix.maxLen())
-	for key, c := range counts {
-		ix.insert(key, int32(gid), c)
-	}
-	if gid >= ix.numGraphs {
-		ix.numGraphs = gid + 1
-	}
-	return nil
-}
-
-// InsertGraph implements Appender for the GGSX suffix tree.
-func (ix *GGSX) InsertGraph(g *graph.Graph, gid int) error {
-	if ix.root == nil {
-		ix.root = &ggsxNode{}
-		ix.nodes = 1
-	}
-	enumeratePaths(g, ix.maxLen(), func(labels []graph.Label) bool {
-		for s := 0; s < len(labels); s++ {
-			ix.insert(labels[s:], int32(gid))
-		}
-		return true
-	})
-	if gid >= ix.numGraphs {
-		ix.numGraphs = gid + 1
-	}
-	return nil
-}
-
 // InsertGraph implements Appender for GraphGrep's hash fingerprints.
 func (ix *GraphGrep) InsertGraph(g *graph.Graph, gid int) error {
 	table := make(map[uint32]int32)
-	enumeratePaths(g, ix.maxLen(), func(labels []graph.Label) bool {
-		table[ix.bucket(labels)]++
+	enumeratePaths(g, DefaultMaxPathLength, func(labels []graph.Label) bool {
+		table[pathBucket(labels)]++
 		return true
 	})
 	for gid >= len(ix.tables) {
@@ -69,9 +35,6 @@ func (ix *GraphGrep) InsertGraph(g *graph.Graph, gid int) error {
 
 // InsertGraph implements Appender for CT-Index fingerprints.
 func (ix *CTIndex) InsertGraph(g *graph.Graph, gid int) error {
-	if ix.words == 0 {
-		ix.words = (ix.bits() + 63) / 64
-	}
 	var spent int64
 	var check budget.Checkpoint
 	fp, err := ix.fingerprint(g, &spent, &check, BuildOptions{})
@@ -79,7 +42,7 @@ func (ix *CTIndex) InsertGraph(g *graph.Graph, gid int) error {
 		return err
 	}
 	for gid >= len(ix.fingerprints) {
-		ix.fingerprints = append(ix.fingerprints, make([]uint64, ix.words))
+		ix.fingerprints = append(ix.fingerprints, make([]uint64, ctWords))
 	}
 	ix.fingerprints[gid] = fp
 	return nil

@@ -7,12 +7,14 @@ import (
 
 // appenders lists the indexes supporting incremental insertion.
 func appenders() map[string]Index {
-	return map[string]Index{
-		"Grapes":    &Grapes{},
-		"GGSX":      &GGSX{},
-		"GraphGrep": &GraphGrep{},
-		"CT-Index":  &CTIndex{},
+	out := map[string]Index{}
+	for _, mk := range Catalogue {
+		ix := mk()
+		if _, ok := ix.(Appender); ok {
+			out[ix.Name()] = ix
+		}
 	}
+	return out
 }
 
 // TestInsertGraphMatchesRebuild: appending graphs one by one must yield the
@@ -44,6 +46,15 @@ func TestInsertGraphMatchesRebuild(t *testing.T) {
 		fresh := appenders()[name]
 		if err := fresh.Build(full, BuildOptions{}); err != nil {
 			t.Fatalf("%s rebuild: %v", name, err)
+		}
+
+		// Either configuration of the path trie ends up the very tree a
+		// rebuild gives, counts included.
+		if a, ok := incremental.(*PathTrie); ok {
+			b := fresh.(*PathTrie)
+			if a.nodes != b.nodes || a.entries != b.entries || !sameTrie(a.root, b.root, true) {
+				t.Errorf("%s: trie after appends differs from the rebuilt one", name)
+			}
 		}
 
 		for k := 0; k < 10; k++ {

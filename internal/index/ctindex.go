@@ -3,7 +3,6 @@ package index
 import (
 	"time"
 
-	"hash/fnv"
 	"math/bits"
 	"sort"
 	"strconv"
@@ -16,54 +15,34 @@ import (
 )
 
 // CTIndex is the fingerprint index of Klein, Kriege and Mutzel [20]:
-// every tree subgraph of up to MaxTreeEdges edges and every simple cycle of
-// up to MaxCycleLength edges is enumerated, canonicalized, and hashed into
-// a fixed-width bit fingerprint per data graph. A data graph is a candidate
-// iff its fingerprint has every bit of the query's fingerprint set.
+// every tree subgraph of up to ctMaxTreeEdges edges and every simple cycle
+// of up to ctMaxCycleLength edges is enumerated, canonicalized, and hashed
+// into a fixed-width bit fingerprint per data graph. A data graph is a
+// candidate iff its fingerprint has every bit of the query's fingerprint
+// set.
 //
 // Tree and cycle enumeration is far more expensive than path enumeration —
 // the reason CT-Index's indexing time dwarfs Grapes/GGSX in Table VI and
 // runs out of time (OOT) on dense or large datasets in Table VIII. Build
 // honors the BuildOptions budget so the harness can report OOT.
 type CTIndex struct {
-	// MaxTreeEdges bounds tree features; 0 selects 4 (the paper's config).
-	MaxTreeEdges int
-	// MaxCycleLength bounds cycle features in edges; 0 selects 4.
-	MaxCycleLength int
-	// FingerprintBits is the fingerprint width; 0 selects 4096 bits.
-	FingerprintBits int
-
 	fingerprints [][]uint64
-	words        int
 }
+
+// The paper's CT-Index configuration: trees and cycles of up to 4 edges,
+// 4096-bit fingerprints.
+const (
+	ctMaxTreeEdges    = 4
+	ctMaxCycleLength  = 4
+	ctFingerprintBits = 4096
+	ctWords           = ctFingerprintBits / 64
+)
 
 // Name implements Index.
 func (*CTIndex) Name() string { return "CT-Index" }
 
-func (ix *CTIndex) maxTree() int {
-	if ix.MaxTreeEdges <= 0 {
-		return 4
-	}
-	return ix.MaxTreeEdges
-}
-
-func (ix *CTIndex) maxCycle() int {
-	if ix.MaxCycleLength <= 0 {
-		return 4
-	}
-	return ix.MaxCycleLength
-}
-
-func (ix *CTIndex) bits() int {
-	if ix.FingerprintBits <= 0 {
-		return 4096
-	}
-	return ix.FingerprintBits
-}
-
 // Build implements Index.
 func (ix *CTIndex) Build(db *graph.Database, opts BuildOptions) error {
-	ix.words = (ix.bits() + 63) / 64
 	ix.fingerprints = make([][]uint64, db.Len())
 	var spent int64
 	check := opts.checkpoint()
@@ -82,7 +61,7 @@ func (ix *CTIndex) Build(db *graph.Database, opts BuildOptions) error {
 // fingerprint, spending from the shared feature budget and ticking the
 // shared deadline/cancellation checkpoint.
 func (ix *CTIndex) fingerprint(g *graph.Graph, spent *int64, check *budget.Checkpoint, opts BuildOptions) ([]uint64, error) {
-	fp := make([]uint64, ix.words)
+	fp := make([]uint64, ctWords)
 	spend := func() bool {
 		*spent++
 		if opts.MaxFeatures > 0 && *spent > opts.MaxFeatures {
@@ -100,78 +79,89 @@ func (ix *CTIndex) fingerprint(g *graph.Graph, spent *int64, check *budget.Check
 }
 
 // setFeature hashes a canonical feature code into the fingerprint with two
-// independent hash positions, Bloom-filter style.
-func (ix *CTIndex) setFeature(fp []uint64, code string) {
-	h1 := fnv.New64a()
-	h1.Write([]byte(code))
-	a := h1.Sum64()
-	h2 := fnv.New64a()
-	h2.Write([]byte(code))
-	h2.Write([]byte{0x9e, 0x37})
-	b := h2.Sum64()
-	bits := uint64(ix.bits())
-	for _, h := range [2]uint64{a % bits, b % bits} {
+// hash positions, Bloom-filter style: FNV-1a of the code, and of the code
+// followed by two salt bytes.
+func setFeature(fp []uint64, code string) {
+	const offset, prime = 14695981039346656037, 1099511628211
+	a := uint64(offset)
+	for i := 0; i < len(code); i++ {
+		a = (a ^ uint64(code[i])) * prime
+	}
+	b := (a ^ 0x9e) * prime
+	b = (b ^ 0x37) * prime
+	for _, h := range [2]uint64{a % ctFingerprintBits, b % ctFingerprintBits} {
 		fp[h>>6] |= 1 << (h & 63)
 	}
 }
 
-// enumerateTrees grows every tree subgraph of up to maxTree edges from
-// every start vertex. Each tree is reached once per growth order; the
-// resulting duplicate canonical codes are harmless for a bit fingerprint.
+// enumerateTrees sets the fingerprint bits of every tree subgraph of g.
 func (ix *CTIndex) enumerateTrees(g *graph.Graph, fp []uint64, spend func() bool) bool {
-	return enumerateTreeCodes(g, ix.maxTree(), func(code string) bool {
+	return enumerateTreeCodes(g, ctMaxTreeEdges, func(code string) bool {
 		if !spend() {
 			return false
 		}
-		ix.setFeature(fp, code)
+		setFeature(fp, code)
 		return true
 	})
 }
 
 // enumerateTreeCodes visits the AHU canonical code of every tree subgraph
-// of g with at most maxE edges (with growth-order duplicates). It returns
-// false if the visitor aborted. Shared by CT-Index and the mining-based
-// tree index.
+// of g with at most maxE edges, each subtree once: from its smallest vertex,
+// by taking the frontier edges — those leaving the tree for a vertex above
+// the root — in the order they joined the frontier, an edge passed over
+// never taken again on that branch. It returns false if the visitor
+// aborted. Shared by CT-Index and the mining-based tree index.
 func enumerateTreeCodes(g *graph.Graph, maxE int, visit func(code string) bool) bool {
 	inTree := make([]bool, g.NumVertices())
 	verts := make([]graph.VertexID, 0, maxE+1)
 	edges := make([]graph.Edge, 0, maxE)
+	var frontier []graph.Edge
 
-	var grow func() bool
-	grow = func() bool {
+	var grow func(from int) bool
+	grow = func(from int) bool {
 		if !visit(treeCode(g, verts, edges)) {
 			return false
 		}
 		if len(edges) == maxE {
 			return true
 		}
-		for vi := 0; vi < len(verts); vi++ {
-			v := verts[vi]
-			for _, w := range g.Neighbors(v) {
-				if inTree[w] {
-					continue
+		for i := from; i < len(frontier); i++ {
+			e := frontier[i]
+			if inTree[e.V] {
+				continue // reached over another edge since: it would close a cycle
+			}
+			mark := len(frontier)
+			inTree[e.V] = true
+			verts = append(verts, e.V)
+			edges = append(edges, e)
+			for _, w := range g.Neighbors(e.V) {
+				if w > verts[0] && !inTree[w] {
+					frontier = append(frontier, graph.Edge{U: e.V, V: w})
 				}
-				inTree[w] = true
-				verts = append(verts, w)
-				edges = append(edges, graph.Edge{U: v, V: w})
-				ok := grow()
-				inTree[w] = false
-				verts = verts[:len(verts)-1]
-				edges = edges[:len(edges)-1]
-				if !ok {
-					return false
-				}
+			}
+			ok := grow(i + 1)
+			frontier = frontier[:mark]
+			inTree[e.V] = false
+			verts = verts[:len(verts)-1]
+			edges = edges[:len(edges)-1]
+			if !ok {
+				return false
 			}
 		}
 		return true
 	}
 	for v := 0; v < g.NumVertices(); v++ {
-		vv := graph.VertexID(v)
-		inTree[vv] = true
-		verts = append(verts[:0], vv)
-		edges = edges[:0]
-		ok := grow()
-		inTree[vv] = false
+		root := graph.VertexID(v)
+		inTree[root] = true
+		verts = append(verts[:0], root)
+		frontier = frontier[:0]
+		for _, w := range g.Neighbors(root) {
+			if w > root {
+				frontier = append(frontier, graph.Edge{U: root, V: w})
+			}
+		}
+		ok := grow(0)
+		inTree[root] = false
 		if !ok {
 			return false
 		}
@@ -222,10 +212,7 @@ func treeCode(g *graph.Graph, verts []graph.VertexID, edges []graph.Edge) string
 // Cycles are discovered from their minimum-id vertex with a direction
 // constraint, so each cycle is reported once.
 func (ix *CTIndex) enumerateCycles(g *graph.Graph, fp []uint64, spend func() bool) bool {
-	maxLen := ix.maxCycle()
-	if maxLen < 3 {
-		return true
-	}
+	const maxLen = ctMaxCycleLength
 	onPath := make([]bool, g.NumVertices())
 	path := make([]graph.VertexID, 0, maxLen)
 
@@ -239,7 +226,7 @@ func (ix *CTIndex) enumerateCycles(g *graph.Graph, fp []uint64, spend func() boo
 					if !spend() {
 						return false
 					}
-					ix.setFeature(fp, cycleCode(g, path))
+					setFeature(fp, cycleCode(g, path))
 				}
 				continue
 			}
@@ -349,5 +336,5 @@ func (ix *CTIndex) FilterExplain(q *graph.Graph, ex *obs.Explain) []int {
 
 // MemoryFootprint implements Index: one fingerprint per graph.
 func (ix *CTIndex) MemoryFootprint() int64 {
-	return int64(len(ix.fingerprints)) * int64(ix.words*8+24)
+	return int64(len(ix.fingerprints)) * (ctWords*8 + 24)
 }

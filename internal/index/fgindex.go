@@ -5,140 +5,38 @@ import (
 	"strconv"
 	"strings"
 
-	"subgraphquery/internal/fault"
 	"subgraphquery/internal/graph"
 )
 
-// FGIndexLite is a mining-based *graph*-feature index in the spirit of
+// NewFGIndex returns a mining-based *graph*-feature index in the spirit of
 // FG-Index (Cheng, Ke, Ng and Lu [4]: "towards verification-free query
-// processing on graph databases"). Every connected subgraph of up to
-// MaxFeatureEdges edges is enumerated per data graph and canonicalized
-// exactly (small graphs admit exact canonical forms by permutation
-// minimization); frequent features keep their posting lists.
+// processing on graph databases"): the frequent connected subgraphs of up
+// to fgMaxFeatureEdges edges, canonicalized exactly (small graphs admit
+// exact canonical forms by permutation minimization).
 //
 // The signature property of FG-Index is reproduced: when the *entire
 // query* is one of the indexed features, its posting list is the exact
 // answer set — no verification at all. Larger queries fall back to
 // feature-intersection filtering like the other mining-based indexes.
-type FGIndexLite struct {
-	// MaxFeatureEdges bounds feature size; 0 selects 4 (features then have
-	// at most 5 vertices, keeping exact canonicalization trivial).
-	MaxFeatureEdges int
-	// SupportRatio is the minimum fraction of graphs containing a kept
-	// feature; 0 selects 0.05. Size-≤1 features are always kept.
-	SupportRatio float64
-
-	features  map[string][]int32
-	numGraphs int
-}
-
-// Name implements Index.
-func (*FGIndexLite) Name() string { return "FG-Index" }
-
-func (ix *FGIndexLite) maxEdges() int {
-	if ix.MaxFeatureEdges <= 0 {
-		return 4
-	}
-	return ix.MaxFeatureEdges
-}
-
-func (ix *FGIndexLite) support() float64 {
-	if ix.SupportRatio <= 0 {
-		return 0.05
-	}
-	return ix.SupportRatio
-}
-
-// Build implements Index.
-func (ix *FGIndexLite) Build(db *graph.Database, opts BuildOptions) error {
-	ix.numGraphs = db.Len()
-	postings := make(map[string][]int32)
-	var features int64
-	check := opts.checkpoint()
-	for gid := 0; gid < db.Len(); gid++ {
-		seen := make(map[string]bool)
-		ok := enumerateConnectedSubgraphs(db.Graph(gid), ix.maxEdges(), func(code string) bool {
-			features++
-			if check.Tick() {
-				return false
+func NewFGIndex() *Mined {
+	return &Mined{support: defaultSupportRatio, miner: miner{
+		name: "FG-Index",
+		enumerate: func(g *graph.Graph, visit func(code string) bool) bool {
+			return enumerateConnectedSubgraphs(g, fgMaxFeatureEdges, visit)
+		},
+		anchor: isSingleVertexGraphCode,
+		whole: func(q *graph.Graph) (string, bool) {
+			if q.NumEdges() > fgMaxFeatureEdges || q.NumVertices() > fgMaxFeatureEdges+1 {
+				return "", false
 			}
-			if opts.MaxFeatures > 0 && features > opts.MaxFeatures {
-				return false
-			}
-			if !seen[code] {
-				seen[code] = true
-				postings[code] = append(postings[code], int32(gid))
-			}
-			return true
-		})
-		if !ok {
-			return ErrBudget
-		}
-	}
-	minSupport := int(ix.support() * float64(db.Len()))
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	ix.features = make(map[string][]int32)
-	for code, ids := range postings {
-		if len(ids) >= minSupport || isSingleVertexGraphCode(code) {
-			ix.features[code] = ids
-		}
-	}
-	return nil
+			return canonicalSmallGraphCode(q), true
+		},
+	}}
 }
 
-// FilterExact returns the candidate ids and whether they are already the
-// exact answer set (the query matched an indexed feature verbatim).
-func (ix *FGIndexLite) FilterExact(q *graph.Graph) ([]int, bool) { //sqlint:ignore ctxbudget probe cost is bounded by the built feature table, not the data graphs
-	fault.Inject(fault.PointIndexProbe)
-	if ix.features == nil {
-		return nil, false
-	}
-	if q.NumEdges() <= ix.maxEdges() && q.NumVertices() <= ix.maxEdges()+1 {
-		if ids, ok := ix.features[canonicalSmallGraphCode(q)]; ok {
-			return toInts(append([]int32(nil), ids...)), true
-		}
-		// A small connected query absent from the feature map can still
-		// have answers if it was mined away (support below threshold);
-		// fall through to filtering.
-	}
-	needed := make(map[string]bool)
-	enumerateConnectedSubgraphs(q, ix.maxEdges(), func(code string) bool {
-		needed[code] = true
-		return true
-	})
-	cand := allGraphIDs(ix.numGraphs)
-	for code := range needed {
-		ids, ok := ix.features[code]
-		if !ok {
-			if isSingleVertexGraphCode(code) {
-				return nil, false
-			}
-			continue
-		}
-		cand = intersectSorted(cand, ids)
-		if len(cand) == 0 {
-			return nil, false
-		}
-	}
-	return toInts(cand), false
-}
-
-// Filter implements Index.
-func (ix *FGIndexLite) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the built feature table, not the data graphs
-	ids, _ := ix.FilterExact(q)
-	return ids
-}
-
-// MemoryFootprint implements Index.
-func (ix *FGIndexLite) MemoryFootprint() int64 {
-	var b int64
-	for code, ids := range ix.features {
-		b += int64(len(code)) + 48 + int64(len(ids))*4
-	}
-	return b
-}
+// fgMaxFeatureEdges bounds FG-Index's features: at most 5 vertices, which
+// keeps exact canonicalization trivial.
+const fgMaxFeatureEdges = 4
 
 func isSingleVertexGraphCode(code string) bool {
 	return strings.HasPrefix(code, "G1|")

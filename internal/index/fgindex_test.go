@@ -56,15 +56,15 @@ func TestCanonicalCodeRandomPermutations(t *testing.T) {
 func TestFGIndexExactAnswer(t *testing.T) {
 	r := rand.New(rand.NewSource(509))
 	db := randomDB(r, 12, 8, 2)
-	var ix FGIndexLite
-	ix.SupportRatio = 0.01 // keep almost every feature
+	ix := NewFGIndex()
+	ix.support = 0.01 // keep almost every feature
 	if err := ix.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	hits := 0
 	for k := 0; k < 10; k++ {
 		q := walkQuery(r, db.Graph(r.Intn(db.Len())), 1+r.Intn(3))
-		if q.NumEdges() > ix.maxEdges() {
+		if q.NumEdges() > fgMaxFeatureEdges {
 			continue
 		}
 		ids, exact := ix.FilterExact(q)

@@ -1,152 +1,58 @@
 package index
 
 import (
-	"sort"
+	"slices"
 
-	"subgraphquery/internal/fault"
 	"subgraphquery/internal/graph"
 )
 
-// GIndexLite is a mining-based index in the spirit of gIndex (Yan, Yu and
-// Han [37]), restricted to path features: instead of storing every
-// enumerated feature (the enumeration-based approach of Grapes/GGSX), it
-// *mines* the feature set, keeping a feature only if it is
+// NewGIndex returns a mining-based index in the spirit of gIndex (Yan, Yu
+// and Han [37]), restricted to path features: a path is kept only if it is
 //
-//  1. frequent — contained in at least SupportRatio of the data graphs
-//     (size-1 features are always kept so filtering stays complete), and
-//  2. discriminative — its posting list is at least DiscriminativeRatio
-//     times smaller than the intersection of its maximal kept
-//     sub-features' posting lists (it adds real pruning power).
-//
-// This reproduces the mining-based row of the paper's Table II and its
-// §II-B discussion: cheaper storage than exhaustive enumeration, at the
-// price of a costlier, parameter-sensitive build.
-type GIndexLite struct {
-	// MaxPathLength is the maximum feature length in edges;
-	// 0 selects DefaultMaxPathLength.
-	MaxPathLength int
-	// SupportRatio is the minimum fraction of data graphs containing a
-	// feature for it to be mined; 0 selects 0.05.
-	SupportRatio float64
-	// DiscriminativeRatio γ: a feature is kept only if
-	// |candidates via sub-features| ≥ γ·|D_f|; 0 selects 1.2.
-	DiscriminativeRatio float64
-
-	features  map[string][]int32 // canonical feature -> ascending graph ids
-	numGraphs int
+//  1. frequent (size-1 features are always kept so filtering stays
+//     complete), and
+//  2. discriminative — its posting list is at least gIndexGamma times
+//     smaller than the intersection of its maximal kept sub-features'
+//     posting lists (it adds real pruning power).
+func NewGIndex() *Mined {
+	return &Mined{support: defaultSupportRatio, miner: miner{
+		name: "gIndex",
+		enumerate: func(g *graph.Graph, visit func(code string) bool) bool {
+			return enumeratePaths(g, DefaultMaxPathLength, func(labels []graph.Label) bool {
+				return visit(pathKey(labels))
+			})
+		},
+		anchor: func(key string) bool { return len(key) == 4 },
+		discriminative: func(ix *Mined, key string, ids []int32) bool {
+			return float64(len(ix.subFeatureCandidates(key))) >= gIndexGamma*float64(len(ids))
+		},
+	}}
 }
 
-// Name implements Index.
-func (*GIndexLite) Name() string { return "gIndex" }
+// gIndexGamma is gIndex's discriminative ratio γ: a feature is kept only if
+// |candidates via sub-features| ≥ γ·|D_f|.
+const gIndexGamma = 1.2
 
-func (ix *GIndexLite) maxLen() int {
-	if ix.MaxPathLength <= 0 {
-		return DefaultMaxPathLength
-	}
-	return ix.MaxPathLength
-}
-
-func (ix *GIndexLite) support() float64 {
-	if ix.SupportRatio <= 0 {
-		return 0.05
-	}
-	return ix.SupportRatio
-}
-
-func (ix *GIndexLite) gamma() float64 {
-	if ix.DiscriminativeRatio <= 0 {
-		return 1.2
-	}
-	return ix.DiscriminativeRatio
-}
-
-// Build implements Index: the mining pass enumerates all path features
-// (the expensive part the paper's §II-B attributes to mining-based
-// methods), computes supports, then selects frequent, discriminative
-// features level by level.
-func (ix *GIndexLite) Build(db *graph.Database, opts BuildOptions) error {
-	ix.numGraphs = db.Len()
-	// postings: feature -> sorted ids of graphs containing it.
-	postings := make(map[string][]int32)
-	var features int64
-	check := opts.checkpoint()
-	for gid := 0; gid < db.Len(); gid++ {
-		seen := make(map[string]bool)
-		ok := enumeratePaths(db.Graph(gid), ix.maxLen(), func(labels []graph.Label) bool {
-			key := pathKey(labels)
-			if !seen[key] {
-				seen[key] = true
-				postings[key] = append(postings[key], int32(gid))
-			}
-			features++
-			if check.Tick() {
-				return false
-			}
-			return opts.MaxFeatures <= 0 || features <= opts.MaxFeatures
-		})
-		if !ok {
-			return ErrBudget
-		}
-	}
-
-	minSupport := int(ix.support() * float64(db.Len()))
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	ix.features = make(map[string][]int32)
-
-	// Level-by-level selection: short features first, so discriminative
-	// checks can consult the already-kept sub-features.
-	keys := make([]string, 0, len(postings))
-	for k := range postings {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if len(keys[i]) != len(keys[j]) {
-			return len(keys[i]) < len(keys[j])
-		}
-		return keys[i] < keys[j]
-	})
-	for _, key := range keys {
-		ids := postings[key]
-		if len(key) == 4 {
-			// Size-1 features (single labels) anchor completeness.
-			ix.features[key] = ids
-			continue
-		}
-		if len(ids) < minSupport {
-			continue
-		}
-		// Candidate set achievable with kept sub-features: intersect the
-		// two maximal sub-paths (prefix and suffix).
-		base := ix.subFeatureCandidates(key)
-		if float64(len(base)) >= ix.gamma()*float64(len(ids)) {
-			ix.features[key] = ids
-		}
-	}
-	return nil
-}
-
-// subFeatureCandidates intersects the posting lists of the longest kept
-// sub-features (prefix and suffix of the path, recursively).
-func (ix *GIndexLite) subFeatureCandidates(key string) []int32 {
+// subFeatureCandidates returns the candidate set achievable with the kept
+// sub-features of a path: the intersection of the posting lists of its two
+// maximal sub-paths (prefix and suffix, each trimmed to the longest kept).
+func (ix *Mined) subFeatureCandidates(key string) []int32 {
 	prefix := ix.lookupLongest(key[:len(key)-4], true)
 	suffix := ix.lookupLongest(key[4:], false)
 	switch {
 	case prefix == nil && suffix == nil:
 		return allGraphIDs(ix.numGraphs)
 	case prefix == nil:
-		return append([]int32(nil), suffix...)
+		return suffix
 	case suffix == nil:
-		return append([]int32(nil), prefix...)
+		return prefix
 	}
-	out := append([]int32(nil), prefix...)
-	return intersectSorted(out, suffix)
+	return intersectSorted(slices.Clone(prefix), suffix)
 }
 
 // lookupLongest finds the posting list of the longest kept sub-feature of
 // key, trimming from the front or back.
-func (ix *GIndexLite) lookupLongest(key string, trimBack bool) []int32 {
+func (ix *Mined) lookupLongest(key string, trimBack bool) []int32 {
 	for len(key) > 0 {
 		if ids, ok := ix.features[key]; ok {
 			return ids
@@ -158,45 +64,4 @@ func (ix *GIndexLite) lookupLongest(key string, trimBack bool) []int32 {
 		}
 	}
 	return nil
-}
-
-// Filter implements Index: intersect the posting lists of every indexed
-// feature of q. Unindexed features (mined away) are skipped — that is the
-// precision the mining trades for index size.
-func (ix *GIndexLite) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the mined feature set, not the data graphs
-	fault.Inject(fault.PointIndexProbe)
-	if ix.features == nil {
-		return nil
-	}
-	needed := make(map[string]bool)
-	enumeratePaths(q, ix.maxLen(), func(labels []graph.Label) bool {
-		needed[pathKey(labels)] = true
-		return true
-	})
-	cand := allGraphIDs(ix.numGraphs)
-	for key := range needed {
-		ids, ok := ix.features[key]
-		if !ok {
-			if len(key) == 4 {
-				// A single-label feature absent from the index means no
-				// data graph contains that label at all.
-				return nil
-			}
-			continue
-		}
-		cand = intersectSorted(cand, ids)
-		if len(cand) == 0 {
-			return nil
-		}
-	}
-	return toInts(cand)
-}
-
-// MemoryFootprint implements Index.
-func (ix *GIndexLite) MemoryFootprint() int64 {
-	var b int64
-	for k, ids := range ix.features {
-		b += int64(len(k)) + 48 + int64(len(ids))*4
-	}
-	return b
 }

@@ -15,31 +15,14 @@ import (
 // never rejects a true answer. Collisions only cost precision — the reason
 // its successors moved to exact tries and suffix trees.
 type GraphGrep struct {
-	// MaxPathLength is the maximum feature length in edges;
-	// 0 selects DefaultMaxPathLength.
-	MaxPathLength int
-	// Buckets is the fingerprint width; 0 selects 4096.
-	Buckets int
-
 	tables []map[uint32]int32 // per graph: bucket -> count
 }
 
+// graphGrepBuckets is the fingerprint width.
+const graphGrepBuckets = 4096
+
 // Name implements Index.
 func (*GraphGrep) Name() string { return "GraphGrep" }
-
-func (ix *GraphGrep) maxLen() int {
-	if ix.MaxPathLength <= 0 {
-		return DefaultMaxPathLength
-	}
-	return ix.MaxPathLength
-}
-
-func (ix *GraphGrep) buckets() uint32 {
-	if ix.Buckets <= 0 {
-		return 4096
-	}
-	return uint32(ix.Buckets)
-}
 
 // Build implements Index.
 func (ix *GraphGrep) Build(db *graph.Database, opts BuildOptions) error {
@@ -48,8 +31,8 @@ func (ix *GraphGrep) Build(db *graph.Database, opts BuildOptions) error {
 	check := opts.checkpoint()
 	for gid := 0; gid < db.Len(); gid++ {
 		table := make(map[uint32]int32)
-		ok := enumeratePaths(db.Graph(gid), ix.maxLen(), func(labels []graph.Label) bool {
-			table[ix.bucket(labels)]++
+		ok := enumeratePaths(db.Graph(gid), DefaultMaxPathLength, func(labels []graph.Label) bool {
+			table[pathBucket(labels)]++
 			features++
 			if check.Tick() {
 				return false
@@ -65,14 +48,15 @@ func (ix *GraphGrep) Build(db *graph.Database, opts BuildOptions) error {
 	return nil
 }
 
-func (ix *GraphGrep) bucket(labels []graph.Label) uint32 {
+// pathBucket hashes a label sequence to its fingerprint bucket.
+func pathBucket(labels []graph.Label) uint32 {
 	h := fnv.New32a()
 	var buf [4]byte
 	for _, l := range labels {
 		buf[0], buf[1], buf[2], buf[3] = byte(l), byte(l>>8), byte(l>>16), byte(l>>24)
 		h.Write(buf[:])
 	}
-	return h.Sum32() % ix.buckets()
+	return h.Sum32() % graphGrepBuckets
 }
 
 // Filter implements Index.
@@ -82,8 +66,8 @@ func (ix *GraphGrep) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget pr
 		return nil
 	}
 	need := make(map[uint32]int32)
-	enumeratePaths(q, ix.maxLen(), func(labels []graph.Label) bool {
-		need[ix.bucket(labels)]++
+	enumeratePaths(q, DefaultMaxPathLength, func(labels []graph.Label) bool {
+		need[pathBucket(labels)]++
 		return true
 	})
 	var out []int

@@ -1,19 +1,22 @@
-// Package index implements the graph database indexes of the three IFV
-// algorithms the paper compares against (§III-A):
+// Package index implements the graph database indexes of the IFV algorithms
+// (§III-A, Table II) over three stores:
 //
-//   - Grapes [10]: exhaustively enumerated labeled paths up to a maximum
-//     length, stored in a trie with per-graph occurrence counts, built and
-//     probed with a worker pool (the paper configures 6 threads).
-//   - GGSX (GraphGrepSX) [2]: the same path features stored in a suffix
-//     tree keeping per-graph presence sets.
-//   - CT-Index [20]: tree and cycle features up to a maximum size, hashed
-//     into fixed-width per-graph bit fingerprints.
+//   - the path trie (PathTrie): exhaustively enumerated labeled paths up to
+//     a maximum length. Grapes [10] is the trie with per-graph occurrence
+//     counts, built and probed with a worker pool (the paper configures 6
+//     threads); GGSX (GraphGrepSX) [2] is the same trie keeping per-graph
+//     presence only, built sequentially.
+//   - the mined posting table (Mined): gIndex, TreePi and FG-Index keep the
+//     frequent path, tree and connected-subgraph features.
+//   - per-graph fingerprints: CT-Index [20] hashes tree and cycle features
+//     up to a maximum size into fixed-width bit fingerprints, GraphGrep
+//     path features into count buckets.
 //
-// Every index implements the Index interface used by the IFV engine in
-// internal/core. Index construction accepts a budget so the experiment
-// harness can report out-of-time (OOT) conditions the way the paper does
-// instead of hanging: the paper's Table VI and VIII mark CT-Index OOT on
-// most datasets.
+// Catalogue lists them. Every index implements the Index interface used by
+// the engines in internal/core. Index construction accepts a budget so the
+// experiment harness can report out-of-time (OOT) conditions the way the
+// paper does instead of hanging: the paper's Table VI and VIII mark
+// CT-Index OOT on most datasets.
 package index
 
 import (
@@ -45,6 +48,18 @@ type Index interface {
 	MemoryFootprint() int64
 }
 
+// Catalogue constructs one of every index, in Table II's order:
+// enumeration-based, then mining-based.
+var Catalogue = []func() Index{
+	func() Index { return new(GraphGrep) },
+	func() Index { return NewGrapes() },
+	func() Index { return new(GGSX) },
+	func() Index { return new(CTIndex) },
+	func() Index { return NewGIndex() },
+	func() Index { return NewTreePi() },
+	func() Index { return NewFGIndex() },
+}
+
 // BuildOptions bounds index construction.
 type BuildOptions struct {
 	// Deadline aborts construction when exceeded (the paper allows 24h);
@@ -57,7 +72,9 @@ type BuildOptions struct {
 	Cancel <-chan struct{}
 
 	// MaxFeatures aborts construction after this many enumerated feature
-	// instances, a deterministic out-of-time proxy for tests. 0 = no limit.
+	// instances, a deterministic out-of-time proxy for tests: path
+	// occurrences, distinct subtrees (each is visited once), cycles,
+	// connected-subgraph growth orders. 0 = no limit.
 	MaxFeatures int64
 
 	// Workers sets the parallelism of index construction for indexes that
@@ -94,5 +111,5 @@ type Explainable interface {
 
 // DefaultMaxPathLength is the paper's configured maximum path feature
 // length (in edges) for Grapes and GGSX: "enumerate paths of up to a
-// length of 4".
+// length of 4". GraphGrep and gIndex use it too.
 const DefaultMaxPathLength = 4

@@ -12,18 +12,15 @@ import (
 	"subgraphquery/internal/obs"
 )
 
-// indexes returns a fresh instance of every index under test.
+// indexes returns a fresh instance of every index under test: the
+// catalogue, and Grapes once more to be built on a pool.
 func indexes() map[string]Index {
-	return map[string]Index{
-		"Grapes":          &Grapes{},
-		"Grapes-parallel": &Grapes{},
-		"GGSX":            &GGSX{},
-		"CT-Index":        &CTIndex{},
-		"GraphGrep":       &GraphGrep{},
-		"gIndex":          &GIndexLite{},
-		"TreePi":          &TreePiLite{},
-		"FG-Index":        &FGIndexLite{},
+	ixs := map[string]Index{"Grapes-parallel": NewGrapes()}
+	for _, mk := range Catalogue {
+		ix := mk()
+		ixs[ix.Name()] = ix
 	}
+	return ixs
 }
 
 func buildOpts(name string) BuildOptions {
@@ -173,7 +170,7 @@ func TestFilterReturnsSortedUniqueIDs(t *testing.T) {
 func TestGrapesNoWeakerThanGGSX(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	db := randomDB(r, 14, 9, 2)
-	var grapes Grapes
+	grapes := NewGrapes()
 	var ggsx GGSX
 	if err := grapes.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
@@ -254,7 +251,7 @@ func TestMemoryFootprintPositive(t *testing.T) {
 func TestGrapesParallelMatchesSequential(t *testing.T) {
 	r := rand.New(rand.NewSource(53))
 	db := randomDB(r, 16, 8, 3)
-	var seq, par Grapes
+	seq, par := NewGrapes(), NewGrapes()
 	if err := seq.Build(db, BuildOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +337,7 @@ func TestPathProbesRepeatAndAgree(t *testing.T) {
 		for ixName, ix := range map[string]interface {
 			Index
 			Explainable
-		}{"GGSX": &GGSX{}, "Grapes": &Grapes{}} {
+		}{"GGSX": &GGSX{}, "Grapes": NewGrapes()} {
 			if err := ix.Build(db, BuildOptions{}); err != nil {
 				t.Fatal(err)
 			}

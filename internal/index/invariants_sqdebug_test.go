@@ -9,7 +9,8 @@ import (
 	"subgraphquery/internal/graph"
 )
 
-// Corruption tests for the sqdebug trie assertions.
+// Corruption tests for the sqdebug trie assertions, on both configurations
+// of the path trie.
 
 func mustPanicWith(t *testing.T, substr string, f func()) {
 	t.Helper()
@@ -33,92 +34,62 @@ func debugDB(t *testing.T) *graph.Database {
 	return graph.NewDatabase([]*graph.Graph{g0, g1})
 }
 
-func builtGrapes(t *testing.T) *Grapes {
+func builtGrapes(t *testing.T) *PathTrie { return builtTrie(t, NewGrapes()) }
+
+func builtGGSX(t *testing.T) *PathTrie { return builtTrie(t, &GGSX{}) }
+
+func builtTrie(t *testing.T, ix *PathTrie) *PathTrie {
 	t.Helper()
-	ix := &Grapes{MaxPathLength: 2}
 	if err := ix.Build(debugDB(t), BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
 	return ix
 }
 
-func builtGGSX(t *testing.T) *GGSX {
-	t.Helper()
-	ix := &GGSX{MaxPathLength: 2}
-	if err := ix.Build(debugDB(t), BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	return ix
+func TestDebugCheckTrieAcceptsBuilt(t *testing.T) {
+	debugCheckTrie(builtGrapes(t)) // Build already ran it; must still hold
+	debugCheckTrie(builtGGSX(t))
 }
 
-func TestDebugCheckGrapesAcceptsBuilt(t *testing.T) {
-	debugCheckGrapes(builtGrapes(t)) // Build already ran it; must still hold
-}
-
-func TestDebugCheckGrapesUnsortedPostings(t *testing.T) {
-	ix := builtGrapes(t)
-	n := findGrapesNodeWithPostings(ix.root, 2)
-	if n == nil {
-		t.Skip("no node with two postings in fixture")
-	}
-	n.graphIDs[0], n.graphIDs[1] = n.graphIDs[1], n.graphIDs[0]
-	mustPanicWith(t, "ascending", func() { debugCheckGrapes(ix) })
-}
-
-func TestDebugCheckGrapesCounterDrift(t *testing.T) {
-	ix := builtGrapes(t)
-	ix.nodes++
-	mustPanicWith(t, "nodes counter", func() { debugCheckGrapes(ix) })
-}
-
-func TestDebugCheckGrapesRaggedCounts(t *testing.T) {
-	ix := builtGrapes(t)
-	n := findGrapesNodeWithPostings(ix.root, 1)
-	if n == nil {
-		t.Fatal("no node with postings in fixture")
-	}
-	n.counts = n.counts[:len(n.counts)-1]
-	mustPanicWith(t, "counts", func() { debugCheckGrapes(ix) })
-}
-
-func TestDebugCheckGGSXAcceptsBuilt(t *testing.T) {
-	debugCheckGGSX(builtGGSX(t))
-}
-
-func TestDebugCheckGGSXUnsortedPostings(t *testing.T) {
-	ix := builtGGSX(t)
-	n := findGGSXNodeWithPostings(ix.root, 2)
-	if n == nil {
-		t.Skip("no node with two postings in fixture")
-	}
-	n.graphIDs[0], n.graphIDs[1] = n.graphIDs[1], n.graphIDs[0]
-	mustPanicWith(t, "ascending", func() { debugCheckGGSX(ix) })
-}
-
-func TestDebugCheckGGSXCounterDrift(t *testing.T) {
-	ix := builtGGSX(t)
-	ix.entries--
-	mustPanicWith(t, "entries counter", func() { debugCheckGGSX(ix) })
-}
-
-func findGrapesNodeWithPostings(n *grapesNode, min int) *grapesNode {
-	if len(n.graphIDs) >= min {
-		return n
-	}
-	for _, c := range n.children {
-		if found := findGrapesNodeWithPostings(c, min); found != nil {
-			return found
+func TestDebugCheckTrieUnsortedPostings(t *testing.T) {
+	for _, ix := range []*PathTrie{builtGrapes(t), builtGGSX(t)} {
+		n := findNodeWithPostings(ix.root, 2)
+		if n == nil {
+			t.Fatal("no node with two postings in fixture")
 		}
+		n.graphIDs[0], n.graphIDs[1] = n.graphIDs[1], n.graphIDs[0]
+		mustPanicWith(t, "ascending", func() { debugCheckTrie(ix) })
 	}
-	return nil
 }
 
-func findGGSXNodeWithPostings(n *ggsxNode, min int) *ggsxNode {
+func TestDebugCheckTrieCounterDrift(t *testing.T) {
+	grapes := builtGrapes(t)
+	grapes.nodes++
+	mustPanicWith(t, "nodes counter", func() { debugCheckTrie(grapes) })
+	ggsx := builtGGSX(t)
+	ggsx.entries--
+	mustPanicWith(t, "entries counter", func() { debugCheckTrie(ggsx) })
+}
+
+// TestDebugCheckTrieCountsMatchConfiguration: a counted trie has one count
+// per id, a presence trie none at all.
+func TestDebugCheckTrieCountsMatchConfiguration(t *testing.T) {
+	grapes := builtGrapes(t)
+	n := findNodeWithPostings(grapes.root, 1)
+	n.counts = n.counts[:len(n.counts)-1]
+	mustPanicWith(t, "counts", func() { debugCheckTrie(grapes) })
+	ggsx := builtGGSX(t)
+	n = findNodeWithPostings(ggsx.root, 1)
+	n.counts = make([]int32, len(n.graphIDs))
+	mustPanicWith(t, "counts", func() { debugCheckTrie(ggsx) })
+}
+
+func findNodeWithPostings(n *trieNode, min int) *trieNode {
 	if len(n.graphIDs) >= min {
 		return n
 	}
 	for _, c := range n.children {
-		if found := findGGSXNodeWithPostings(c, min); found != nil {
+		if found := findNodeWithPostings(c, min); found != nil {
 			return found
 		}
 	}

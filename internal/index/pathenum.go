@@ -4,9 +4,10 @@ import (
 	"subgraphquery/internal/graph"
 )
 
-// Path feature enumeration shared by Grapes and GGSX: all simple directed
-// walks with 0..maxLen edges, identified by their label sequences. Both the
-// query and the data graphs are enumerated identically, so per-feature
+// Path feature enumeration shared by the path trie, GraphGrep and gIndex:
+// all simple directed walks with 0..maxLen edges, identified by their label
+// sequences. Both the query and the data graphs are enumerated identically,
+// so per-feature
 // occurrence counts compare soundly: a subgraph isomorphism maps each
 // directed simple path of q to a distinct directed simple path of G with
 // the same label sequence.
@@ -59,9 +60,17 @@ func pathKey(labels []graph.Label) string {
 	return string(buf)
 }
 
+// keyLabels decodes a pathKey back into its label sequence, appended to
+// labels.
+func keyLabels(labels []graph.Label, key string) []graph.Label {
+	for i := 0; i < len(key); i += 4 {
+		labels = append(labels, graph.Label(uint32(key[i])|uint32(key[i+1])<<8|uint32(key[i+2])<<16|uint32(key[i+3])<<24))
+	}
+	return labels
+}
+
 // countPaths returns the number of occurrences of every path feature of g
-// up to maxLen edges, keyed by pathKey. Used on the query side of both path
-// indexes and on the data side by tests.
+// up to maxLen edges, keyed by pathKey.
 func countPaths(g *graph.Graph, maxLen int) map[string]int32 {
 	counts := make(map[string]int32)
 	enumeratePaths(g, maxLen, func(labels []graph.Label) bool {

@@ -2,6 +2,7 @@ package index
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -18,12 +19,12 @@ func TestQuickTrieCountsMatchDirect(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		db := randomDB(r, 3+r.Intn(5), 7, 1+r.Intn(3))
-		var ix Grapes
+		ix := NewGrapes()
 		if err := ix.Build(db, BuildOptions{}); err != nil {
 			return false
 		}
 		for gid := 0; gid < db.Len(); gid++ {
-			want := countPaths(db.Graph(gid), ix.maxLen())
+			want := countPaths(db.Graph(gid), DefaultMaxPathLength)
 			var visited int64
 			for key, c := range want {
 				node := ix.lookup(key, &visited)
@@ -53,7 +54,8 @@ func TestQuickTrieCountsMatchDirect(t *testing.T) {
 }
 
 // TestQuickSuffixClosure: every suffix of every GGSX-indexed path is itself
-// reachable in the suffix tree with the same graph id recorded.
+// reachable in the trie with the same graph id recorded — the suffix tree's
+// defining property, which one insert per enumerated path already gives.
 func TestQuickSuffixClosure(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
@@ -65,7 +67,7 @@ func TestQuickSuffixClosure(t *testing.T) {
 		for gid := 0; gid < db.Len(); gid++ {
 			ok := true
 			var visited int64
-			enumeratePaths(db.Graph(gid), ix.maxLen(), func(labels []graph.Label) bool {
+			enumeratePaths(db.Graph(gid), DefaultMaxPathLength, func(labels []graph.Label) bool {
 				for s := 0; s < len(labels); s++ {
 					node := ix.lookup(pathKey(labels[s:]), &visited)
 					if node == nil {
@@ -95,6 +97,42 @@ func TestQuickSuffixClosure(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Error(err)
 	}
+}
+
+// TestQuickPresenceTrieIsCountedTrieWithoutCounts: on any database the two
+// configurations of the path trie build the same tree — node for node, the
+// same children and the same posting lists — and differ only in the counts.
+func TestQuickPresenceTrieIsCountedTrieWithoutCounts(t *testing.T) {
+	f := func(seed int64) bool {
+		r := rand.New(rand.NewSource(seed))
+		db := randomDB(r, 2+r.Intn(8), 8, 1+r.Intn(4))
+		var presence GGSX
+		counted := NewGrapes()
+		if presence.Build(db, BuildOptions{}) != nil || counted.Build(db, BuildOptions{Workers: 1 + r.Intn(3)}) != nil {
+			return false
+		}
+		return presence.nodes == counted.nodes && presence.entries == counted.entries && sameTrie(presence.root, counted.root, false)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
+		t.Error(err)
+	}
+}
+
+// sameTrie reports whether two subtries have the same children and the same
+// posting lists — and, with counts set, the same counts beside them; without,
+// p must carry none and c one per id.
+func sameTrie(p, c *trieNode, counts bool) bool {
+	if counts && !slices.Equal(p.counts, c.counts) ||
+		!counts && (p.counts != nil || len(c.counts) != len(c.graphIDs)) ||
+		!slices.Equal(p.graphIDs, c.graphIDs) || len(p.children) != len(c.children) {
+		return false
+	}
+	for l, pc := range p.children {
+		if cc := c.children[l]; cc == nil || !sameTrie(pc, cc, counts) {
+			return false
+		}
+	}
+	return true
 }
 
 // TestQuickFingerprintSubset: if q is drawn from G, q's CT-Index

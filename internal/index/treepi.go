@@ -1,128 +1,28 @@
 package index
 
-import (
-	"subgraphquery/internal/fault"
-	"subgraphquery/internal/graph"
-)
+import "subgraphquery/internal/graph"
 
-// TreePiLite is a mining-based tree-feature index in the spirit of TreePi
-// (Zhang, Hu and Yang [40]) and SwiftIndex [28] from the paper's Table II:
-// subtree features up to MaxTreeEdges edges are enumerated, canonicalized
-// (AHU codes) and mined — only features contained in at least SupportRatio
-// of the data graphs are kept, except size-≤1 features which anchor
-// completeness. Filtering intersects the posting lists of the query's
-// indexed features; query features mined away are simply skipped, costing
-// precision but never correctness.
-type TreePiLite struct {
-	// MaxTreeEdges bounds tree features; 0 selects 3 (tree enumeration is
-	// markedly costlier than path enumeration — the mining-based trade the
-	// paper's §II-B describes).
-	MaxTreeEdges int
-	// SupportRatio is the minimum fraction of graphs containing a kept
-	// feature; 0 selects 0.05.
-	SupportRatio float64
-
-	features  map[string][]int32
-	numGraphs int
+// NewTreePi returns a mining-based tree-feature index in the spirit of
+// TreePi (Zhang, Hu and Yang [40]) and SwiftIndex [28] from the paper's
+// Table II: the frequent subtrees of up to treePiMaxEdges edges, by AHU
+// canonical code.
+func NewTreePi() *Mined {
+	return &Mined{support: defaultSupportRatio, miner: miner{
+		name: "TreePi",
+		enumerate: func(g *graph.Graph, visit func(code string) bool) bool {
+			return enumerateTreeCodes(g, treePiMaxEdges, visit)
+		},
+		anchor: isSingleVertexCode,
+	}}
 }
 
-// Name implements Index.
-func (*TreePiLite) Name() string { return "TreePi" }
-
-func (ix *TreePiLite) maxTree() int {
-	if ix.MaxTreeEdges <= 0 {
-		return 3
-	}
-	return ix.MaxTreeEdges
-}
-
-func (ix *TreePiLite) support() float64 {
-	if ix.SupportRatio <= 0 {
-		return 0.05
-	}
-	return ix.SupportRatio
-}
-
-// Build implements Index.
-func (ix *TreePiLite) Build(db *graph.Database, opts BuildOptions) error {
-	ix.numGraphs = db.Len()
-	postings := make(map[string][]int32)
-	var features int64
-	check := opts.checkpoint()
-	for gid := 0; gid < db.Len(); gid++ {
-		seen := make(map[string]bool)
-		ok := enumerateTreeCodes(db.Graph(gid), ix.maxTree(), func(code string) bool {
-			features++
-			if check.Tick() {
-				return false
-			}
-			if opts.MaxFeatures > 0 && features > opts.MaxFeatures {
-				return false
-			}
-			if !seen[code] {
-				seen[code] = true
-				postings[code] = append(postings[code], int32(gid))
-			}
-			return true
-		})
-		if !ok {
-			return ErrBudget
-		}
-	}
-
-	minSupport := int(ix.support() * float64(db.Len()))
-	if minSupport < 1 {
-		minSupport = 1
-	}
-	ix.features = make(map[string][]int32)
-	for code, ids := range postings {
-		if len(ids) >= minSupport || isSingleVertexCode(code) {
-			ix.features[code] = ids
-		}
-	}
-	return nil
-}
+// treePiMaxEdges bounds TreePi's features: tree enumeration is markedly
+// costlier than path enumeration — the mining-based trade the paper's §II-B
+// describes.
+const treePiMaxEdges = 3
 
 // isSingleVertexCode recognizes the code of a one-vertex tree ("T" + one
 // base-36 label, no parentheses).
 func isSingleVertexCode(code string) bool {
 	return len(code) >= 2 && code[0] == 'T' && code[1] != '('
-}
-
-// Filter implements Index.
-func (ix *TreePiLite) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the built tree-feature table, not the data graphs
-	fault.Inject(fault.PointIndexProbe)
-	if ix.features == nil {
-		return nil
-	}
-	needed := make(map[string]bool)
-	enumerateTreeCodes(q, ix.maxTree(), func(code string) bool {
-		needed[code] = true
-		return true
-	})
-	cand := allGraphIDs(ix.numGraphs)
-	for code := range needed {
-		ids, ok := ix.features[code]
-		if !ok {
-			if isSingleVertexCode(code) {
-				// A label missing from every data graph: no answers.
-				return nil
-			}
-			continue // mined away: no pruning from this feature
-		}
-		cand = intersectSorted(cand, ids)
-		if len(cand) == 0 {
-			return nil
-		}
-	}
-	return toInts(cand)
-}
-
-// MemoryFootprint implements Index.
-func (ix *TreePiLite) MemoryFootprint() int64 {
-	var b int64
-	for code, ids := range ix.features {
-		b += int64(len(code)) + 48 + int64(len(ids))*4
-	}
-	return b
 }

@@ -21,7 +21,8 @@ func TestTreePiMinesInfrequentFeatures(t *testing.T) {
 	}
 	db := graph.NewDatabase(graphs)
 
-	ix := &TreePiLite{SupportRatio: 0.5}
+	ix := NewTreePi()
+	ix.support = 0.5
 	if err := ix.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,8 @@ func TestTreePiPrecisionBelowExhaustive(t *testing.T) {
 	// completeness tests) and Filter returns sorted unique ids.
 	r := rand.New(rand.NewSource(601))
 	db := randomDB(r, 10, 7, 2)
-	ix := &TreePiLite{SupportRatio: 0.3}
+	ix := NewTreePi()
+	ix.support = 0.3
 	if err := ix.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}

@@ -457,73 +457,3 @@ func pathEmbeddingEstimate(g, q *graph.Graph, cand *Candidates, path []graph.Ver
 	s.touchA, s.touchB = tCur, tNext
 	return total
 }
-
-// CFL bundles the two phases as a preprocessing-enumeration matcher using
-// CFL's own path-based ordering.
-type CFL struct{}
-
-// Filter runs CFL's preprocessing phase.
-func (CFL) Filter(q, g *graph.Graph, opts FilterOptions) *Candidates {
-	return CFLFilter(q, g, opts)
-}
-
-// Run enumerates embeddings with CFL's filter and path-based order.
-func (a CFL) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
-	}
-	cand := CFLFilter(q, g, FilterOptions{Deadline: opts.Deadline, Scratch: opts.Scratch})
-	if cand.Aborted {
-		return Result{Aborted: true}
-	}
-	if cand.AnyEmpty() {
-		return Result{}
-	}
-	order := CFLOrderScratch(q, g, cand, opts.Scratch)
-	res, err := Enumerate(q, g, cand, order, opts)
-	if err != nil {
-		panic(err) // BFS-tree path order is connected for connected queries
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a CFL) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
-}
-
-// CFQL is the paper's new vcFV algorithm: CFL's Filter with GraphQL's
-// join-based ordering and enumeration (§III-B), "taking advantage of both
-// CFL and GraphQL".
-type CFQL struct{}
-
-// Filter runs CFL's preprocessing phase (CFQL's filtering step).
-func (CFQL) Filter(q, g *graph.Graph, opts FilterOptions) *Candidates {
-	return CFLFilter(q, g, opts)
-}
-
-// Run enumerates embeddings with CFL's filter and GraphQL's order.
-func (a CFQL) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
-	}
-	cand := CFLFilter(q, g, FilterOptions{Deadline: opts.Deadline, Scratch: opts.Scratch})
-	if cand.Aborted {
-		return Result{Aborted: true}
-	}
-	if cand.AnyEmpty() {
-		return Result{}
-	}
-	res, err := Enumerate(q, g, cand, GraphQLOrderScratch(q, cand, opts.Scratch), opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a CFQL) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
-}

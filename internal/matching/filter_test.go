@@ -205,8 +205,8 @@ func TestOrdersAreValid(t *testing.T) {
 		if err := VerifyOrder(q, CTIndexOrder(q, g)); err != nil {
 			t.Fatalf("CTIndexOrder invalid: %v", err)
 		}
-		if err := VerifyOrder(q, connectedIDOrder(q)); err != nil {
-			t.Fatalf("connectedIDOrder invalid: %v", err)
+		if err := VerifyOrder(q, idOrder(q, nil, nil, nil)); err != nil {
+			t.Fatalf("idOrder invalid: %v", err)
 		}
 	}
 }

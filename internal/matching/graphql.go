@@ -263,47 +263,6 @@ func GraphQLOrderScratch(q *graph.Graph, cand *Candidates, s *Scratch) []graph.V
 	return order
 }
 
-// GraphQL bundles the two phases as one preprocessing-enumeration matcher.
-type GraphQL struct {
-	// RefinementRounds bounds the filter's pruning iterations;
-	// 0 selects DefaultRefinementRounds.
-	RefinementRounds int
-}
-
-// Filter runs GraphQL's preprocessing phase. opts.Rounds = 0 defers to the
-// matcher's configured RefinementRounds.
-func (a GraphQL) Filter(q, g *graph.Graph, opts FilterOptions) *Candidates {
-	if opts.Rounds == 0 {
-		opts.Rounds = a.RefinementRounds
-	}
-	return GraphQLFilter(q, g, opts)
-}
-
-// Run enumerates embeddings with GraphQL's filter and join-based order.
-func (a GraphQL) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
-	}
-	cand := a.Filter(q, g, FilterOptions{Deadline: opts.Deadline, Scratch: opts.Scratch})
-	if cand.Aborted {
-		return Result{Aborted: true}
-	}
-	if cand.AnyEmpty() {
-		return Result{}
-	}
-	res, err := Enumerate(q, g, cand, GraphQLOrderScratch(q, cand, opts.Scratch), opts)
-	if err != nil {
-		panic(err) // connected query + join-based order cannot disconnect
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a GraphQL) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
-}
-
 // SortCandidates orders every candidate set ascending by vertex id — the
 // invariant the filters maintain by construction and the enumeration's
 // intersection kernel requires; useful for hand-built candidate sets and

@@ -1,9 +1,12 @@
 // Package matching implements the subgraph isomorphism and subgraph matching
-// algorithms the paper studies: the direct-enumeration baselines Ullmann and
-// VF2, and the preprocessing-enumeration algorithms GraphQL and CFL, whose
-// Filter (preprocessing) and Verify (enumeration) phases are exposed
-// separately so the query engines in internal/core can recombine them —
-// exactly how the paper derives CFQL (CFL's Filter + GraphQL's Verify).
+// algorithms the paper studies. A matcher is a value: a Filter that builds
+// the candidate vertex sets, an Order over the query vertices, and the one
+// backtracking search (Enumerate) both feed — the catalogue in matcher.go
+// covers the preprocessing-enumeration algorithms GraphQL and CFL, the
+// paper's CFQL (CFL's Filter + GraphQL's Order, §III-B) and the
+// direct-enumeration baselines Ullmann, QuickSI and SPath. The two halves
+// stay callable on their own so the query engines in internal/core can time
+// them apart. VF2 and TurboIso run their own search.
 //
 // All algorithms operate on vertex-labeled undirected graphs and find
 // subgraph isomorphisms as defined in Definition II.1: injective mappings
@@ -58,8 +61,7 @@ type Options struct {
 	OnEmbedding func(mapping []graph.VertexID) bool
 
 	// Scratch, when non-nil, supplies the arena for all enumeration state
-	// (and, through the matcher Run methods, the filter and ordering
-	// passes). The arena must not be shared between goroutines. nil
+	// (and, through Matcher.Run, the filter and ordering passes). The arena must not be shared between goroutines. nil
 	// allocates private state per call, the historic behavior.
 	Scratch *Scratch
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"subgraphquery/internal/domain"
 	"subgraphquery/internal/graph"
 )
 
@@ -22,19 +23,18 @@ func fig1() (q, g *graph.Graph) {
 	return q, g
 }
 
-// matchers lists every complete matcher under test by name.
+// matchers lists every complete matcher under test by name: the catalogue
+// plus the ones that run their own search.
 func matchers() map[string]func(q, g *graph.Graph, opts Options) Result {
-	return map[string]func(q, g *graph.Graph, opts Options) Result{
+	ms := map[string]func(q, g *graph.Graph, opts Options) Result{
 		"VF2":      func(q, g *graph.Graph, o Options) Result { return (&VF2{}).Run(q, g, o) },
 		"VF2-CT":   func(q, g *graph.Graph, o Options) Result { return (&VF2{Order: CTIndexOrder(q, g)}).Run(q, g, o) },
-		"Ullmann":  func(q, g *graph.Graph, o Options) Result { return Ullmann{}.Run(q, g, o) },
-		"GraphQL":  func(q, g *graph.Graph, o Options) Result { return GraphQL{}.Run(q, g, o) },
-		"CFL":      func(q, g *graph.Graph, o Options) Result { return CFL{}.Run(q, g, o) },
-		"CFQL":     func(q, g *graph.Graph, o Options) Result { return CFQL{}.Run(q, g, o) },
-		"TurboIso": func(q, g *graph.Graph, o Options) Result { return TurboIso{}.Run(q, g, o) },
-		"QuickSI":  func(q, g *graph.Graph, o Options) Result { return QuickSI{}.Run(q, g, o) },
-		"SPath":    func(q, g *graph.Graph, o Options) Result { return SPath{}.Run(q, g, o) },
+		"TurboIso": TurboIso{}.Run,
 	}
+	for _, m := range Matchers {
+		ms[m.Name] = m.Run
+	}
+	return ms
 }
 
 func TestFig1Example(t *testing.T) {
@@ -88,12 +88,9 @@ func TestFindFirstConsistency(t *testing.T) {
 		g := randomConnectedGraph(r, 4+r.Intn(12), r.Intn(14), 1+r.Intn(3))
 		q := randomQueryFrom(r, g, 1+r.Intn(5))
 		want := bruteForceCount(q, g) > 0
-		checks := map[string]Result{
-			"VF2":     (&VF2{}).FindFirst(q, g, Options{}),
-			"Ullmann": Ullmann{}.FindFirst(q, g, Options{}),
-			"GraphQL": GraphQL{}.FindFirst(q, g, Options{}),
-			"CFL":     CFL{}.FindFirst(q, g, Options{}),
-			"CFQL":    CFQL{}.FindFirst(q, g, Options{}),
+		checks := map[string]Result{"VF2": (&VF2{}).FindFirst(q, g, Options{})}
+		for _, m := range Matchers {
+			checks[m.Name] = m.FindFirst(q, g, Options{})
 		}
 		for name, res := range checks {
 			if res.Found() != want {
@@ -272,4 +269,25 @@ func TestQueryLargerThanData(t *testing.T) {
 		}
 	}
 	_ = g
+}
+
+// TestRunStopsInFilterOnClosedCancel: Run hands Cancel to the filter pass,
+// so under an already-closed Cancel a pair that passes the label-pair
+// prefilter comes back Aborted from the filter's first stage boundary — on
+// the word path and on the list path — with no search step taken, instead of
+// being filtered to completion and searched up to the first checkpoint.
+func TestRunStopsInFilterOnClosedCancel(t *testing.T) {
+	q, g := fig1()
+	closed := make(chan struct{})
+	close(closed)
+	for _, m := range []Matcher{CFL, GraphQL, CFQL} {
+		for path, g := range map[string]*graph.Graph{"word": g, "list": padded(t, g, domain.WordVertices+1)} {
+			if m.Filter(q, g, FilterOptions{}).AnyEmpty() {
+				t.Fatalf("%s/%s: the pair does not pass the filter", m.Name, path)
+			}
+			if res := m.Run(q, g, Options{Cancel: closed}); !res.Aborted || res.Steps != 0 || res.Embeddings != 0 {
+				t.Errorf("%s/%s: closed Cancel: got %+v, want Aborted before any step", m.Name, path, res)
+			}
+		}
+	}
 }

@@ -9,42 +9,11 @@ import "subgraphquery/internal/graph"
 // with per-vertex frequencies from the data graph (freq(L(u)) weighted by
 // degree) and a Prim-style greedy sequence; the enumeration itself uses
 // only label and degree checks per candidate, true to the direct-
-// enumeration family (no candidate set refinement).
-type QuickSI struct{}
+// enumeration family (no candidate set refinement): the QuickSI value of the
+// catalogue in matcher.go.
 
-// Run enumerates subgraph isomorphisms from q to g under opts.
-func (QuickSI) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
-	}
-	if q.NumVertices() > g.NumVertices() || q.NumEdges() > g.NumEdges() {
-		return Result{}
-	}
-	// Label/degree candidate sets (no refinement — direct enumeration).
-	cand := NewCandidates(q.NumVertices(), g.NumVertices())
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.VertexID(u)
-		for v := 0; v < g.NumVertices(); v++ {
-			vv := graph.VertexID(v)
-			if g.Label(vv) == q.Label(uu) && g.Degree(vv) >= q.Degree(uu) {
-				cand.Add(uu, vv)
-			}
-		}
-		if cand.Count(uu) == 0 {
-			return Result{}
-		}
-	}
-	res, err := Enumerate(q, g, cand, QISequence(q, g), opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a QuickSI) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
+func qiOrder(q, g *graph.Graph, _ *Candidates, _ *Scratch) []graph.VertexID {
+	return QISequence(q, g)
 }
 
 // QISequence computes QuickSI's matching order: start at the query vertex

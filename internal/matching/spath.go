@@ -10,49 +10,13 @@ import "subgraphquery/internal/graph"
 // signature filter individually (no joint refinement — this is what
 // separates the direct-enumeration family from preprocessing-enumeration),
 // and the enumeration extends along shortest-path-first order.
-type SPath struct{}
 
 // signatureRadius is the neighborhood distance of the signature filter.
 const signatureRadius = 2
 
-// Run enumerates subgraph isomorphisms from q to g under opts.
-func (SPath) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
-	}
-	if q.NumVertices() > g.NumVertices() || q.NumEdges() > g.NumEdges() {
-		return Result{}
-	}
-	qsig := signatures(q)
-	gsig := signatures(g)
-
-	cand := NewCandidates(q.NumVertices(), g.NumVertices())
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.VertexID(u)
-		for v := 0; v < g.NumVertices(); v++ {
-			vv := graph.VertexID(v)
-			if g.Label(vv) != q.Label(uu) || g.Degree(vv) < q.Degree(uu) {
-				continue
-			}
-			if covers(gsig[v], qsig[u]) {
-				cand.Add(uu, vv)
-			}
-		}
-		if cand.Count(uu) == 0 {
-			return Result{}
-		}
-	}
-	res, err := Enumerate(q, g, cand, spathOrder(q, cand), opts)
-	if err != nil {
-		panic(err)
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a SPath) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
+func spathFilter(q, g *graph.Graph, _ FilterOptions) *Candidates {
+	qsig, gsig := signatures(q), signatures(g)
+	return seedCandidates(q, g, func(u, v graph.VertexID) bool { return covers(gsig[v], qsig[u]) })
 }
 
 // signature holds, per distance level 1..signatureRadius, the multiset of
@@ -126,11 +90,4 @@ func covers(dv, qu signature) bool {
 		}
 	}
 	return true
-}
-
-// spathOrder orders query vertices by ascending candidate count along a
-// connected extension, approximating SPath's shortest-path-first
-// decomposition with the same greedy selection the other matchers use.
-func spathOrder(q *graph.Graph, cand *Candidates) []graph.VertexID {
-	return GraphQLOrder(q, cand)
 }

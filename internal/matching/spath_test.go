@@ -60,10 +60,10 @@ func TestSPathFiltersByDistance2(t *testing.T) {
 		[]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
 	q := graph.MustFromEdges([]graph.Label{0, 1, 9},
 		[]graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}})
-	if !(SPath{}).FindFirst(q, with, Options{}).Found() {
+	if !SPath.FindFirst(q, with, Options{}).Found() {
 		t.Error("q should be found in the graph containing label 9")
 	}
-	if (SPath{}).FindFirst(q, without, Options{}).Found() {
+	if SPath.FindFirst(q, without, Options{}).Found() {
 		t.Error("q found in a graph lacking label 9")
 	}
 }

@@ -3,48 +3,16 @@ package matching
 import "subgraphquery/internal/graph"
 
 // Ullmann is the classic 1976 subgraph isomorphism algorithm [32], included
-// as the historical direct-enumeration baseline. It seeds per-vertex
-// candidate sets from label and degree, applies Ullmann's refinement
-// procedure (every candidate must have a candidate neighbor for each query
-// neighbor) and then backtracks in query vertex id order.
-type Ullmann struct{}
+// as the historical direct-enumeration baseline: label-and-degree seeds,
+// Ullmann's refinement procedure (every candidate must have a candidate
+// neighbor for each query neighbor), backtracking in query vertex id order.
 
-// Run enumerates subgraph isomorphisms from q to g under opts.
-func (Ullmann) Run(q, g *graph.Graph, opts Options) Result {
-	if q.NumVertices() == 0 {
-		return Result{Embeddings: 1}
+func ullmannFilter(q, g *graph.Graph, _ FilterOptions) *Candidates {
+	cand := seedCandidates(q, g, nil)
+	if !cand.AnyEmpty() {
+		refineUllmann(q, g, cand)
 	}
-	if q.NumVertices() > g.NumVertices() || q.NumEdges() > g.NumEdges() {
-		return Result{}
-	}
-	cand := NewCandidates(q.NumVertices(), g.NumVertices())
-	for u := 0; u < q.NumVertices(); u++ {
-		uu := graph.VertexID(u)
-		for v := 0; v < g.NumVertices(); v++ {
-			vv := graph.VertexID(v)
-			if g.Label(vv) == q.Label(uu) && g.Degree(vv) >= q.Degree(uu) {
-				cand.Add(uu, vv)
-			}
-		}
-	}
-	refineUllmann(q, g, cand)
-	if cand.AnyEmpty() {
-		return Result{}
-	}
-
-	order := connectedIDOrder(q)
-	res, err := Enumerate(q, g, cand, order, opts)
-	if err != nil {
-		// The query is connected by contract; an invalid order is a bug.
-		panic(err)
-	}
-	return res
-}
-
-// FindFirst stops at the first embedding.
-func (a Ullmann) FindFirst(q, g *graph.Graph, opts Options) Result {
-	opts.Limit = 1
-	return a.Run(q, g, opts)
+	return cand
 }
 
 // refineUllmann iterates Ullmann's refinement to a fixpoint: v stays in
@@ -79,11 +47,11 @@ func refineUllmann(q, g *graph.Graph, cand *Candidates) {
 	}
 }
 
-// connectedIDOrder returns the query vertices in an order that starts at
-// vertex 0 and always extends by the smallest-id vertex adjacent to the
-// prefix, mirroring Ullmann's simple static ordering while keeping the
-// order connected for Enumerate.
-func connectedIDOrder(q *graph.Graph) []graph.VertexID {
+// idOrder returns the query vertices in an order that starts at vertex 0
+// and always extends by the smallest-id vertex adjacent to the prefix,
+// mirroring Ullmann's simple static ordering while keeping the order
+// connected for Enumerate.
+func idOrder(q, _ *graph.Graph, _ *Candidates, _ *Scratch) []graph.VertexID {
 	n := q.NumVertices()
 	order := make([]graph.VertexID, 0, n)
 	in := make([]bool, n)

@@ -1,9 +1,6 @@
 package subgraphquery
 
-import (
-	"subgraphquery/internal/graph"
-	"subgraphquery/internal/matching"
-)
+import "subgraphquery/internal/matching"
 
 // Subgraph matching API (Definition II.3): find all subgraphs of a data
 // graph isomorphic to the query, not just test containment. This is the
@@ -25,89 +22,44 @@ type Matcher interface {
 	FindFirst(q, g *Graph, opts MatchOptions) MatchResult
 }
 
-type matcherFunc struct {
-	run func(q, g *graph.Graph, opts matching.Options) matching.Result
-}
-
-func (m matcherFunc) Run(q, g *Graph, opts MatchOptions) MatchResult {
-	return m.run(q, g, opts)
-}
-
-func (m matcherFunc) FindFirst(q, g *Graph, opts MatchOptions) MatchResult {
-	opts.Limit = 1
-	return m.run(q, g, opts)
-}
-
 // NewVF2Matcher returns the VF2 direct-enumeration matcher [6].
-func NewVF2Matcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return (&matching.VF2{}).Run(q, g, o)
-	}}
-}
+func NewVF2Matcher() Matcher { return &matching.VF2{} }
 
 // NewUllmannMatcher returns the Ullmann direct-enumeration matcher [32].
-func NewUllmannMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.Ullmann{}.Run(q, g, o)
-	}}
-}
+func NewUllmannMatcher() Matcher { return matching.Ullmann }
 
 // NewGraphQLMatcher returns the GraphQL preprocessing-enumeration matcher
 // [14].
-func NewGraphQLMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.GraphQL{}.Run(q, g, o)
-	}}
-}
+func NewGraphQLMatcher() Matcher { return matching.GraphQL }
 
 // NewCFLMatcher returns the CFL preprocessing-enumeration matcher [1].
-func NewCFLMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.CFL{}.Run(q, g, o)
-	}}
-}
+func NewCFLMatcher() Matcher { return matching.CFL }
 
 // NewTurboIsoMatcher returns the TurboIso preprocessing-enumeration
 // matcher [11]: candidate-region exploration per start vertex.
-func NewTurboIsoMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.TurboIso{}.Run(q, g, o)
-	}}
-}
+func NewTurboIsoMatcher() Matcher { return matching.TurboIso{} }
 
 // NewQuickSIMatcher returns the QuickSI direct-enumeration matcher [28]:
 // infrequent-first QI-sequence ordering.
-func NewQuickSIMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.QuickSI{}.Run(q, g, o)
-	}}
-}
+func NewQuickSIMatcher() Matcher { return matching.QuickSI }
 
 // NewSPathMatcher returns the SPath direct-enumeration matcher [41]:
 // distance-level neighborhood signature filtering.
-func NewSPathMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.SPath{}.Run(q, g, o)
-	}}
-}
+func NewSPathMatcher() Matcher { return matching.SPath }
 
 // NewCFQLMatcher returns the hybrid matcher: CFL's filtering, GraphQL's
 // ordering and enumeration.
-func NewCFQLMatcher() Matcher {
-	return matcherFunc{func(q, g *graph.Graph, o matching.Options) matching.Result {
-		return matching.CFQL{}.Run(q, g, o)
-	}}
-}
+func NewCFQLMatcher() Matcher { return matching.CFQL }
 
 // CountEmbeddings returns the number of subgraph isomorphisms from q to g
 // using the CFQL matcher with no bounds. For graphs where the count may be
 // astronomically large, use a Matcher with MatchOptions limits instead.
 func CountEmbeddings(q, g *Graph) uint64 {
-	return matching.CFQL{}.Run(q, g, matching.Options{}).Embeddings
+	return matching.CFQL.Run(q, g, matching.Options{}).Embeddings
 }
 
 // IsSubgraph reports whether q is subgraph-isomorphic to g
 // (Definition II.1).
 func IsSubgraph(q, g *Graph) bool {
-	return matching.CFQL{}.FindFirst(q, g, matching.Options{}).Found()
+	return matching.CFQL.FindFirst(q, g, matching.Options{}).Found()
 }

@@ -1,9 +1,9 @@
 #!/bin/sh
 # check.sh — pre-commit gate: formatting, vet, build, the project-specific
-# static analyzers (cmd/sqlint), and the race-enabled short test suite over
-# every package. The full suite is `go test ./...` (slow: the bench smoke
-# tests build every index); the sqdebug invariant tests run via
-# `make test-sqdebug`.
+# static analyzers (cmd/sqlint), the race-enabled short test suite over
+# every package, and the harness smoke tests -short skips, so that what
+# passes here passes tier-1 (`go build ./... && go test ./...`); the sqdebug
+# invariant tests run via `make test-sqdebug`.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,6 +29,9 @@ go run ./cmd/sqlint -baseline cmd/sqlint/baseline.txt ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
+
+echo "== harness smoke tests (internal/bench non-short: every table and figure at miniature scale, deterministic budgets)"
+go test -count=1 ./internal/bench
 
 echo "== telemetry storm (tail-sampler retention under chaos, race)"
 go test -race -count=1 -run 'Storm' ./internal/telemetry
