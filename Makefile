@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build check lint test test-sqdebug test-sqchaos test-cluster fuzz bench bench-real bench-synthetic bench-json bench-dense benchcmp benchcmp-check clean
+.PHONY: build check lint test test-sqdebug test-sqchaos test-cluster fuzz bench bench-real bench-synthetic clean
 
 build:
 	$(GO) build ./...
@@ -66,29 +66,5 @@ bench-synthetic:
 	$(GO) run ./cmd/sqbench synthetic -scale 0.005 -queries 3 \
 		-index-budget 30s -query-budget 2s -json-dir .
 
-# Back-compat alias for the old out-of-tree report location.
-bench-json:
-	mkdir -p bench-out
-	$(GO) run ./cmd/sqbench real -scale 0.005 -queries 3 \
-		-index-budget 30s -query-budget 2s -json-dir bench-out
-
-# Dense-query bench smoke: rerun the real study into bench-out and
-# self-diff it, verifying the dense induced track (Q4I..Q32I) is present
-# in every report and the whole gate plumbing (schema, pairing, diff)
-# holds. Hardware-independent, so CI runs it on every push.
-bench-dense: bench-json
-	BENCH_BASE=bench-out BENCH_CUR=bench-out sh scripts/benchdiff.sh --check
-
-# Bench-regression gate: rerun the small-scale real study into bench-out
-# and fail if any per-engine, per-query-set p50 latency regressed more
-# than 15% against the committed BENCH_*.json baselines at the repo root.
-benchcmp:
-	sh scripts/benchdiff.sh
-
-# Gate only: compare an existing bench-out against the baselines without
-# rerunning the study (used by CI after a fresh `make bench-json`).
-benchcmp-check:
-	sh scripts/benchdiff.sh --check
-
 clean:
-	rm -rf bench-out
+	rm -rf .bench_build

@@ -39,16 +39,6 @@ func main() {
 	}
 	cmd := os.Args[1]
 
-	if cmd == "diff" {
-		// The regression gate takes its own flags (-base/-cur/-threshold)
-		// and runs no study; handle it before the study flag set.
-		if err := runDiff(os.Args[2:], os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, "sqbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
 	scale := fs.Float64("scale", 0.02, "dataset scale in (0,1]")
 	queries := fs.Int("queries", 10, "queries per query set (paper: 100)")
@@ -141,11 +131,7 @@ synthetic experiments (one shared run):
   cluster    scatter-gather tier at increasing shard counts
              (-cluster-engine CFQL -cluster-shards 1,2,4,8
               -cluster-replicas 1 -cluster-strategy hash|size)
-  all        everything
-
-  diff       bench-regression gate: compare p50 latency between two sets
-             of BENCH_*.json reports
-             (-base <file|dir> -cur <file|dir> [-threshold 0.15] [-floor 500])`)
+  all        everything`)
 }
 
 // run executes one subcommand. jsonDir, when non-empty, receives

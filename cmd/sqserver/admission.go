@@ -50,14 +50,11 @@ func newAdmission(maxConcurrent, maxQueue int, wait time.Duration, jitterSecs in
 	if wait <= 0 {
 		wait = time.Second
 	}
-	if jitterSecs < 0 {
-		jitterSecs = 0
-	}
 	return &admission{
 		sem:      make(chan struct{}, maxConcurrent),
 		maxQueue: int64(maxQueue),
 		wait:     wait,
-		jitter:   jitterSecs,
+		jitter:   max(jitterSecs, 0),
 	}
 }
 
@@ -106,10 +103,7 @@ func (a *admission) saturated() bool {
 // herd returns in one spike, which is shed again — a retry storm that
 // never decays. Jitter spreads the second wave across the band.
 func (a *admission) retryAfterSeconds() int {
-	s := int((a.wait + time.Second - 1) / time.Second)
-	if s < 1 {
-		s = 1
-	}
+	s := max(int((a.wait+time.Second-1)/time.Second), 1)
 	if a.jitter > 0 {
 		s += rand.IntN(a.jitter + 1)
 	}

@@ -15,14 +15,16 @@
 //	GET  /metrics  JSON telemetry registry: query counts, p50/p90/p99
 //	               latency histograms, timeouts, cache hits, in-flight gauge;
 //	               ?format=prom switches to the Prometheus text exposition
-//	GET  /debug/slowlog  JSON ring of recent slow queries (latency over
-//	               -slowlog-threshold), each with its full Trace and Explain
+//	GET  /debug/slowlog  JSON ring of the 64 most recent slow queries (latency
+//	               over -slowlog-threshold): each entry is the query's record
+//	               (the wide-event fields) and its query_text; POST that back
+//	               with ?trace=1&explain=1 for the full Trace and Explain
 //	GET  /debug/top      workload profile: top query shapes by fingerprint
 //	               with counts, error bounds, failure tallies and latency
 //	               quantiles; ?k=N bounds rows, ?format=text renders a table
-//	GET  /debug/events   bounded ring of operational incidents: admission
-//	               sheds (429/408), recovered panics and watchdog flags,
-//	               newest first
+//	GET  /debug/events   ring of the 128 most recent operational incidents:
+//	               admission sheds (429/408), recovered panics and watchdog
+//	               flags, newest first
 //	GET  /debug/inflight the queries executing right now, oldest first,
 //	               each with phase, graphs done/total, candidates, answers,
 //	               enumeration steps and memory high-water mark;
@@ -32,47 +34,32 @@
 //	GET  /healthz  readiness probe: 200 "ok", or 503 "shedding" while
 //	               admission control is saturated
 //
-// Workload telemetry: every query is fingerprinted (a canonical hash of
-// the query's labeled structure, invariant under vertex renumbering) and
-// folded into a heavy-hitter profile behind /debug/top. With -export, one
-// wide event per query streams to an NDJSON file or HTTP collector,
-// tail-sampled: queries that erred, timed out, were cancelled, skipped
-// graphs, panicked or were shed are always exported; healthy queries are
-// sampled at -export-sample. `sqtop` renders either source.
+// Every query is one record (record.go), and every channel above is a view
+// of it: fingerprinted into the heavy-hitter profile behind /debug/top and,
+// with -export, streamed as one wide event to an NDJSON file or HTTP
+// collector, tail-sampled (anything but a clean, complete answer is always
+// exported, healthy queries at -export-sample; `sqtop` renders either).
 //
-// Admission control bounds concurrently executing queries (-max-inflight)
-// with a bounded wait queue (-max-queue, -queue-wait); excess load is shed
-// with 429 + Retry-After instead of piling up memory (the hint is widened
-// by a uniform 0..-retry-jitter seconds so a shed herd does not return in
-// one spike). Per-request budgets (-budget, -mem-budget) cancel
-// cooperatively inside the engines, and every engine panic is isolated
-// into a structured error response — the process keeps serving.
+// Admission control bounds executing queries (-max-inflight) with a bounded
+// wait queue (-max-queue, -queue-wait) and sheds the excess with 429 +
+// Retry-After, widened by 0..-retry-jitter seconds so a shed herd does not
+// return in one spike. Budgets (-budget, -mem-budget) cancel cooperatively
+// inside the engines; an engine panic becomes a structured error response.
 //
-// With -shards N > 0 the engine runs behind a scatter-gather coordinator:
-// the database is partitioned across N independent engine instances
-// (-shard-strategy hash|size, -shard-replicas R copies of each), every
-// query fans out, and per-shard failures are retried with backoff, hedged
-// against replicas after an adaptive p99 delay (-hedge-after overrides),
-// and finally degraded: a permanently lost shard yields a partial result
-// with "degraded":true and KindShard graph errors naming the lost
-// partition, instead of failing the whole query.
+// With -shards N the engine runs behind a scatter-gather coordinator over N
+// partitions (-shard-strategy, -shard-replicas): per-shard failures are
+// retried, hedged against replicas after an adaptive p99 delay
+// (-hedge-after), and finally degraded into a partial result with
+// "degraded":true and KindShard graph errors naming the lost partition.
 //
-// With -debug-addr, a second listener serves net/http/pprof profiles
-// (/debug/pprof/) for CPU and heap investigation, kept off the public
-// address on purpose.
-//
-// Live inspection: every executing query registers a handle in the
-// in-flight registry (GET /debug/inflight, `sqwatch`) with atomic progress
-// counters updated by the engines. A stuck-query watchdog scans the
-// registry every -watchdog-interval and flags queries running longer than
-// -watchdog-multiple × the rolling p99 latency (never before
-// -watchdog-floor), capturing one goroutine stack dump per flagged query
-// and emitting an always-exported wide event plus a /debug/events entry.
-//
-// The server drains gracefully: SIGINT/SIGTERM stops accepting new
-// connections and waits up to -drain-wait for in-flight queries; queries
-// still running then are cancelled through the registry so they unwind
-// with cancelled results instead of being cut off.
+// Every executing query holds a handle in the in-flight registry
+// (/debug/inflight, `sqwatch`). A watchdog scans it every -watchdog-interval
+// and flags queries older than 5 × the rolling p99 latency (never before
+// -watchdog-floor): one stack dump in the log, one always-exported wide
+// event, one /debug/events entry. SIGINT/SIGTERM drains: up to -drain-wait
+// for in-flight queries, then they are cancelled through the registry and
+// unwind with cancelled results. -debug-addr serves net/http/pprof on its
+// own listener, off the public address on purpose.
 //
 // Usage:
 //
@@ -81,11 +68,9 @@
 //	         [-shard-concurrency 0] [-hedge-after 0]
 //	         [-budget 10m] [-mem-budget 268435456]
 //	         [-max-inflight 16] [-max-queue 64] [-queue-wait 1s] [-retry-jitter 2]
-//	         [-slowlog-threshold 100ms] [-slowlog-size 64]
-//	         [-top-k 20] [-export events.ndjson] [-export-sample 0.01]
-//	         [-export-buffer 1024] [-events-size 128]
-//	         [-inflight-slots 256] [-watchdog-interval 2s]
-//	         [-watchdog-multiple 5] [-watchdog-floor 5s]
+//	         [-slowlog-threshold 100ms]
+//	         [-export events.ndjson] [-export-sample 0.01]
+//	         [-watchdog-interval 2s] [-watchdog-floor 5s]
 //	         [-drain-wait 30s] [-debug-addr :6060] [-log-json]
 package main
 
@@ -105,8 +90,6 @@ import (
 	"subgraphquery/internal/bench"
 	"subgraphquery/internal/cluster"
 	"subgraphquery/internal/core"
-	"subgraphquery/internal/obs"
-	"subgraphquery/internal/telemetry"
 )
 
 func main() {
@@ -137,22 +120,12 @@ func main() {
 		"max time a request may wait for a query slot before shedding")
 	slowThreshold := flag.Duration("slowlog-threshold", 100*time.Millisecond,
 		"slow-query log latency threshold (0 retains every query, negative disables the log)")
-	slowSize := flag.Int("slowlog-size", obs.DefaultSlowLogSize, "slow-query log ring capacity")
-	topK := flag.Int("top-k", 20, "default number of shapes GET /debug/top returns")
 	exportDest := flag.String("export", "",
 		"wide-event NDJSON destination: file path or http(s):// URL (empty disables export)")
 	exportSample := flag.Float64("export-sample", 0.01,
 		"fraction of healthy queries exported (anomalous queries always export)")
-	exportBuffer := flag.Int("export-buffer", telemetry.DefaultExportBuffer,
-		"wide-event ring capacity between queries and the export writer")
-	eventsSize := flag.Int("events-size", telemetry.DefaultDebugRingSize,
-		"GET /debug/events incident ring capacity")
-	inflightSlots := flag.Int("inflight-slots", 0,
-		"live-query registry slot capacity (0 selects 256)")
 	wdInterval := flag.Duration("watchdog-interval", 0,
-		"stuck-query watchdog scan period (0 selects 2s, negative disables)")
-	wdMultiple := flag.Float64("watchdog-multiple", 0,
-		"flag queries older than this multiple of the rolling p99 latency (0 selects 5)")
+		"stuck-query watchdog scan period (0 selects 2s, negative disables); a query is stuck past 5x the rolling p99")
 	wdFloor := flag.Duration("watchdog-floor", 0,
 		"minimum age before the watchdog flags any query (0 selects 5s)")
 	drainWait := flag.Duration("drain-wait", 30*time.Second,
@@ -224,15 +197,9 @@ func main() {
 		queueWait:        *queueWait,
 		retryJitter:      *retryJitter,
 		slowThreshold:    *slowThreshold,
-		slowSize:         *slowSize,
-		topK:             *topK,
 		exportDest:       *exportDest,
 		exportSample:     *exportSample,
-		exportBuffer:     *exportBuffer,
-		eventsSize:       *eventsSize,
-		inflightSlots:    *inflightSlots,
 		watchdogInterval: *wdInterval,
-		watchdogMultiple: *wdMultiple,
 		watchdogFloor:    *wdFloor,
 	}, logger)
 	if err != nil {

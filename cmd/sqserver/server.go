@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -10,6 +11,7 @@ import (
 	"runtime/debug"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	sq "subgraphquery"
@@ -24,20 +26,18 @@ import (
 // serializes appends against queries: the engines themselves are safe for
 // concurrent queries but not for concurrent database mutation.
 type server struct {
-	mu        sync.RWMutex
-	db        *sq.Database
-	engine    sq.Engine
-	budget    time.Duration
-	memBudget int64
-	log       *slog.Logger
-	start     time.Time
+	mu     sync.RWMutex
+	db     *sq.Database
+	engine sq.Engine
+	cfg    serverConfig
+	log    *slog.Logger
+	start  time.Time
 
 	// adm bounds concurrent query execution (nil = admission disabled).
 	adm *admission
 
-	// cluster is set when the engine is (or wraps) a scatter-gather
-	// coordinator; /metrics then exposes its retry/hedge/degradation
-	// counters. nil for single-engine servers.
+	// cluster is the scatter-gather coordinator the engine is or wraps, whose
+	// retry/hedge/degradation counters /metrics exposes (nil = one engine).
 	cluster *cluster.Coordinator
 
 	// Telemetry. The registry backs GET /metrics; the named instruments
@@ -57,9 +57,6 @@ type server struct {
 	degradedShards *obs.Counter
 	errsTruncated  *obs.Counter
 	inflight       *obs.Gauge
-	// queueDepth mirrors the admission wait-queue occupancy at snapshot
-	// time (refreshed by /metrics).
-	queueDepth *obs.Gauge
 	// workerPool tracks the effective parallel worker count (after the
 	// engines clamp to GOMAXPROCS); stays 0 for sequential engines.
 	workerPool *obs.Gauge
@@ -68,92 +65,79 @@ type server struct {
 	verifyLat  *obs.Histogram // engine verification phase
 	siLat      *obs.Histogram // per-SI-test (one sample per candidate graph)
 
-	// slow is the always-on slow-query ring behind GET /debug/slowlog:
-	// every query is traced and explained, and the record is retained iff
-	// the query's wall-clock latency meets the configured threshold.
-	slow *obs.SlowLog
+	// slow is the ring behind GET /debug/slowlog (nil = disabled): publish
+	// offers it every executed record and it keeps those whose wall-clock
+	// latency meets cfg.slowThreshold.
+	slow *telemetry.Ring[slowEntry]
 
-	// Workload telemetry. profile is the per-fingerprint heavy-hitter
-	// sketch behind GET /debug/top; exporter ships one tail-sampled wide
-	// event per query (nil = export disabled); events is the bounded
-	// incident ring behind GET /debug/events (sheds, recovered panics).
+	// profile is the per-fingerprint heavy-hitter sketch behind /debug/top;
+	// exporter ships one tail-sampled wide event per query (nil = disabled);
+	// events is the incident ring behind /debug/events.
 	profile  *telemetry.Profile
 	exporter *telemetry.Exporter
-	events   *telemetry.DebugRing
-	topK     int
+	events   *telemetry.Ring[telemetry.DebugEvent]
 
-	// Live-query inspection. live registers a handle per executing query
-	// (GET /debug/inflight, remote cancellation); watchdog scans it for
-	// queries stuck far beyond the rolling p99 (nil = disabled); stuck
-	// counts the flags.
+	// live registers a handle per executing query (/debug/inflight, remote
+	// cancellation); watchdog scans it for queries stuck far beyond the
+	// rolling p99 (nil = disabled); stuck counts the flags.
 	live     *inflight.Registry
 	watchdog *inflight.Watchdog
 	stuck    *obs.Counter
 
-	// statsCache memoizes the /stats response; ComputeStats walks every
-	// graph, so recomputing per request is wasteful on a static database.
-	// Appends invalidate it.
-	statsMu    sync.Mutex
-	statsCache map[string]any
+	// statsCache memoizes the /stats response (ComputeStats walks every
+	// graph); appends invalidate it.
+	statsCache atomic.Pointer[map[string]any]
 }
 
 // serverConfig carries the tunables of newServer beyond the database and
-// engine.
+// engine; a zero value selects the default named.
 type serverConfig struct {
 	// cacheEntries sizes the result cache; 0 disables it.
 	cacheEntries int
-	// budget bounds each query; 0 means unbounded.
-	budget time.Duration
+	// budget bounds each query's time, memBudget its candidate-structure
+	// footprint in bytes (core.QueryOptions.MemoryBudget); 0 is unbounded.
+	budget    time.Duration
+	memBudget int64
 	// slowThreshold is the slow-query retention latency; 0 retains every
 	// query (useful in tests), negative disables the slow log entirely.
 	slowThreshold time.Duration
-	// slowSize is the slow-log ring capacity; 0 selects the default.
-	slowSize int
-	// memBudget bounds each query's candidate-structure footprint in bytes
-	// (core.QueryOptions.MemoryBudget); 0 disables the check.
-	memBudget int64
 	// maxInflight bounds concurrently executing queries; 0 disables
-	// admission control entirely (every request runs immediately).
+	// admission control. Beyond it up to maxQueue requests wait up to
+	// queueWait (1s) for a slot; the rest are shed with 429.
 	maxInflight int
-	// maxQueue bounds requests waiting for an execution slot; beyond it
-	// arrivals are shed with 429. Only meaningful with maxInflight > 0.
-	maxQueue int
-	// queueWait is how long a queued request may wait for a slot before
-	// being shed (0 selects 1s).
-	queueWait time.Duration
+	maxQueue    int
+	queueWait   time.Duration
 	// retryJitter widens the Retry-After hint on shed responses by a
-	// uniform 0..retryJitter seconds, de-synchronizing client retries
-	// after a shedding burst; 0 keeps the hint deterministic.
+	// uniform 0..retryJitter seconds, de-synchronizing client retries.
 	retryJitter int
-	// topK is the default row count of GET /debug/top (0 selects 20).
-	topK int
-	// profileCapacity sizes the heavy-hitter sketch (0 selects the
-	// telemetry default).
-	profileCapacity int
-	// exportDest is the wide-event NDJSON destination — a file path or an
-	// http(s):// URL; empty disables export.
-	exportDest string
-	// exportSample is the fraction of healthy (non-anomalous) queries
-	// exported; anomalous queries are always exported.
+	// exportDest is the wide-event NDJSON destination, a file path or an
+	// http(s):// URL (empty disables export); exportSample is the fraction
+	// of healthy queries exported (anomalous ones always are).
+	exportDest   string
 	exportSample float64
-	// exportBuffer sizes the export ring (0 selects the default).
-	exportBuffer int
-	// eventsSize sizes the /debug/events incident ring (0 selects the
-	// default).
-	eventsSize int
-	// inflightSlots sizes the live-query registry (0 selects the inflight
-	// default).
-	inflightSlots int
-	// watchdogInterval is the stuck-query scan period (0 selects the
-	// inflight default; negative disables the watchdog).
+	// watchdogInterval is the stuck-query scan period (negative disables
+	// the watchdog); a query is stuck past watchdogMultiple × the rolling
+	// p99, never before watchdogFloor. All three default in inflight.
 	watchdogInterval time.Duration
-	// watchdogMultiple flags queries older than multiple × rolling p99
-	// (0 selects the inflight default).
+	watchdogFloor    time.Duration
+	// Only tests set these: the /debug/events ring size (eventsRingSize)
+	// and the watchdog multiple.
+	eventsSize       int
 	watchdogMultiple float64
-	// watchdogFloor is the minimum age before the watchdog flags a query
-	// (0 selects the inflight default).
-	watchdogFloor time.Duration
 }
+
+// Fixed sizes: nothing outside tests ever ran with another value.
+const (
+	// slowLogSize and eventsRingSize are the capacities of the rings behind
+	// /debug/slowlog and /debug/events.
+	slowLogSize    = 64
+	eventsRingSize = 128
+	// defaultTopK is the row count of GET /debug/top without ?k=N.
+	defaultTopK = 20
+	// maxBodyBytes bounds a POST /query or POST /graphs body; one graph in
+	// the text format is a few KiB.
+	maxBodyBytes = 1 << 20
+)
 
 func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog.Logger) (*server, error) {
 	// Remember the coordinator before any cache wrapping so /metrics can
@@ -165,35 +149,29 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
-	topK := cfg.topK
-	if topK <= 0 {
-		topK = 20
-	}
-	exporter, err := telemetry.NewExporter(cfg.exportDest, telemetry.ExportConfig{
-		HealthyFraction: cfg.exportSample,
-		Buffer:          cfg.exportBuffer,
-	})
+	exporter, err := telemetry.NewExporter(cfg.exportDest, telemetry.ExportConfig{HealthyFraction: cfg.exportSample})
 	if err != nil {
 		return nil, err
 	}
+	if cfg.eventsSize <= 0 {
+		cfg.eventsSize = eventsRingSize
+	}
 	s := &server{
-		db:        db,
-		engine:    engine,
-		budget:    cfg.budget,
-		memBudget: cfg.memBudget,
-		log:       logger,
-		start:     time.Now(),
-		reg:       obs.NewRegistry(),
-		adm:       newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, cfg.retryJitter),
-		cluster:   coord,
-		profile:   telemetry.NewProfile(cfg.profileCapacity),
-		exporter:  exporter,
-		events:    telemetry.NewDebugRing(cfg.eventsSize),
-		topK:      topK,
-		live:      inflight.NewRegistry(cfg.inflightSlots),
+		db:       db,
+		engine:   engine,
+		cfg:      cfg,
+		log:      logger,
+		start:    time.Now(),
+		reg:      obs.NewRegistry(),
+		adm:      newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, cfg.retryJitter),
+		cluster:  coord,
+		profile:  telemetry.NewProfile(0),
+		exporter: exporter,
+		events:   telemetry.NewRing[telemetry.DebugEvent](cfg.eventsSize),
+		live:     inflight.NewRegistry(0),
 	}
 	if cfg.slowThreshold >= 0 {
-		s.slow = obs.NewSlowLog(cfg.slowSize, cfg.slowThreshold)
+		s.slow = telemetry.NewRing[slowEntry](slowLogSize)
 	}
 	en := engine.Name()
 	s.queries = s.reg.Counter("queries_total/" + en)
@@ -207,7 +185,6 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	s.degradedShards = s.reg.Counter("shard_degraded_total")
 	s.errsTruncated = s.reg.Counter("graph_errors_truncated")
 	s.inflight = s.reg.Gauge("queries_inflight")
-	s.queueDepth = s.reg.Gauge("admission_queue_depth")
 	s.workerPool = s.reg.Gauge("worker_pool_size")
 	s.latency = s.reg.Histogram("query_latency/" + en)
 	s.filterLat = s.reg.Histogram("filter_latency/" + en)
@@ -250,29 +227,20 @@ func (s *server) Close() error {
 }
 
 // onStuck is the watchdog callback, invoked exactly once per flagged
-// query: one always-exported wide event, one /debug/events incident, one
-// log line carrying a bounded slice of the goroutine stack dump, one
-// counter tick.
+// query: its record is the handle's progress so far, and the log gets a
+// bounded slice of the goroutine stack dump.
 func (s *server) onStuck(snap inflight.HandleSnapshot, stack []byte) {
-	s.stuck.Inc()
-	fp, _ := strconv.ParseUint(snap.Fingerprint, 16, 64)
-	s.exporter.Emit(telemetry.Event{
-		TimeUnixMS:  time.Now().UnixMilli(),
-		Fingerprint: telemetry.Fingerprint(fp),
-		Engine:      snap.Engine,
-		Verdict:     snap.Verdict,
-		DurationUS:  snap.AgeMS * 1000,
-		Candidates:  int(snap.Candidates),
-		Answers:     int(snap.Answers),
-		Watchdog:    true,
-	})
-	s.events.Offer(telemetry.DebugEvent{
-		Kind:        "watchdog_stuck",
-		Fingerprint: telemetry.Fingerprint(fp),
-		Engine:      snap.Engine,
-		Message: fmt.Sprintf("query %d stuck: phase=%s age=%dms graphs=%d/%d steps=%d",
-			snap.ID, snap.Phase, snap.AgeMS, snap.GraphsDone, snap.GraphsTotal, snap.Steps),
-	})
+	fp, _ := telemetry.ParseFingerprint(snap.Fingerprint)
+	rec := s.newRecord(fp, nil)
+	rec.Engine = snap.Engine
+	rec.Verdict = snap.Verdict
+	rec.DurationUS = snap.AgeMS * 1000
+	rec.Candidates = int(snap.Candidates)
+	rec.Answers = int(snap.Answers)
+	rec.Watchdog = true
+	rec.detail = fmt.Sprintf("query %d stuck: phase=%s age=%dms graphs=%d/%d steps=%d",
+		snap.ID, snap.Phase, snap.AgeMS, snap.GraphsDone, snap.GraphsTotal, snap.Steps)
+	s.publish(nil, &rec)
 	const maxStackLog = 8 << 10
 	if len(stack) > maxStackLog {
 		stack = stack[:maxStackLog]
@@ -285,13 +253,13 @@ func (s *server) onStuck(snap inflight.HandleSnapshot, stack []byte) {
 
 func (s *server) mux() *http.ServeMux {
 	m := http.NewServeMux()
-	m.HandleFunc("/query", s.recovered(s.handleQuery))
-	m.HandleFunc("/graphs", s.recovered(s.handleAppend))
+	m.HandleFunc("POST /query", s.recovered(s.handleQuery))
+	m.HandleFunc("POST /graphs", s.recovered(s.handleAppend))
 	m.HandleFunc("/stats", s.recovered(s.handleStats))
-	m.HandleFunc("/metrics", s.recovered(s.handleMetrics))
-	m.HandleFunc("/debug/slowlog", s.recovered(s.handleSlowLog))
-	m.HandleFunc("/debug/top", s.recovered(s.handleTop))
-	m.HandleFunc("/debug/events", s.recovered(s.handleEvents))
+	m.HandleFunc("GET /metrics", s.recovered(s.handleMetrics))
+	m.HandleFunc("GET /debug/slowlog", s.recovered(s.handleSlowLog))
+	m.HandleFunc("GET /debug/top", s.recovered(s.handleTop))
+	m.HandleFunc("GET /debug/events", s.recovered(s.handleEvents))
 	m.HandleFunc("GET /debug/inflight", s.recovered(s.handleInflight))
 	m.HandleFunc("POST /debug/inflight/{id}/cancel", s.recovered(s.handleInflightCancel))
 	m.HandleFunc("/healthz", s.recovered(s.handleHealthz))
@@ -310,7 +278,7 @@ func (s *server) recovered(h http.HandlerFunc) http.HandlerFunc {
 			if v := recover(); v != nil {
 				s.panics.Inc()
 				obs.Panics.Inc()
-				s.events.Offer(telemetry.DebugEvent{
+				s.incident(telemetry.DebugEvent{
 					Kind:    "handler_panic",
 					Status:  http.StatusInternalServerError,
 					Message: r.URL.Path + ": " + fmt.Sprint(v),
@@ -319,10 +287,7 @@ func (s *server) recovered(h http.HandlerFunc) http.HandlerFunc {
 					"path", r.URL.Path, "panic", fmt.Sprint(v),
 					"stack", string(debug.Stack()))
 				writeJSONStatus(w, http.StatusInternalServerError, map[string]any{
-					"error": map[string]any{
-						"kind":    "panic",
-						"message": fmt.Sprint(v),
-					},
+					"error": map[string]any{"kind": "panic", "message": fmt.Sprint(v)},
 				})
 			}
 		}()
@@ -337,39 +302,37 @@ func (s *server) handler() http.Handler {
 		t0 := time.Now()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		mux.ServeHTTP(rec, r)
-		attrs := []any{
+		// Room for the query attributes too, so appending them never regrows.
+		attrs := append(make([]any, 0, 18),
 			"method", r.Method,
 			"path", r.URL.Path,
 			"status", rec.status,
 			"bytes", rec.bytes,
 			"dur_ms", time.Since(t0).Milliseconds(),
 			"remote", r.RemoteAddr,
-		}
-		// Query annotations (set by handleQuery) join the flat log against
-		// /debug/top and the wide-event export.
-		if rec.fingerprint != "" {
-			attrs = append(attrs, "fingerprint", rec.fingerprint)
-		}
-		if rec.verdict != "" {
-			attrs = append(attrs, "admission_verdict", rec.verdict)
-		}
-		if rec.skipped > 0 {
-			attrs = append(attrs, "skipped", rec.skipped)
+		)
+		// A query's log line is one more view of its record: these join
+		// the flat log against /debug/top and the wide-event export.
+		if q := rec.query; q.Engine != "" {
+			attrs = append(attrs, "fingerprint", q.Fingerprint.String())
+			if q.Verdict != "" {
+				attrs = append(attrs, "admission_verdict", q.Verdict)
+			}
+			if q.Skipped > 0 {
+				attrs = append(attrs, "skipped", q.Skipped)
+			}
 		}
 		s.log.Info("request", attrs...)
 	})
 }
 
 // statusRecorder captures the response status and size for the log line,
-// plus the query annotations handleQuery back-fills.
+// plus the Event of the query publish saw on this request (zero otherwise).
 type statusRecorder struct {
 	http.ResponseWriter
 	status int
 	bytes  int
-
-	fingerprint string
-	verdict     string
-	skipped     int
+	query  telemetry.Event
 }
 
 func (r *statusRecorder) WriteHeader(code int) {
@@ -409,55 +372,35 @@ func (o registryObserver) ObserveCache(hit bool) {
 	}
 }
 
-func (o registryObserver) ObserveWorkers(n int) {
-	o.s.workerPool.Set(int64(n))
-}
+func (o registryObserver) ObserveWorkers(n int) { o.s.workerPool.Set(int64(n)) }
+func (o registryObserver) ObservePanic(int)     { o.s.panics.Inc() }
 
-func (o registryObserver) ObservePanic(int) {
-	o.s.panics.Inc()
-}
-
-// ObserveFingerprint implements obs.Observer. The registry aggregates
-// process-wide; per-shape aggregation happens in the workload profile, so
-// there is nothing to record here.
+// ObserveFingerprint: per-shape aggregation is the workload profile's job.
 func (o registryObserver) ObserveFingerprint(uint64) {}
 
-// queryResponse is the JSON body returned by POST /query.
-type queryResponse struct {
-	Answers    []int `json:"answers"`
-	Candidates int   `json:"candidates"`
-	FilterUS   int64 `json:"filter_us"`
-	VerifyUS   int64 `json:"verify_us"`
-	TimedOut   bool  `json:"timed_out,omitempty"`
-	Cancelled  bool  `json:"cancelled,omitempty"`
-	// Skipped counts data graphs abandoned mid-processing (recovered panic
-	// or exceeded memory budget); Answers is a lower bound when non-zero.
-	Skipped     int              `json:"skipped,omitempty"`
-	GraphErrors []*sq.QueryError `json:"graph_errors,omitempty"`
-	// Degraded marks a scatter-gather response missing at least one shard
-	// partition: Answers is a lower bound, and the lost partitions are
-	// named by the KindShard entries in GraphErrors.
-	Degraded bool `json:"degraded,omitempty"`
-	// GraphErrorsTruncated counts per-graph errors dropped by the
-	// coordinator's post-merge cap on GraphErrors.
-	GraphErrorsTruncated int                  `json:"graph_errors_truncated,omitempty"`
-	Engine               string               `json:"engine"`
-	Trace                *obs.TraceSnapshot   `json:"trace,omitempty"`
-	Explain              *obs.ExplainSnapshot `json:"explain,omitempty"`
-	// InflightID is the live-registry handle id the query ran under, the
-	// key correlating this response with /debug/inflight observations.
-	InflightID uint64 `json:"inflight_id,omitempty"`
+// readGraph parses the one graph a POST body carries, answering 413 past
+// maxBodyBytes and 400 for anything unparsable; ok is false once it has
+// answered.
+func readGraph(w http.ResponseWriter, r *http.Request, what string) (g *sq.Graph, ok bool) {
+	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	g, err := sq.ReadGraph(body)
+	if err == nil {
+		return g, true
+	}
+	// The reader's limit error is sticky; the parser may have tripped over
+	// the cut-off line first.
+	if _, rerr := body.Read(nil); errors.As(rerr, new(*http.MaxBytesError)) {
+		http.Error(w, fmt.Sprintf("%s body over %d bytes", what, maxBodyBytes), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	http.Error(w, fmt.Sprintf("parsing %s: %v", what, err), http.StatusBadRequest)
+	return nil, false
 }
 
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a query graph in the text format", http.StatusMethodNotAllowed)
-		return
-	}
-	q, err := sq.ReadGraph(r.Body)
-	if err != nil {
+	q, ok := readGraph(w, r, "query")
+	if !ok {
 		s.rejected.Inc()
-		http.Error(w, fmt.Sprintf("parsing query: %v", err), http.StatusBadRequest)
 		return
 	}
 	if !q.IsConnected() {
@@ -470,48 +413,37 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// but its shape must still aggregate in /debug/top and the export, so
 	// operators see *which* workload the shedding punishes. The engine sees
 	// the hash via opts and does not recompute.
-	fp := sq.ComputeFingerprint(q)
-	rec, _ := w.(*statusRecorder)
-	if rec != nil {
-		rec.fingerprint = fp.String()
-	}
+	rec := s.newRecord(sq.ComputeFingerprint(q), q)
 
 	// Admission control: bound concurrent query execution before any work.
-	verdict := ""
 	if s.adm != nil {
-		verdict = telemetry.VerdictOK
 		release, av := s.adm.acquire(r.Context().Done())
-		switch av {
-		case admitOK:
-			defer release()
-		case admitShed, admitTimeout:
-			if av == admitShed {
-				verdict = telemetry.VerdictShed
-			} else {
-				verdict = telemetry.VerdictQueueTimeout
-			}
-			s.shed.Inc()
-			s.recordShed(rec, q, fp, verdict, http.StatusTooManyRequests)
-			w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
-			http.Error(w, "server at capacity, retry later", http.StatusTooManyRequests)
-			return
-		case admitCancelled:
-			s.recordShed(rec, q, fp, telemetry.VerdictClientGone, http.StatusRequestTimeout)
-			http.Error(w, "client gave up while queued", http.StatusRequestTimeout)
+		if av != admitOK {
+			s.bounce(w, &rec, av)
 			return
 		}
+		defer release()
+		rec.Verdict = telemetry.VerdictOK
 	}
 
 	// The per-request timeout rides on the request context, so one Done
 	// channel carries both client disconnects and the budget to the
 	// engine's cooperative cancellation checks.
 	ctx := r.Context()
-	opts := sq.QueryOptions{MemoryBudget: s.memBudget, Fingerprint: fp}
-	if s.budget > 0 {
+	opts := sq.QueryOptions{
+		MemoryBudget: s.cfg.memBudget,
+		Fingerprint:  rec.Fingerprint,
+		Observer:     registryObserver{s},
+		// A coordinator engine registers one sub-handle per shard attempt
+		// in the same registry, so /debug/inflight shows the fan-out live
+		// and cancellation reaches hedged losers.
+		Inflight: s.live,
+	}
+	if s.cfg.budget > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.budget)
+		ctx, cancel = context.WithTimeout(ctx, s.cfg.budget)
 		defer cancel()
-		opts.Deadline = time.Now().Add(s.budget)
+		opts.Deadline = time.Now().Add(s.cfg.budget)
 	}
 
 	// Register the query in the live registry before execution: the handle
@@ -520,196 +452,66 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// cancellation (POST /debug/inflight/{id}/cancel), client disconnect
 	// and the budget all stop the engine through one channel.
 	h := s.live.Register(inflight.RegisterOptions{
-		Engine:      s.engine.Name(),
-		Fingerprint: uint64(fp),
-		Verdict:     verdict,
+		Engine:      rec.Engine,
+		Fingerprint: uint64(rec.Fingerprint),
+		Verdict:     rec.Verdict,
 	})
 	defer s.live.Deregister(h)
 	opts.Handle = h
 	opts.Cancel = h.MergeCancel(ctx.Done())
-	// A coordinator engine registers one sub-handle per shard attempt in
-	// the same registry, so /debug/inflight shows the fan-out live and
-	// cancellation reaches hedged losers.
-	opts.Inflight = s.live
 
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	wantExplain := r.URL.Query().Get("explain") == "1"
-
-	// The slow log needs the full Trace+Explain of any query that turns out
-	// slow, which is only known after the fact — so when the slow log is
-	// enabled, every query collects both, and the threshold gates retention.
-	var trace *sq.Trace
-	var explain *sq.Explain
-	var observer sq.Observer = registryObserver{s}
-	if wantTrace || s.slow != nil {
-		trace = sq.NewTrace()
-		observer = obs.Tee(observer, trace)
+	// The verbose views exist only for the request that asks for them.
+	if r.URL.RawQuery != "" {
+		v := r.URL.Query()
+		if v.Get("trace") == "1" {
+			rec.trace = sq.NewTrace()
+			opts.Observer = obs.Tee(opts.Observer, rec.trace)
+		}
+		if v.Get("explain") == "1" {
+			rec.explain = sq.NewExplain()
+			opts.Explain = rec.explain
+		}
 	}
-	if wantExplain || s.slow != nil {
-		explain = sq.NewExplain()
-	}
-	opts.Observer = observer
-	opts.Explain = explain
 
 	s.inflight.Add(1)
 	t0 := time.Now()
 	s.mu.RLock()
 	res := s.engine.Query(q, opts)
 	s.mu.RUnlock()
-	elapsed := time.Since(t0)
+	rec.executed(res, t0, time.Since(t0))
 	s.inflight.Add(-1)
 
-	s.queries.Inc()
-	s.latency.Record(elapsed)
-	if res.TimedOut {
-		s.timeouts.Inc()
-	}
-	if res.Degraded {
-		// One tick per lost shard partition, not per query: the KindShard
-		// entries lead the (capped) error list by construction.
-		lost := int64(0)
-		for _, ge := range res.GraphErrors {
-			if ge.Kind == core.KindShard {
-				lost++
-			}
-		}
-		if lost == 0 {
-			lost = 1
-		}
-		s.degradedShards.Add(lost)
-	}
-	if res.GraphErrorsTruncated > 0 {
-		s.errsTruncated.Add(int64(res.GraphErrorsTruncated))
-	}
-
-	var traceSnap *obs.TraceSnapshot
-	if trace != nil {
-		snap := trace.Snapshot()
-		traceSnap = &snap
-	}
-
-	// One wide event per executed query — built before the error path can
-	// return, so failures are exactly the queries the export never loses.
-	ev := telemetry.Event{
-		TimeUnixMS:    t0.UnixMilli(),
-		Fingerprint:   res.Fingerprint,
-		Engine:        s.engine.Name(),
-		QueryVertices: q.NumVertices(),
-		QueryEdges:    q.NumEdges(),
-		Verdict:       verdict,
-		DurationUS:    elapsed.Microseconds(),
-		FilterUS:      res.FilterTime.Microseconds(),
-		VerifyUS:      res.VerifyTime.Microseconds(),
-		Candidates:    res.Candidates,
-		Answers:       len(res.Answers),
-		Skipped:       res.Skipped,
-		TimedOut:      res.TimedOut,
-		Cancelled:     res.Cancelled,
-		Error:         res.Err != nil,
-		CacheHit:      res.Cache != "",
-	}
-	for _, ge := range res.GraphErrors {
-		switch ge.Kind {
-		case core.KindPanic:
-			ev.Panics++
-		case core.KindBudget:
-			ev.Budget++
-		}
-	}
-	if res.Err != nil && res.Err.Kind == core.KindPanic {
-		ev.Panics++
-	}
-	s.profile.Record(ev)
-	s.exporter.Emit(ev)
-	if rec != nil {
-		rec.verdict = verdict
-		rec.skipped = res.Skipped
-	}
-	if ev.Panics > 0 {
-		s.events.Offer(telemetry.DebugEvent{
-			Kind:        "query_panic",
-			Fingerprint: res.Fingerprint,
-			Engine:      s.engine.Name(),
-			Message:     fmt.Sprintf("%d panic(s) recovered during query", ev.Panics),
-		})
-	}
-
+	s.publish(w, &rec)
 	if res.Err != nil {
 		// The query itself failed (panic recovered at the engine boundary
 		// outside any per-graph section): structured 500, process intact.
-		s.log.Error("query failed", "engine", s.engine.Name(), "err", res.Err.Error())
+		s.log.Error("query failed", "engine", rec.Engine, "err", res.Err.Error())
 		writeJSONStatus(w, http.StatusInternalServerError, map[string]any{"error": res.Err})
 		return
 	}
-
-	resp := queryResponse{
-		Answers:              append([]int{}, res.Answers...),
-		Candidates:           res.Candidates,
-		FilterUS:             res.FilterTime.Microseconds(),
-		VerifyUS:             res.VerifyTime.Microseconds(),
-		TimedOut:             res.TimedOut,
-		Cancelled:            res.Cancelled,
-		Skipped:              res.Skipped,
-		GraphErrors:          res.GraphErrors,
-		Degraded:             res.Degraded,
-		GraphErrorsTruncated: res.GraphErrorsTruncated,
-		Engine:               s.engine.Name(),
-		InflightID:           h.ID(),
-	}
-	var explainSnap *obs.ExplainSnapshot
-	if explain != nil {
-		snap := explain.Snapshot()
-		explainSnap = &snap
-	}
-	if wantTrace {
-		resp.Trace = traceSnap
-	}
-	if wantExplain {
-		resp.Explain = explainSnap
-	}
-	if s.slow != nil {
-		s.slow.Offer(obs.SlowQuery{
-			Time:        t0,
-			DurationUS:  elapsed.Microseconds(),
-			Engine:      s.engine.Name(),
-			Query:       fmt.Sprintf("%dv/%de", q.NumVertices(), q.NumEdges()),
-			Fingerprint: res.Fingerprint.String(),
-			Answers:     len(res.Answers),
-			Candidates:  res.Candidates,
-			TimedOut:    res.TimedOut,
-			Trace:       traceSnap,
-			Explain:     explainSnap,
-		})
-	}
-	writeJSON(w, resp)
+	writeJSON(w, rec.response(res, h.ID()))
 }
 
-// recordShed folds a query bounced by admission control into the workload
-// telemetry: the wide event (always anomalous, so the exporter keeps it),
-// the heavy-hitter profile, the /debug/events ring and the request log
-// annotations. The query never executed, so the event carries no phase
-// times or answer counts.
-func (s *server) recordShed(rec *statusRecorder, q *sq.Graph, fp sq.Fingerprint, verdict string, status int) {
-	if rec != nil {
-		rec.verdict = verdict
+// bounce answers a query admission control refused: it never executed, so
+// its record carries no phase times or counts, only who was turned away
+// and why.
+func (s *server) bounce(w http.ResponseWriter, rec *queryRecord, av admitVerdict) {
+	rec.status = http.StatusTooManyRequests
+	switch av {
+	case admitShed:
+		rec.Verdict = telemetry.VerdictShed
+	case admitTimeout:
+		rec.Verdict = telemetry.VerdictQueueTimeout
+	case admitCancelled:
+		rec.Verdict, rec.status = telemetry.VerdictClientGone, http.StatusRequestTimeout
 	}
-	ev := telemetry.Event{
-		TimeUnixMS:    time.Now().UnixMilli(),
-		Fingerprint:   fp,
-		Engine:        s.engine.Name(),
-		QueryVertices: q.NumVertices(),
-		QueryEdges:    q.NumEdges(),
-		Verdict:       verdict,
+	s.publish(w, rec)
+	if rec.status == http.StatusRequestTimeout {
+		http.Error(w, "client gave up while queued", rec.status)
+		return
 	}
-	s.profile.Record(ev)
-	s.exporter.Emit(ev)
-	s.events.Offer(telemetry.DebugEvent{
-		Kind:        verdict,
-		Fingerprint: fp,
-		Engine:      s.engine.Name(),
-		Status:      status,
-		Message:     "admission control: " + verdict,
-	})
+	w.Header().Set("Retry-After", strconv.Itoa(s.adm.retryAfterSeconds()))
+	http.Error(w, "server at capacity, retry later", rec.status)
 }
 
 // handleTop serves the workload profile: the top-K query shapes by count,
@@ -717,11 +519,7 @@ func (s *server) recordShed(rec *statusRecorder, q *sq.Graph, fp sq.Fingerprint,
 // quantiles. ?k=N overrides the row count; ?format=text renders the
 // aligned table sqtop shows.
 func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	k := s.topK
+	k := defaultTopK
 	if v := r.URL.Query().Get("k"); v != "" {
 		n, err := strconv.Atoi(v)
 		if err != nil || n < 0 {
@@ -742,17 +540,9 @@ func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 // handleEvents dumps the bounded incident ring (admission sheds, recovered
 // panics), newest first.
 func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	events := s.events.Snapshot()
-	if events == nil {
-		events = []telemetry.DebugEvent{}
-	}
 	writeJSON(w, map[string]any{
 		"total":  s.events.Total(),
-		"events": events,
+		"events": s.events.Snapshot(),
 	})
 }
 
@@ -761,9 +551,6 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // default; ?format=text renders the aligned table sqwatch shows.
 func (s *server) handleInflight(w http.ResponseWriter, r *http.Request) {
 	snaps := s.live.Snapshot()
-	if snaps == nil {
-		snaps = []inflight.HandleSnapshot{}
-	}
 	if r.URL.Query().Get("format") == "text" {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		inflight.WriteTable(w, snaps)
@@ -792,7 +579,7 @@ func (s *server) handleInflightCancel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no such live query (already finished?)", http.StatusNotFound)
 		return
 	}
-	s.events.Offer(telemetry.DebugEvent{
+	s.incident(telemetry.DebugEvent{
 		Kind:    "remote_cancel",
 		Message: fmt.Sprintf("cancellation delivered to in-flight query %d", id),
 	})
@@ -800,28 +587,27 @@ func (s *server) handleInflightCancel(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, map[string]any{"cancelled": true, "id": id})
 }
 
-// handleSlowLog dumps the slow-query ring, newest first, with each retained
-// query's Trace and Explain.
+// handleSlowLog dumps the slow-query ring, newest first: each entry is the
+// query's record and its text, to be replayed with ?trace=1&explain=1.
 func (s *server) handleSlowLog(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
 	if s.slow == nil {
 		http.Error(w, "slow-query log disabled", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, s.slow.Snapshot())
+	writeJSON(w, map[string]any{
+		"threshold_us": s.cfg.slowThreshold.Microseconds(),
+		"capacity":     slowLogSize,
+		// Every executed query is offered; kept counts those that met the
+		// threshold, including ones since displaced.
+		"seen":    s.queries.Value(),
+		"kept":    s.slow.Total(),
+		"queries": s.slow.Snapshot(),
+	})
 }
 
 func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "POST a data graph in the text format", http.StatusMethodNotAllowed)
-		return
-	}
-	g, err := sq.ReadGraph(r.Body)
-	if err != nil {
-		http.Error(w, fmt.Sprintf("parsing graph: %v", err), http.StatusBadRequest)
+	g, ok := readGraph(w, r, "graph")
+	if !ok {
 		return
 	}
 	u, ok := s.engine.(core.Updatable)
@@ -837,27 +623,19 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.appends.Inc()
-	s.invalidateStats()
+	s.statsCache.Store(nil)
 	writeJSON(w, map[string]int{"id": id})
 }
 
-func (s *server) invalidateStats() {
-	s.statsMu.Lock()
-	s.statsCache = nil
-	s.statsMu.Unlock()
-}
-
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	s.statsMu.Lock()
-	cached := s.statsCache
-	s.statsMu.Unlock()
+	cached := s.statsCache.Load()
 	if cached == nil {
 		s.mu.RLock()
 		stats := s.db.ComputeStats()
 		mem := s.db.MemoryFootprint()
 		idx := s.engine.IndexMemory()
 		s.mu.RUnlock()
-		cached = map[string]any{
+		cached = &map[string]any{
 			"graphs":             stats.NumGraphs,
 			"labels":             stats.NumLabels,
 			"vertices_per_graph": stats.VerticesPerGraph,
@@ -867,11 +645,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"index_bytes":        idx,
 			"engine":             s.engine.Name(),
 		}
-		s.statsMu.Lock()
-		s.statsCache = cached
-		s.statsMu.Unlock()
+		s.statsCache.Store(cached)
 	}
-	writeJSON(w, cached)
+	writeJSON(w, *cached)
 }
 
 // handleMetrics dumps the telemetry registry: per-engine query counts,
@@ -879,15 +655,13 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 // the in-flight gauge. ?format=prom switches to the Prometheus text
 // exposition (histograms in seconds with cumulative buckets).
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
+	// Scrape-time gauges: each component keeps its own counters, so its hot
+	// path stays free of registry traffic, and a scrape copies them in.
+	var queued int64
 	if s.adm != nil {
-		s.queueDepth.Set(s.adm.depth())
+		queued = s.adm.depth()
 	}
-	// Scrape-time gauges for the workload-telemetry components (refreshing
-	// at snapshot keeps their hot paths free of registry traffic).
+	s.reg.Gauge("admission_queue_depth").Set(queued)
 	tracked, seen, evictions := s.profile.Stats()
 	s.reg.Gauge("workload_shapes_tracked").Set(int64(tracked))
 	s.reg.Gauge("workload_queries_seen").Set(seen)
@@ -957,12 +731,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
-}
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
 
 func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -197,7 +197,7 @@ func TestStatsCacheInvalidation(t *testing.T) {
 	if n := getStats(t, ts.URL)["graphs"].(float64); n != 15 {
 		t.Fatalf("graphs = %v, want 15", n)
 	}
-	if srv.statsCache == nil {
+	if srv.statsCache.Load() == nil {
 		t.Error("stats cache not populated after GET /stats")
 	}
 
@@ -387,14 +387,51 @@ func TestQueryExplain(t *testing.T) {
 	}
 }
 
+// slowLogBody is the JSON body of GET /debug/slowlog.
+type slowLogBody struct {
+	ThresholdUS int64 `json:"threshold_us"`
+	Capacity    int   `json:"capacity"`
+	Seen        int64 `json:"seen"`
+	Kept        int64 `json:"kept"`
+	Queries     []struct {
+		DurationUS    int64           `json:"duration_us"`
+		Engine        string          `json:"engine"`
+		Fingerprint   string          `json:"fingerprint"`
+		QueryVertices int             `json:"query_vertices"`
+		QueryEdges    int             `json:"query_edges"`
+		Error         bool            `json:"error"`
+		QueryText     string          `json:"query_text"`
+		Trace         json.RawMessage `json:"trace"`
+		Explain       json.RawMessage `json:"explain"`
+	} `json:"queries"`
+}
+
+func getSlowLog(t *testing.T, url string) slowLogBody {
+	t.Helper()
+	resp, err := http.Get(url + "/debug/slowlog")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
+	}
+	var out slowLogBody
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestSlowLogEndpoint: with a zero threshold every query is retained, and
-// each record carries its full Trace and Explain.
+// each entry is the query's record plus its text — no Trace, no Explain.
 func TestSlowLogEndpoint(t *testing.T) {
 	srv := testServer(t)
 	ts := httptest.NewServer(srv.handler())
 	defer ts.Close()
 
-	q := graphText(t, testQuery(t, srv))
+	query := testQuery(t, srv)
+	q := graphText(t, query)
 	for i := 0; i < 3; i++ {
 		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(q))
 		if err != nil {
@@ -403,46 +440,83 @@ func TestSlowLogEndpoint(t *testing.T) {
 		resp.Body.Close()
 	}
 
-	resp, err := http.Get(ts.URL + "/debug/slowlog")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	var out struct {
-		ThresholdUS int64 `json:"threshold_us"`
-		Capacity    int   `json:"capacity"`
-		Seen        int64 `json:"seen"`
-		Kept        int64 `json:"kept"`
-		Queries     []struct {
-			DurationUS int64               `json:"duration_us"`
-			Engine     string              `json:"engine"`
-			Query      string              `json:"query"`
-			Trace      *sq.TraceSnapshot   `json:"trace"`
-			Explain    *sq.ExplainSnapshot `json:"explain"`
-		} `json:"queries"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
+	out := getSlowLog(t, ts.URL)
 	if out.Seen != 3 || out.Kept != 3 || len(out.Queries) != 3 {
 		t.Fatalf("seen=%d kept=%d len=%d, want 3/3/3", out.Seen, out.Kept, len(out.Queries))
+	}
+	if out.Capacity != slowLogSize || out.ThresholdUS != 0 {
+		t.Errorf("capacity=%d threshold_us=%d, want %d/0", out.Capacity, out.ThresholdUS, slowLogSize)
 	}
 	for i, rec := range out.Queries {
 		if rec.Engine != "CFQL+cache" {
 			t.Errorf("queries[%d].engine = %q", i, rec.Engine)
 		}
-		if rec.Query == "" {
-			t.Errorf("queries[%d] missing query shape", i)
+		if rec.QueryVertices != query.NumVertices() || rec.QueryEdges != query.NumEdges() {
+			t.Errorf("queries[%d] shape %dv/%de, want %dv/%de", i,
+				rec.QueryVertices, rec.QueryEdges, query.NumVertices(), query.NumEdges())
 		}
-		if rec.Trace == nil || len(rec.Trace.Phases) == 0 {
-			t.Errorf("queries[%d] missing trace", i)
+		if rec.QueryText != q {
+			t.Errorf("queries[%d].query_text = %q, want the posted query", i, rec.QueryText)
 		}
-		if rec.Explain == nil || rec.Explain.Engine == "" {
-			t.Errorf("queries[%d] missing explain", i)
+		if rec.Trace != nil || rec.Explain != nil {
+			t.Errorf("queries[%d] carries a trace or explain nobody asked for", i)
 		}
+	}
+}
+
+// TestSlowLogReplay: the verbose views of a slow query are materialised on
+// demand — take query_text from /debug/slowlog, POST it back with
+// ?trace=1&explain=1, and the Trace and Explain the log no longer keeps
+// come back, for the same shape.
+func TestSlowLogReplay(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(graphText(t, testQuery(t, srv))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	entry := getSlowLog(t, ts.URL).Queries[0]
+
+	resp, err = http.Post(ts.URL+"/query?trace=1&explain=1", "text/plain", strings.NewReader(entry.QueryText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out queryResponse
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if out.Trace == nil || len(out.Trace.Phases) == 0 {
+		t.Errorf("replay trace = %+v, want phases", out.Trace)
+	}
+	if out.Explain == nil || out.Explain.Engine == "" {
+		t.Errorf("replay explain = %+v, want an engine", out.Explain)
+	}
+	if out.Trace != nil && out.Trace.Fingerprint != entry.Fingerprint {
+		t.Errorf("replayed fingerprint %s, slow-log entry %s", out.Trace.Fingerprint, entry.Fingerprint)
+	}
+}
+
+// TestQueryTextBound: a query whose text is over
+// maxQueryText keeps its slow-log entry but not its text.
+func TestQueryTextBound(t *testing.T) {
+	b := sq.NewBuilder(0, 0)
+	const n = 1200 // a path: about 13 bytes a vertex and an edge
+	for i := 0; i < n; i++ {
+		b.AddVertex(0)
+	}
+	for i := 0; i+1 < n; i++ {
+		b.AddEdge(sq.VertexID(i), sq.VertexID(i+1))
+	}
+	g, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if text := queryText(g); text != "" {
+		t.Fatalf("kept %d bytes of query text, want none over %d", len(text), maxQueryText)
 	}
 }
 

@@ -143,8 +143,8 @@ func TestQueryResponseFingerprintInTrace(t *testing.T) {
 
 	// The slow log (threshold 0 in tests retains everything) carries it too.
 	slow := srv.slow.Snapshot()
-	if len(slow.Queries) == 0 || slow.Queries[0].Fingerprint != want {
-		t.Fatalf("slow log fingerprint = %+v", slow.Queries)
+	if len(slow) == 0 || slow[0].Fingerprint.String() != want {
+		t.Fatalf("slow log fingerprint = %+v", slow)
 	}
 }
 

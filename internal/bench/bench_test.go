@@ -2,6 +2,8 @@ package bench
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -226,6 +228,30 @@ func TestRunRealSmoke(t *testing.T) {
 				if m.Precision < 0 || m.Precision > 1 {
 					t.Errorf("%s/%s/%s: precision %.3f", ds, setName, en, m.Precision)
 				}
+			}
+		}
+	}
+	// The dense induced track cannot vanish from the machine-readable
+	// reports: every BENCH_<dataset>.json carries Q4I..Q32I.
+	paths, err := WriteRealJSON(t.TempDir(), ev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range paths {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var report BenchReport
+		if err := json.Unmarshal(data, &report); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if report.Schema != BenchSchema {
+			t.Errorf("%s: schema %q, want %q", path, report.Schema, BenchSchema)
+		}
+		for _, set := range []string{"Q4I", "Q8I", "Q16I", "Q32I"} {
+			if len(report.QuerySets[set]) == 0 {
+				t.Errorf("%s: dense induced query set %s missing from the report", path, set)
 			}
 		}
 	}

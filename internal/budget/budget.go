@@ -8,8 +8,7 @@
 // observe a caller-side cancellation at all. Checkpoint unifies the
 // pattern: one increment-and-mask per unit of work, with the time syscall
 // and the channel poll amortized over the stride, so adding cooperative
-// cancellation costs nothing measurable on the hot path (the bench gate
-// in scripts/benchdiff.sh holds it to the usual ≤15% p50 threshold).
+// cancellation costs nothing measurable on the hot path.
 //
 // The strides are powers of two chosen per workload granularity:
 //

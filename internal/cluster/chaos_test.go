@@ -139,7 +139,5 @@ func TestClusterDropStormAllResponsesWellFormed(t *testing.T) {
 	if fault.Drops() == 0 {
 		t.Error("storm fired no drops")
 	}
-	if got := reg.Len(); got != 0 {
-		t.Errorf("inflight registry holds %d handles after the storm, want 0", got)
-	}
+	awaitDrained(t, reg)
 }

@@ -182,10 +182,23 @@ func TestCoordinatorHedgeWinsAndLoserIsCancelled(t *testing.T) {
 	}
 	// The loser must observe cancellation and its handle must leave the
 	// registry — the no-leak property the chaos storm asserts at scale.
-	deadline := time.Now().Add(2 * time.Second)
-	for reg.Len() != 0 || !slowSawCancel.Load() {
+	awaitDrained(t, reg)
+	if !slowSawCancel.Load() {
+		t.Fatal("loser deregistered without seeing its cancellation")
+	}
+}
+
+// awaitDrained waits, bounded, for every shard attempt to leave the
+// registry. Query returns as soon as each round's winner has replied; an
+// attempt — winner or cancelled loser — deregisters from its own goroutine
+// after sending its reply, so the registry empties shortly after Query
+// returns, not before. A handle still there at the deadline is a leak.
+func awaitDrained(t *testing.T, reg *inflight.Registry) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Len() != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("loser not torn down: registry=%d sawCancel=%v", reg.Len(), slowSawCancel.Load())
+			t.Fatalf("inflight registry still holds %d handles, want 0", reg.Len())
 		}
 		time.Sleep(time.Millisecond)
 	}

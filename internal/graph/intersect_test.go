@@ -139,8 +139,8 @@ func TestLowerBound(t *testing.T) {
 }
 
 // Benchmarks: the merge and gallop regimes of the kernel. Run with
-// `go test ./internal/graph -bench IntersectSorted -benchmem`; the
-// benchdiff gate watches the end-to-end engine numbers, these locate
+// `go test ./internal/graph -bench IntersectSorted -benchmem`; the served-path
+// benchmark (go run ./benchmark) watches the end-to-end numbers, these locate
 // kernel-level regressions.
 func benchLists(n, m, stride int) (a, b []int32) {
 	b = make([]int32, m)

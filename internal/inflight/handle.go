@@ -93,30 +93,6 @@ func (h *Handle) ID() uint64 {
 	return h.id
 }
 
-// Fingerprint returns the query's canonical shape hash as registered.
-func (h *Handle) Fingerprint() uint64 {
-	if h == nil {
-		return 0
-	}
-	return h.fingerprint
-}
-
-// Engine returns the engine configuration running the query.
-func (h *Handle) Engine() string {
-	if h == nil {
-		return ""
-	}
-	return h.engine
-}
-
-// Start returns the registration time (zero on nil).
-func (h *Handle) Start() time.Time {
-	if h == nil {
-		return time.Time{}
-	}
-	return h.start
-}
-
 // SetPhase records the stage the query just entered: one atomic store.
 func (h *Handle) SetPhase(p Phase) {
 	if h == nil {
@@ -200,11 +176,6 @@ func (h *Handle) Cancel() bool {
 	return first
 }
 
-// Cancelled reports whether Cancel was called.
-func (h *Handle) Cancelled() bool {
-	return h != nil && h.cancelled.Load()
-}
-
 // CancelChan returns the channel closed by Cancel (nil on a nil handle,
 // which budget.Cancelled treats as "never cancelled").
 func (h *Handle) CancelChan() <-chan struct{} {
@@ -246,11 +217,6 @@ func (h *Handle) MergeCancel(caller <-chan struct{}) <-chan struct{} {
 // so exactly one stack dump is captured per stuck query.
 func (h *Handle) flag() bool {
 	return h != nil && h.flagged.CompareAndSwap(false, true)
-}
-
-// Flagged reports whether the watchdog already captured this query.
-func (h *Handle) Flagged() bool {
-	return h != nil && h.flagged.Load()
 }
 
 // Registry tracks the live handles. Registration claims a slot in a fixed
@@ -341,48 +307,33 @@ func (r *Registry) Deregister(h *Handle) {
 // given id. It reports false when no such query is live (already
 // finished, never registered, or cancelled and gone).
 func (r *Registry) Cancel(id uint64) bool {
-	if r == nil {
-		return false
-	}
-	for i := range r.slots {
-		if h := r.slots[i].Load(); h != nil && h.id == id {
-			if h.Cancel() {
-				r.cancels.Add(1)
-				return true
-			}
-			return false
+	delivered := false
+	r.visit(func(h *Handle) {
+		if h.id == id && h.Cancel() {
+			r.cancels.Add(1)
+			delivered = true
 		}
-	}
-	return false
+	})
+	return delivered
 }
 
 // CancelAll cancels every live query (graceful-shutdown sweep) and
 // returns how many cancellations were delivered.
 func (r *Registry) CancelAll() int {
-	if r == nil {
-		return 0
-	}
 	n := 0
-	for i := range r.slots {
-		if h := r.slots[i].Load(); h != nil && h.Cancel() {
+	r.visit(func(h *Handle) {
+		if h.Cancel() {
 			r.cancels.Add(1)
 			n++
 		}
-	}
+	})
 	return n
 }
 
 // Len counts the live handles.
 func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
 	n := 0
-	for i := range r.slots {
-		if r.slots[i].Load() != nil {
-			n++
-		}
-	}
+	r.visit(func(*Handle) { n++ })
 	return n
 }
 

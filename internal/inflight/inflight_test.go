@@ -11,8 +11,8 @@ import (
 
 func TestNilHandleIsSafe(t *testing.T) {
 	var h *Handle
-	if h.ID() != 0 || h.Fingerprint() != 0 || h.Engine() != "" || !h.Start().IsZero() {
-		t.Fatal("nil handle identity accessors should return zero values")
+	if h.ID() != 0 || h.Snapshot(time.Now()) != (HandleSnapshot{}) {
+		t.Fatal("nil handle identity should be the zero value")
 	}
 	h.SetPhase(PhaseVerify)
 	h.GraphDone()
@@ -26,7 +26,7 @@ func TestNilHandleIsSafe(t *testing.T) {
 	if h.Cancel() {
 		t.Fatal("nil handle Cancel should report false")
 	}
-	if h.Cancelled() || h.Flagged() {
+	if h.Snapshot(time.Now()).Cancelled || h.Snapshot(time.Now()).Flagged {
 		t.Fatal("nil handle flags should be false")
 	}
 	if h.CancelChan() != nil {
@@ -51,8 +51,8 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	if r.Cancel(1) || r.CancelAll() != 0 || r.Len() != 0 {
 		t.Fatal("nil registry operations should be no-ops")
 	}
-	if snaps := r.Snapshot(); snaps != nil {
-		t.Fatal("nil registry Snapshot should be nil")
+	if snaps := r.Snapshot(); len(snaps) != 0 {
+		t.Fatal("nil registry Snapshot should be empty")
 	}
 	a, b, c := r.Stats()
 	if a != 0 || b != 0 || c != 0 {
@@ -69,8 +69,8 @@ func TestRegisterDeregisterLifecycle(t *testing.T) {
 	if h.ID() == 0 {
 		t.Fatal("handle id should be nonzero")
 	}
-	if h.Engine() != "vcfv" || h.Fingerprint() != 0xabcd {
-		t.Fatalf("identity mismatch: %q %x", h.Engine(), h.Fingerprint())
+	if id := h.Snapshot(time.Now()); id.Engine != "vcfv" || id.Fingerprint != "000000000000abcd" {
+		t.Fatalf("identity mismatch: %q %s", id.Engine, id.Fingerprint)
 	}
 	if r.Len() != 1 {
 		t.Fatalf("Len = %d, want 1", r.Len())
@@ -156,7 +156,7 @@ func TestCancelByID(t *testing.T) {
 	default:
 		t.Fatal("cancel channel should be closed")
 	}
-	if !h.Cancelled() {
+	if !h.Snapshot(time.Now()).Cancelled {
 		t.Fatal("Cancelled should be true")
 	}
 	if r.Cancel(h.ID()) {
@@ -183,7 +183,7 @@ func TestCancelAll(t *testing.T) {
 		t.Fatalf("CancelAll = %d, want 4", n)
 	}
 	for i, h := range hs {
-		if !h.Cancelled() {
+		if !h.Snapshot(time.Now()).Cancelled {
 			t.Fatalf("handle %d not cancelled", i)
 		}
 	}
@@ -334,7 +334,7 @@ func TestConcurrentRegistry(t *testing.T) {
 				if i%3 == 0 {
 					r.Cancel(h.ID())
 				}
-				if h.Cancelled() {
+				if h.Snapshot(time.Now()).Cancelled {
 					cancelledSeen.Add(1)
 				}
 				r.Deregister(h)

@@ -71,16 +71,9 @@ func (h *Handle) Snapshot(now time.Time) HandleSnapshot {
 // Snapshot returns every live query, oldest first (sorted by age
 // descending) — the order an operator hunting a runaway query wants.
 func (r *Registry) Snapshot() []HandleSnapshot {
-	if r == nil {
-		return nil
-	}
 	now := time.Now()
-	out := make([]HandleSnapshot, 0, len(r.slots))
-	for i := range r.slots {
-		if h := r.slots[i].Load(); h != nil {
-			out = append(out, h.Snapshot(now))
-		}
-	}
+	out := []HandleSnapshot{}
+	r.visit(func(h *Handle) { out = append(out, h.Snapshot(now)) })
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].AgeMS != out[j].AgeMS {
 			return out[i].AgeMS > out[j].AgeMS
@@ -90,7 +83,7 @@ func (r *Registry) Snapshot() []HandleSnapshot {
 	return out
 }
 
-// visit calls fn for every live handle (watchdog scan).
+// visit calls fn for every live handle; a nil registry has none.
 func (r *Registry) visit(fn func(h *Handle)) {
 	if r == nil {
 		return

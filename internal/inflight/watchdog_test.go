@@ -74,7 +74,7 @@ func TestWatchdogFlagsExactlyOnce(t *testing.T) {
 	if gotSnap.Engine != "stuck" || gotSnap.Fingerprint != "000000000000feed" {
 		t.Fatalf("snapshot mismatch: %+v", gotSnap)
 	}
-	if !h.Flagged() {
+	if !h.Snapshot(time.Now()).Flagged {
 		t.Fatal("handle should be Flagged")
 	}
 }
@@ -87,7 +87,7 @@ func TestWatchdogRespectsFloor(t *testing.T) {
 	if n := w.CheckNow(); n != 0 {
 		t.Fatalf("young query flagged under hour floor: %d", n)
 	}
-	if h.Flagged() {
+	if h.Snapshot(time.Now()).Flagged {
 		t.Fatal("handle should not be Flagged")
 	}
 }

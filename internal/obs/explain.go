@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"sync"
 	"text/tabwriter"
 	"time"
@@ -594,12 +593,4 @@ func (s ExplainSnapshot) WriteText(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-}
-
-// SortProbesByDuration orders the snapshot's probes slowest first; used by
-// CLI renderings that surface the most expensive probe.
-func (s *ExplainSnapshot) SortProbesByDuration() {
-	sort.SliceStable(s.IndexProbes, func(i, j int) bool {
-		return s.IndexProbes[i].DurationUS > s.IndexProbes[j].DurationUS
-	})
 }

@@ -84,12 +84,7 @@ func (h *Histogram) Mean() time.Duration {
 // accurate to the bucket's resolution (a factor of 2 here). Returns 0 when
 // the histogram is empty.
 func (h *Histogram) Quantile(p float64) time.Duration {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
+	p = min(max(p, 0), 1)
 	// Load a consistent-enough view: counts may advance during the walk;
 	// quantiles are scrape-time estimates, not accounting.
 	var counts [NumHistogramBuckets]uint64
@@ -101,13 +96,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	target := uint64(p * float64(total))
-	if target < 1 {
-		target = 1
-	}
-	if target > total {
-		target = total
-	}
+	target := min(max(uint64(p*float64(total)), 1), total)
 	var cum uint64
 	for i, c := range counts {
 		if c == 0 {

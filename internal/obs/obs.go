@@ -18,7 +18,6 @@
 package obs
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -72,58 +71,37 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
-func (r *Registry) Counter(name string) *Counter {
+// instrument returns m[name], creating it with mk on first use.
+func instrument[T any](r *Registry, m map[string]*T, name string, mk func() *T) *T {
 	r.mu.RLock()
-	c, ok := r.counters[name]
+	v, ok := m[name]
 	r.mu.RUnlock()
 	if ok {
-		return c
+		return v
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
+	if v, ok := m[name]; ok {
+		return v
 	}
-	c = &Counter{}
-	r.counters[name] = c
-	return c
+	v = mk()
+	m[name] = v
+	return v
+}
+
+// Counter returns the named counter, creating it on first use.
+func (r *Registry) Counter(name string) *Counter {
+	return instrument(r, r.counters, name, func() *Counter { return &Counter{} })
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.RLock()
-	g, ok := r.gauges[name]
-	r.mu.RUnlock()
-	if ok {
-		return g
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	g = &Gauge{}
-	r.gauges[name] = g
-	return g
+	return instrument(r, r.gauges, name, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.RLock()
-	h, ok := r.hists[name]
-	r.mu.RUnlock()
-	if ok {
-		return h
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	h = NewHistogram()
-	r.hists[name] = h
-	return h
+	return instrument(r, r.hists, name, NewHistogram)
 }
 
 // Snapshot is a point-in-time, JSON-marshalable view of a Registry.
@@ -154,26 +132,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = h.Snapshot()
 	}
 	return s
-}
-
-// Names returns the sorted instrument names of each kind (for stable
-// rendering in tests and CLIs).
-func (r *Registry) Names() (counters, gauges, histograms []string) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for name := range r.counters {
-		counters = append(counters, name)
-	}
-	for name := range r.gauges {
-		gauges = append(gauges, name)
-	}
-	for name := range r.hists {
-		histograms = append(histograms, name)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	sort.Strings(histograms)
-	return counters, gauges, histograms
 }
 
 // Observer receives streaming telemetry from a query as it executes.

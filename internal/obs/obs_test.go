@@ -146,11 +146,11 @@ func TestTraceRecords(t *testing.T) {
 	if len(s.Phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(s.Phases))
 	}
-	if s.PhaseTotal(PhaseFilter) != 5*time.Millisecond {
-		t.Errorf("filter total = %v", s.PhaseTotal(PhaseFilter))
+	if want := (PhaseSpan{Name: PhaseFilter, DurationUS: 5000}); s.Phases[0] != want {
+		t.Errorf("filter span = %+v, want %+v", s.Phases[0], want)
 	}
-	if s.PhaseTotal(PhaseVerify) != 4*time.Millisecond {
-		t.Errorf("verify total = %v", s.PhaseTotal(PhaseVerify))
+	if want := (PhaseSpan{Name: PhaseVerify, DurationUS: 4000}); s.Phases[1] != want {
+		t.Errorf("verify span = %+v, want %+v", s.Phases[1], want)
 	}
 	if len(s.Verifications) != 2 {
 		t.Fatalf("verifications = %d, want 2", len(s.Verifications))
@@ -165,7 +165,7 @@ func TestTraceRecords(t *testing.T) {
 }
 
 func TestTraceEventCap(t *testing.T) {
-	tr := NewTraceN(4)
+	tr := &Trace{maxEvents: 4}
 	for i := 0; i < 10; i++ {
 		tr.ObserveVerify(i, 1, time.Microsecond, false)
 	}
@@ -205,9 +205,9 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 		t.Errorf("histogram snapshot = %+v", hs)
 	}
 
-	counters, gauges, hists := r.Names()
-	if len(counters) != 1 || len(gauges) != 1 || len(hists) != 1 {
-		t.Errorf("Names() = %v %v %v", counters, gauges, hists)
+	if len(back.Counters) != 1 || len(back.Gauges) != 1 || len(back.Histograms) != 1 {
+		t.Errorf("snapshot holds %d counters, %d gauges, %d histograms, want one each",
+			len(back.Counters), len(back.Gauges), len(back.Histograms))
 	}
 }
 

@@ -19,16 +19,36 @@ import (
 // buckets, converting the registry's microsecond bucket bounds to the
 // Prometheus base unit.
 func WritePrometheus(w io.Writer, s Snapshot, namespace string) {
-	writePromFamilies(w, namespace, "counter", counterFamilies(s.Counters))
-	writePromFamilies(w, namespace, "gauge", gaugeFamilies(s.Gauges))
+	writePromScalars(w, namespace, "counter", s.Counters)
+	writePromScalars(w, namespace, "gauge", s.Gauges)
 	writePromHistograms(w, namespace, s.Histograms)
 }
 
-// promSample is one exported time series: an optional engine label and a
-// rendered value.
-type promSample struct {
+// promInstance is one exported time series of a metric family: its engine
+// label (may be empty) and its value.
+type promInstance[V any] struct {
 	engine string
-	value  string
+	v      V
+}
+
+// eachPromFamily groups registry names by metric and visits the families
+// sorted by metric name, each family's instances sorted by engine.
+func eachPromFamily[V any](m map[string]V, visit func(metric string, instances []promInstance[V])) {
+	fams := map[string][]promInstance[V]{}
+	for name, v := range m {
+		metric, engine := splitMetricName(name)
+		fams[metric] = append(fams[metric], promInstance[V]{engine, v})
+	}
+	names := make([]string, 0, len(fams))
+	for name := range fams {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		instances := fams[name]
+		sort.Slice(instances, func(i, j int) bool { return instances[i].engine < instances[j].engine })
+		visit(name, instances)
+	}
 }
 
 // splitMetricName splits the registry's "<metric>/<engine>" convention and
@@ -86,41 +106,16 @@ func labelPair(engine, le string) string {
 	return "{" + strings.Join(parts, ",") + "}"
 }
 
-func counterFamilies(counters map[string]int64) map[string][]promSample {
-	fams := map[string][]promSample{}
-	for name, v := range counters {
-		metric, engine := splitMetricName(name)
-		fams[metric] = append(fams[metric], promSample{engine, strconv.FormatInt(v, 10)})
-	}
-	return fams
-}
-
-func gaugeFamilies(gauges map[string]int64) map[string][]promSample {
-	fams := map[string][]promSample{}
-	for name, v := range gauges {
-		metric, engine := splitMetricName(name)
-		fams[metric] = append(fams[metric], promSample{engine, strconv.FormatInt(v, 10)})
-	}
-	return fams
-}
-
-// writePromFamilies writes one # TYPE line per metric family followed by
-// its samples, all deterministically sorted.
-func writePromFamilies(w io.Writer, namespace, typ string, fams map[string][]promSample) {
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+// writePromScalars writes one # TYPE line per counter or gauge family
+// followed by its samples.
+func writePromScalars(w io.Writer, namespace, typ string, m map[string]int64) {
+	eachPromFamily(m, func(name string, instances []promInstance[int64]) {
 		full := namespace + "_" + name
 		fmt.Fprintf(w, "# TYPE %s %s\n", full, typ)
-		samples := fams[name]
-		sort.Slice(samples, func(i, j int) bool { return samples[i].engine < samples[j].engine })
-		for _, smp := range samples {
-			fmt.Fprintf(w, "%s%s %s\n", full, labelPair(smp.engine, ""), smp.value)
+		for _, in := range instances {
+			fmt.Fprintf(w, "%s%s %d\n", full, labelPair(in.engine, ""), in.v)
 		}
-	}
+	})
 }
 
 // formatSeconds renders a microsecond quantity in seconds with full
@@ -132,35 +127,19 @@ func formatSeconds(us int64) string {
 // writePromHistograms exports each histogram as cumulative buckets plus
 // _sum and _count, per the Prometheus histogram convention.
 func writePromHistograms(w io.Writer, namespace string, hists map[string]HistogramSnapshot) {
-	type instance struct {
-		engine string
-		snap   HistogramSnapshot
-	}
-	fams := map[string][]instance{}
-	for name, snap := range hists {
-		metric, engine := splitMetricName(name)
-		fams[metric] = append(fams[metric], instance{engine, snap})
-	}
-	names := make([]string, 0, len(fams))
-	for name := range fams {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	eachPromFamily(hists, func(name string, instances []promInstance[HistogramSnapshot]) {
 		full := namespace + "_" + name + "_seconds"
 		fmt.Fprintf(w, "# TYPE %s histogram\n", full)
-		instances := fams[name]
-		sort.Slice(instances, func(i, j int) bool { return instances[i].engine < instances[j].engine })
 		for _, in := range instances {
 			var cum uint64
-			for _, b := range in.snap.Buckets {
+			for _, b := range in.v.Buckets {
 				cum += b.Count
 				fmt.Fprintf(w, "%s_bucket%s %d\n", full,
 					labelPair(in.engine, formatSeconds(b.LeUS)), cum)
 			}
-			fmt.Fprintf(w, "%s_bucket%s %d\n", full, labelPair(in.engine, "+Inf"), in.snap.Count)
-			fmt.Fprintf(w, "%s_sum%s %s\n", full, labelPair(in.engine, ""), formatSeconds(in.snap.SumUS))
-			fmt.Fprintf(w, "%s_count%s %d\n", full, labelPair(in.engine, ""), in.snap.Count)
+			fmt.Fprintf(w, "%s_bucket%s %d\n", full, labelPair(in.engine, "+Inf"), in.v.Count)
+			fmt.Fprintf(w, "%s_sum%s %s\n", full, labelPair(in.engine, ""), formatSeconds(in.v.SumUS))
+			fmt.Fprintf(w, "%s_count%s %d\n", full, labelPair(in.engine, ""), in.v.Count)
 		}
-	}
+	})
 }

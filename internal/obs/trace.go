@@ -34,15 +34,6 @@ type Trace struct {
 // verification events.
 func NewTrace() *Trace { return &Trace{maxEvents: DefaultMaxTraceEvents} }
 
-// NewTraceN returns an empty trace retaining at most n verification
-// events (n <= 0 selects DefaultMaxTraceEvents).
-func NewTraceN(n int) *Trace {
-	if n <= 0 {
-		n = DefaultMaxTraceEvents
-	}
-	return &Trace{maxEvents: n}
-}
-
 // PhaseSpan is one completed processing phase.
 type PhaseSpan struct {
 	Name       string `json:"name"`
@@ -188,15 +179,4 @@ func (t *Trace) Snapshot() TraceSnapshot {
 		s.Fingerprint = fmt.Sprintf("%016x", t.fingerprint)
 	}
 	return s
-}
-
-// PhaseTotal sums the durations of spans with exactly the given name.
-func (s TraceSnapshot) PhaseTotal(name string) time.Duration {
-	var total int64
-	for _, sp := range s.Phases {
-		if sp.Name == name {
-			total += sp.DurationUS
-		}
-	}
-	return time.Duration(total) * time.Microsecond
 }

@@ -150,11 +150,7 @@ func (x *Exporter) Emit(ev Event) {
 		return
 	}
 	if !ev.Anomalous() {
-		if x.healthyEvery == 0 {
-			x.sampledOut.Add(1)
-			return
-		}
-		if x.healthyEvery > 1 && x.healthySeen.Add(1)%x.healthyEvery != 0 {
+		if x.healthyEvery == 0 || x.healthyEvery > 1 && x.healthySeen.Add(1)%x.healthyEvery != 0 {
 			x.sampledOut.Add(1)
 			return
 		}

@@ -66,13 +66,9 @@ func (f Fingerprint) MarshalJSON() ([]byte, error) {
 func (f *Fingerprint) UnmarshalJSON(data []byte) error {
 	s := string(data)
 	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
-		s = s[1 : len(s)-1]
-		var v uint64
-		if _, err := fmt.Sscanf(s, "%x", &v); err != nil {
-			return fmt.Errorf("telemetry: parsing fingerprint %q: %w", s, err)
-		}
-		*f = Fingerprint(v)
-		return nil
+		v, err := ParseFingerprint(s[1 : len(s)-1])
+		*f = v
+		return err
 	}
 	var v uint64
 	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {

@@ -25,75 +25,43 @@ type DebugEvent struct {
 	Message string `json:"message,omitempty"`
 }
 
-// DebugRing is a bounded, concurrency-safe ring of recent DebugEvents —
-// the same shape as the slow-query log: cheap to append, newest-first to
-// read, old entries silently displaced. A nil *DebugRing is a no-op.
-type DebugRing struct {
-	mu      sync.Mutex
-	entries []DebugEvent
-	next    int
-	full    bool
-	total   int64
+// Ring is a bounded, concurrency-safe ring of the most recent values
+// offered to it: cheap to append, newest-first to read, old entries
+// silently displaced. It is the one store behind /debug/events (a
+// Ring[DebugEvent]) and /debug/slowlog.
+type Ring[T any] struct {
+	mu    sync.Mutex
+	buf   []T
+	total int64 // values ever offered; total % len(buf) is the next slot
 }
 
-// DefaultDebugRingSize is the ring capacity when none is given.
-const DefaultDebugRingSize = 128
-
-// NewDebugRing returns a ring keeping the most recent size events
-// (<= 0 selects DefaultDebugRingSize).
-func NewDebugRing(size int) *DebugRing {
-	if size <= 0 {
-		size = DefaultDebugRingSize
-	}
-	return &DebugRing{entries: make([]DebugEvent, size)}
+// NewRing returns a ring keeping the most recent size values (size > 0).
+func NewRing[T any](size int) *Ring[T] {
+	return &Ring[T]{buf: make([]T, size)}
 }
 
-// Offer appends one event, displacing the oldest when full. Safe on nil.
-func (r *DebugRing) Offer(ev DebugEvent) {
-	if r == nil {
-		return
-	}
-	if ev.Time.IsZero() {
-		ev.Time = time.Now()
-	}
+// Offer appends one value, displacing the oldest when full.
+func (r *Ring[T]) Offer(v T) {
 	r.mu.Lock()
-	r.entries[r.next] = ev
-	r.next++
-	if r.next == len(r.entries) {
-		r.next = 0
-		r.full = true
-	}
+	r.buf[r.total%int64(len(r.buf))] = v
 	r.total++
 	r.mu.Unlock()
 }
 
-// Snapshot returns the retained events, newest first.
-func (r *DebugRing) Snapshot() []DebugEvent {
-	if r == nil {
-		return nil
-	}
+// Snapshot returns the retained values, newest first (empty, never nil).
+func (r *Ring[T]) Snapshot() []T {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	n := r.next
-	if r.full {
-		n = len(r.entries)
-	}
-	out := make([]DebugEvent, 0, n)
-	for i := 0; i < n; i++ {
-		idx := r.next - 1 - i
-		if idx < 0 {
-			idx += len(r.entries)
-		}
-		out = append(out, r.entries[idx])
+	n := min(r.total, int64(len(r.buf)))
+	out := make([]T, 0, n)
+	for i := int64(1); i <= n; i++ {
+		out = append(out, r.buf[(r.total-i)%int64(len(r.buf))])
 	}
 	return out
 }
 
-// Total returns how many events were ever offered (retained or displaced).
-func (r *DebugRing) Total() int64 {
-	if r == nil {
-		return 0
-	}
+// Total returns how many values were ever offered (retained or displaced).
+func (r *Ring[T]) Total() int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.total

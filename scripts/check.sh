@@ -53,6 +53,9 @@ go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"
 go test -run '^$' -bench 'SmallGraphKernels' -benchtime 1x ./internal/matching
 
+echo "== serve bench smoke (whole handler chain in process: bare, default and default+cache flags, B/op and allocs/op)"
+go test -run '^$' -bench 'Serve' -benchtime 1x ./cmd/sqserver
+
 echo "== served-path benchmark smoke (real sqserver, traced replay with its self-checks)"
 # -short above skips it; a change that breaks replay/engine parity should
 # fail here, not in the benchmark gate.
