@@ -6,11 +6,11 @@
 // TurboIso candidate regions, `steps%4096` in the enumeration search,
 // `features%8192` in the index feature miners — and none of them could
 // observe a caller-side cancellation at all. Checkpoint unifies the
-// pattern: one increment-and-mask per unit of work, with the time syscall
+// pattern: one decrement-and-compare per unit of work, with the time syscall
 // and the channel poll amortized over the stride, so adding cooperative
 // cancellation costs nothing measurable on the hot path.
 //
-// The strides are powers of two chosen per workload granularity:
+// The strides are chosen per workload granularity:
 //
 //   - GraphStride (256) between per-data-graph units of work, where each
 //     unit is already substantial;
@@ -25,7 +25,7 @@ import (
 	"time"
 )
 
-// Polling strides. Powers of two so the modulo compiles to a mask.
+// Polling strides.
 const (
 	// GraphStride is the polling stride for loops whose unit of work is
 	// one data graph or candidate region.
@@ -57,21 +57,34 @@ type Checkpoint struct {
 	// stride and nothing per tick. nil disables the flush.
 	Progress *atomic.Uint64
 
-	n uint64
+	// left counts down the Tick calls to the next real poll, that one
+	// included; 0 before the first call.
+	left int64
 }
 
 // Tick consumes one unit of work and reports whether the loop must stop:
 // every Stride-th call polls the deadline and the cancel channel, all
-// other calls cost one increment and one mask.
+// other calls cost one decrement and one compare. (Stride is a field, so a
+// remainder by it would be a division on every call.)
 func (c *Checkpoint) Tick() bool {
-	c.n++
+	if c.left--; c.left > 0 {
+		return false
+	}
+	return c.poll()
+}
+
+// poll is the rest of Tick on the first call and on every Stride-th.
+func (c *Checkpoint) poll() bool {
 	stride := c.Stride
 	if stride == 0 {
 		stride = StepStride
 	}
-	if c.n%stride != 0 {
-		return false
+	if c.left < 0 { // the first call: start the countdown with it
+		if c.left = int64(stride) - 1; c.left > 0 {
+			return false
+		}
 	}
+	c.left = int64(stride)
 	if c.Progress != nil {
 		c.Progress.Add(stride)
 	}

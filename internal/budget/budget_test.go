@@ -115,3 +115,19 @@ func TestCancelled(t *testing.T) {
 		t.Fatal("closed channel not reported cancelled")
 	}
 }
+
+// TestTickPollsEveryStrideth: the countdown polls at calls Stride, 2·Stride,
+// … exactly — for a stride of one and for one that is no power of two — and
+// flushes Stride ticks of progress each time.
+func TestTickPollsEveryStrideth(t *testing.T) {
+	for _, stride := range []uint64{1, 3, 8} {
+		var p atomic.Uint64
+		c := Checkpoint{Stride: stride, Progress: &p}
+		for call := uint64(1); call <= 5*stride; call++ {
+			c.Tick()
+			if want := call / stride * stride; p.Load() != want {
+				t.Fatalf("stride %d: progress after call %d = %d, want %d", stride, call, p.Load(), want)
+			}
+		}
+	}
+}

@@ -210,11 +210,12 @@ func (e *engine) AppendGraph(g *graph.Graph) (int, error) {
 	if !e.built {
 		return 0, fmt.Errorf("core: %s index not built", e.name)
 	}
-	gid := e.db.Append(g)
-	if err := app.InsertGraph(g, gid); err != nil {
+	// The index first, under the id the database will give: a graph the
+	// index refuses must not get an id no probe will ever return.
+	if err := app.InsertGraph(g, e.db.Len()); err != nil {
 		return 0, err
 	}
-	return gid, nil
+	return e.db.Append(g), nil
 }
 
 // poolSize resolves the worker count of one query, clamped to the

@@ -1,10 +1,12 @@
 package core
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"subgraphquery/internal/graph"
+	"subgraphquery/internal/index"
 )
 
 // TestAppendGraphEqualsRebuild: for every Updatable configuration that
@@ -62,6 +64,49 @@ func TestAppendGraphEqualsRebuild(t *testing.T) {
 				t.Errorf("%s q%d after rebuild: answers %v, want %v", name, qi, got, want)
 			}
 		}
+	}
+}
+
+// refusingIndex lets every graph through and refuses every append, the way
+// CT-Index does when a graph's fingerprint cannot be computed.
+type refusingIndex struct{ graphs int }
+
+var errRefused = errors.New("refused")
+
+func (*refusingIndex) Name() string { return "refusing" }
+func (ix *refusingIndex) Build(db *graph.Database, _ index.BuildOptions) error {
+	ix.graphs = db.Len()
+	return nil
+}
+func (ix *refusingIndex) Filter(*graph.Graph) []int {
+	ids := make([]int, ix.graphs)
+	for i := range ids {
+		ids[i] = i
+	}
+	return ids
+}
+func (*refusingIndex) MemoryFootprint() int64              { return 0 }
+func (*refusingIndex) InsertGraph(*graph.Graph, int) error { return errRefused }
+
+// TestAppendGraphRefusedLeavesEngineUntouched: when the index refuses a
+// graph the database does not take it either — it would hold an id no probe
+// returns, and containing queries would silently lose an answer.
+func TestAppendGraphRefusedLeavesEngineUntouched(t *testing.T) {
+	db := genDB(t, 6, 3)
+	e := &engine{name: "refusing", idx: &refusingIndex{}, test: vf2First}
+	if err := e.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	q := genQueries(t, db, 1)[0]
+	before := e.Query(q, QueryOptions{}).Answers
+	if gid, err := e.AppendGraph(db.Graph(0)); !errors.Is(err, errRefused) {
+		t.Fatalf("AppendGraph = %d, %v; want the index's refusal", gid, err)
+	}
+	if db.Len() != 6 {
+		t.Errorf("database has %d graphs after a refused append, want 6", db.Len())
+	}
+	if after := e.Query(q, QueryOptions{}).Answers; !equalInts(after, before) {
+		t.Errorf("answers %v after a refused append, %v before", after, before)
 	}
 }
 

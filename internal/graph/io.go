@@ -2,10 +2,12 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"strconv"
-	"strings"
+	"unicode"
+	"unicode/utf8"
 )
 
 // The text serialization follows the widely used ".graph" format of the
@@ -99,14 +101,21 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 		return nil
 	}
 
+	// A line is split where it lies in the scanner's buffer and its numbers
+	// are parsed from those bytes (strconv does not keep the string(f)
+	// temporaries, so they stay off the heap): a database is a few hundred
+	// thousand lines, and its parse is part of every start-up.
+	var fields [4][]byte
+	malformed := func() error {
+		return fmt.Errorf("line %d: malformed %s record %q", lineNo, fields[0], bytes.TrimSpace(sc.Bytes()))
+	}
 	for sc.Scan() {
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+		n := splitFields(sc.Bytes(), &fields)
+		if n == 0 || fields[0][0] == '#' {
 			continue
 		}
-		fields := strings.Fields(line)
-		switch fields[0] {
+		switch string(fields[0]) {
 		case "t":
 			if err := flush(); err != nil {
 				return nil, fmt.Errorf("line %d: %w", lineNo, err)
@@ -114,14 +123,14 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 			if limit >= 0 && len(graphs) == limit {
 				return graphs, nil
 			}
-			if len(fields) < 4 {
-				return nil, fmt.Errorf("line %d: malformed t record %q", lineNo, line)
+			if n < 4 {
+				return nil, malformed()
 			}
 			var err1, err2 error
-			wantV, err1 = strconv.Atoi(fields[2])
-			wantE, err2 = strconv.Atoi(fields[3])
+			wantV, err1 = strconv.Atoi(string(fields[2]))
+			wantE, err2 = strconv.Atoi(string(fields[3]))
 			if err1 != nil || err2 != nil || wantV < 0 || wantE < 0 {
-				return nil, fmt.Errorf("line %d: malformed t record %q", lineNo, line)
+				return nil, malformed()
 			}
 			// The declared counts are capacity hints here (flush enforces
 			// them exactly), so cap them: a hostile header must not force
@@ -132,13 +141,13 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 			if b == nil {
 				return nil, fmt.Errorf("line %d: v record before t record", lineNo)
 			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("line %d: malformed v record %q", lineNo, line)
+			if n < 3 {
+				return nil, malformed()
 			}
-			id, err1 := strconv.Atoi(fields[1])
-			lab, err2 := strconv.ParseUint(fields[2], 10, 32)
+			id, err1 := strconv.Atoi(string(fields[1]))
+			lab, err2 := strconv.ParseUint(string(fields[2]), 10, 32)
 			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("line %d: malformed v record %q", lineNo, line)
+				return nil, malformed()
 			}
 			if id != b.NumVertices() {
 				return nil, fmt.Errorf("line %d: vertex ids must be consecutive, got %d want %d", lineNo, id, b.NumVertices())
@@ -148,13 +157,13 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 			if b == nil {
 				return nil, fmt.Errorf("line %d: e record before t record", lineNo)
 			}
-			if len(fields) < 3 {
-				return nil, fmt.Errorf("line %d: malformed e record %q", lineNo, line)
+			if n < 3 {
+				return nil, malformed()
 			}
-			u, err1 := strconv.Atoi(fields[1])
-			v, err2 := strconv.Atoi(fields[2])
-			if err1 != nil || err2 != nil {
-				return nil, fmt.Errorf("line %d: malformed e record %q", lineNo, line)
+			u, err1 := strconv.Atoi(string(fields[1]))
+			v, err2 := strconv.Atoi(string(fields[2]))
+			if err1 != nil || err2 != nil || int(VertexID(u)) != u || int(VertexID(v)) != v {
+				return nil, malformed() // also an endpoint no VertexID holds: it must not wrap into range
 			}
 			b.AddEdge(VertexID(u), VertexID(v))
 		default:
@@ -168,4 +177,35 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 		return nil, err
 	}
 	return graphs, nil
+}
+
+// splitFields is strings.Fields for a line that stays where it is: it
+// points fields at the first four fields of line, which is as many as any
+// record has, and returns how many it found.
+func splitFields(line []byte, fields *[4][]byte) int {
+	n, start := 0, -1
+	for i := 0; i < len(line); {
+		c, w := rune(line[i]), 1
+		if c >= utf8.RuneSelf {
+			c, w = utf8.DecodeRune(line[i:])
+		}
+		switch {
+		case !unicode.IsSpace(c):
+			if start < 0 {
+				start = i
+			}
+		case start >= 0:
+			fields[n] = line[start:i]
+			if n++; n == len(fields) {
+				return n
+			}
+			start = -1
+		}
+		i += w
+	}
+	if start >= 0 {
+		fields[n] = line[start:]
+		n++
+	}
+	return n
 }

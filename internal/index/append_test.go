@@ -49,11 +49,21 @@ func TestInsertGraphMatchesRebuild(t *testing.T) {
 		}
 
 		// Either configuration of the path trie ends up the very tree a
-		// rebuild gives, counts included.
+		// rebuild gives, counts included — also when it grows from empty
+		// by InsertGraph alone.
 		if a, ok := incremental.(*PathTrie); ok {
 			b := fresh.(*PathTrie)
-			if a.nodes != b.nodes || a.entries != b.entries || !sameTrie(a.root, b.root, true) {
-				t.Errorf("%s: trie after appends differs from the rebuilt one", name)
+			grown := &PathTrie{counted: a.counted}
+			for i := 0; i < full.Len(); i++ {
+				if err := grown.InsertGraph(full.Graph(i), i); err != nil {
+					t.Fatalf("%s insert %d into empty: %v", name, i, err)
+				}
+			}
+			debugCheckTrie(grown)
+			for what, a := range map[string]*PathTrie{"after appends": a, "grown from empty": grown} {
+				if a.numGraphs != b.numGraphs || !sameTrie(a, b, true) {
+					t.Errorf("%s: trie %s differs from the rebuilt one", name, what)
+				}
 			}
 		}
 

@@ -1,0 +1,83 @@
+package index
+
+import (
+	"testing"
+
+	"subgraphquery/internal/gen"
+	"subgraphquery/internal/graph"
+)
+
+// The aids-index-append inputs in process: 4 000 AIDS-like graphs, the
+// Q4–Q32 walk and BFS query sets, and append graphs from another seed.
+
+func benchAIDS(b *testing.B) *graph.Database {
+	b.Helper()
+	db, err := gen.Real(gen.AIDS, 0.1, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return db
+}
+
+func benchQueries(b *testing.B, db *graph.Database) []*graph.Graph {
+	b.Helper()
+	var queries []*graph.Graph
+	for i, m := range []gen.QueryMethod{gen.QueryRandomWalk, gen.QueryBFS} {
+		for j, edges := range []int{4, 8, 16, 32} {
+			qs, err := gen.QuerySet(db, gen.QuerySetConfig{Count: 10, Edges: edges, Method: m, Seed: int64(10*i + j)})
+			if err != nil {
+				b.Fatal(err)
+			}
+			queries = append(queries, qs...)
+		}
+	}
+	return queries
+}
+
+var benchSink int
+
+func BenchmarkGGSXBuildAIDS(b *testing.B) {
+	db := benchAIDS(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var ix GGSX
+		if err := ix.Build(db, BuildOptions{}); err != nil {
+			b.Fatal(err)
+		}
+		benchSink += int(ix.MemoryFootprint())
+	}
+}
+
+func BenchmarkGGSXProbeAIDS(b *testing.B) {
+	db := benchAIDS(b)
+	queries := benchQueries(b, db)
+	var ix GGSX
+	if err := ix.Build(db, BuildOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		benchSink += len(ix.Filter(queries[i%len(queries)]))
+	}
+}
+
+func BenchmarkGGSXInsertAIDS(b *testing.B) {
+	db := benchAIDS(b)
+	extra, err := gen.Real(gen.AIDS, 0.005, 1001)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var ix GGSX
+	if err := ix.Build(db, BuildOptions{}); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := ix.InsertGraph(extra.Graph(i%extra.Len()), db.Len()+i); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/matching"
 	"subgraphquery/internal/obs"
@@ -308,32 +307,14 @@ func TestSingleVertexQuery(t *testing.T) {
 	}
 }
 
-// TestPathProbesRepeatAndAgree: the path indexes look features up in key
-// order and intersect shortest list first, so two probes of one query
+// TestPathProbesRepeatAndAgree: the path indexes walk a query's paths in a
+// fixed order and intersect shortest list first, so two probes of one query
 // report identical IndexProbes (wall time aside), and the survivors are
 // exactly the graphs that hold every path feature of the query often enough
 // — what intersecting in any order from all of D gives.
 func TestPathProbesRepeatAndAgree(t *testing.T) {
-	syn, err := gen.Synthetic(gen.SyntheticConfig{NumGraphs: 30, NumVertices: 14, NumLabels: 3, Degree: 3, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	aids, err := gen.Real(gen.AIDS, 0.001, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for dbName, db := range map[string]*graph.Database{"synthetic": syn, "aids": aids} {
-		var queries []*graph.Graph
-		for _, m := range []gen.QueryMethod{gen.QueryRandomWalk, gen.QueryBFS} {
-			qs, err := gen.QuerySet(db, gen.QuerySetConfig{Count: 5, Edges: 5, Method: m, Seed: 3})
-			if err != nil {
-				t.Fatal(err)
-			}
-			queries = append(queries, qs...)
-		}
-		// A label the database lacks: the probe ends at a missing feature.
-		queries = append(queries, graph.MustFromEdges([]graph.Label{0, 9999}, []graph.Edge{{U: 0, V: 1}}))
-
+	for dbName, c := range probeCorpora(t) {
+		db, queries := c.db, c.queries
 		for ixName, ix := range map[string]interface {
 			Index
 			Explainable

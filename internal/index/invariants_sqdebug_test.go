@@ -53,19 +53,16 @@ func TestDebugCheckTrieAcceptsBuilt(t *testing.T) {
 
 func TestDebugCheckTrieUnsortedPostings(t *testing.T) {
 	for _, ix := range []*PathTrie{builtGrapes(t), builtGGSX(t)} {
-		n := findNodeWithPostings(ix.root, 2)
-		if n == nil {
-			t.Fatal("no node with two postings in fixture")
-		}
-		n.graphIDs[0], n.graphIDs[1] = n.graphIDs[1], n.graphIDs[0]
+		ids := ix.nodes.at(findNodeWithPostings(t, ix, 2)).ids
+		ids[0], ids[1] = ids[1], ids[0]
 		mustPanicWith(t, "ascending", func() { debugCheckTrie(ix) })
 	}
 }
 
 func TestDebugCheckTrieCounterDrift(t *testing.T) {
 	grapes := builtGrapes(t)
-	grapes.nodes++
-	mustPanicWith(t, "nodes counter", func() { debugCheckTrie(grapes) })
+	grapes.addNode(trieNode{}) // on no chain
+	mustPanicWith(t, "chains reach", func() { debugCheckTrie(grapes) })
 	ggsx := builtGGSX(t)
 	ggsx.entries--
 	mustPanicWith(t, "entries counter", func() { debugCheckTrie(ggsx) })
@@ -75,23 +72,51 @@ func TestDebugCheckTrieCounterDrift(t *testing.T) {
 // per id, a presence trie none at all.
 func TestDebugCheckTrieCountsMatchConfiguration(t *testing.T) {
 	grapes := builtGrapes(t)
-	n := findNodeWithPostings(grapes.root, 1)
-	n.counts = n.counts[:len(n.counts)-1]
+	n := findNodeWithPostings(t, grapes, 1)
+	counts := grapes.counts.at(n)
+	*counts = (*counts)[:len(*counts)-1]
 	mustPanicWith(t, "counts", func() { debugCheckTrie(grapes) })
 	ggsx := builtGGSX(t)
-	n = findNodeWithPostings(ggsx.root, 1)
-	n.counts = make([]int32, len(n.graphIDs))
+	ggsx.counts = NewGrapes().counts
+	for ggsx.counts.n < ggsx.nodes.n {
+		ggsx.counts.push(nil)
+	}
 	mustPanicWith(t, "counts", func() { debugCheckTrie(ggsx) })
 }
 
-func findNodeWithPostings(n *trieNode, min int) *trieNode {
-	if len(n.graphIDs) >= min {
-		return n
+// TestDebugCheckTrieChains: a sibling chain out of label order (which is
+// also what a repeated label or a cycle looks like), and a child that names
+// another parent.
+func TestDebugCheckTrieChains(t *testing.T) {
+	for _, build := range []func(*testing.T) *PathTrie{builtGrapes, builtGGSX} {
+		ix := build(t)
+		first := ix.nodes.at(ix.nodes.at(0).child)
+		second := ix.nodes.at(first.next)
+		if first.next == 0 {
+			t.Fatal("fixture's root has one child")
+		}
+		second.next = ix.nodes.at(0).child // a cycle: first → second → first
+		mustPanicWith(t, "ascending label order", func() { debugCheckTrie(ix) })
+
+		ix = build(t)
+		first = ix.nodes.at(ix.nodes.at(0).child)
+		first.label = ix.nodes.at(first.next).label
+		mustPanicWith(t, "ascending label order", func() { debugCheckTrie(ix) })
+
+		ix = build(t)
+		first = ix.nodes.at(ix.nodes.at(0).child)
+		first.parent = ix.nodes.at(0).child
+		mustPanicWith(t, "names another parent", func() { debugCheckTrie(ix) })
 	}
-	for _, c := range n.children {
-		if found := findNodeWithPostings(c, min); found != nil {
-			return found
+}
+
+func findNodeWithPostings(t *testing.T, ix *PathTrie, min int) uint32 {
+	t.Helper()
+	for n := uint32(0); n < ix.nodes.n; n++ {
+		if len(ix.nodes.at(n).ids) >= min {
+			return n
 		}
 	}
-	return nil
+	t.Fatalf("no node with %d postings in fixture", min)
+	return 0
 }

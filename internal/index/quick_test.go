@@ -24,24 +24,10 @@ func TestQuickTrieCountsMatchDirect(t *testing.T) {
 			return false
 		}
 		for gid := 0; gid < db.Len(); gid++ {
-			want := countPaths(db.Graph(gid), DefaultMaxPathLength)
-			var visited int64
-			for key, c := range want {
-				node := ix.lookup(key, &visited)
-				if node == nil {
-					return false
-				}
-				found := false
-				for i, id := range node.graphIDs {
-					if id == int32(gid) {
-						if node.counts[i] != c {
-							return false
-						}
-						found = true
-						break
-					}
-				}
-				if !found {
+			for key, c := range countPaths(db.Graph(gid), DefaultMaxPathLength) {
+				p, ok := lookupRef(ix, keyLabels(key))
+				at, found := slices.BinarySearch(p.ids, int32(gid))
+				if !ok || !found || p.counts[at] != c {
 					return false
 				}
 			}
@@ -65,30 +51,16 @@ func TestQuickSuffixClosure(t *testing.T) {
 			return false
 		}
 		for gid := 0; gid < db.Len(); gid++ {
-			ok := true
-			var visited int64
-			enumeratePaths(db.Graph(gid), DefaultMaxPathLength, func(labels []graph.Label) bool {
+			closed := enumeratePaths(db.Graph(gid), DefaultMaxPathLength, func(labels []graph.Label) bool {
 				for s := 0; s < len(labels); s++ {
-					node := ix.lookup(pathKey(labels[s:]), &visited)
-					if node == nil {
-						ok = false
-						return false
-					}
-					present := false
-					for _, id := range node.graphIDs {
-						if id == int32(gid) {
-							present = true
-							break
-						}
-					}
-					if !present {
-						ok = false
+					p, ok := lookupRef(&ix, labels[s:])
+					if _, present := slices.BinarySearch(p.ids, int32(gid)); !ok || !present {
 						return false
 					}
 				}
 				return true
 			})
-			if !ok {
+			if !closed {
 				return false
 			}
 		}
@@ -111,28 +83,11 @@ func TestQuickPresenceTrieIsCountedTrieWithoutCounts(t *testing.T) {
 		if presence.Build(db, BuildOptions{}) != nil || counted.Build(db, BuildOptions{Workers: 1 + r.Intn(3)}) != nil {
 			return false
 		}
-		return presence.nodes == counted.nodes && presence.entries == counted.entries && sameTrie(presence.root, counted.root, false)
+		return sameTrie(&presence, counted, false)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Error(err)
 	}
-}
-
-// sameTrie reports whether two subtries have the same children and the same
-// posting lists — and, with counts set, the same counts beside them; without,
-// p must carry none and c one per id.
-func sameTrie(p, c *trieNode, counts bool) bool {
-	if counts && !slices.Equal(p.counts, c.counts) ||
-		!counts && (p.counts != nil || len(c.counts) != len(c.graphIDs)) ||
-		!slices.Equal(p.graphIDs, c.graphIDs) || len(p.children) != len(c.children) {
-		return false
-	}
-	for l, pc := range p.children {
-		if cc := c.children[l]; cc == nil || !sameTrie(pc, cc, counts) {
-			return false
-		}
-	}
-	return true
 }
 
 // TestQuickFingerprintSubset: if q is drawn from G, q's CT-Index

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"subgraphquery/internal/budget"
 	"subgraphquery/internal/fault"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/obs"
@@ -31,13 +32,43 @@ import (
 //     from its own start vertex, so inserting each enumerated path once
 //     yields node for node what inserting all its suffixes does (DESIGN.md,
 //     "One matcher, one trie, one posting table").
+//
+// The trie is one flat node store, and Build, InsertGraph and Filter all
+// walk it in lockstep with the depth-first walk over a graph's paths
+// (walkPaths): the cursor of a path is its node, so a path instance costs
+// one child hop from its prefix's node (DESIGN.md, "One flat trie").
 type PathTrie struct {
 	counted bool
 
-	root      *trieNode
+	// Node 0 is the root, the empty path; there is none until Build or
+	// InsertGraph.
+	nodes chunked[trieNode]
+	// counts, in a counted trie only, runs parallel to nodes: the i-th count
+	// of node n is the number of occurrences of n's path in its i-th graph.
+	counts    chunked[[]int32]
 	numGraphs int
-	nodes     int64
 	entries   int64
+}
+
+// chunked is an append-only array in fixed-size chunks, so that growing it
+// moves nothing: an append to a built trie never copies the trie, and a
+// build allocates each node once.
+type chunked[T any] struct {
+	chunks []*[chunkSize]T
+	n      uint32
+}
+
+const chunkSize = 1 << 12
+
+func (a *chunked[T]) at(i uint32) *T { return &a.chunks[i/chunkSize][i%chunkSize] }
+
+func (a *chunked[T]) push(v T) uint32 {
+	if int(a.n/chunkSize) == len(a.chunks) {
+		a.chunks = append(a.chunks, new([chunkSize]T))
+	}
+	*a.at(a.n) = v
+	a.n++
+	return a.n - 1
 }
 
 // GGSX is the presence configuration of the path trie, its zero value.
@@ -46,12 +77,17 @@ type GGSX = PathTrie
 // NewGrapes returns the counted, pool-built configuration of the path trie.
 func NewGrapes() *PathTrie { return &PathTrie{counted: true} }
 
+// trieNode is one label sequence. Nodes address each other by position in
+// PathTrie.nodes; 0, the root, is nobody's child or sibling and so doubles
+// as "none".
 type trieNode struct {
-	children map[graph.Label]*trieNode
-	// graphIDs lists, ascending, the graphs holding this node's path; in a
-	// counted trie counts[i] is its number of occurrences in graphIDs[i].
-	graphIDs []int32
-	counts   []int32
+	label  graph.Label
+	parent uint32
+	// child is the first child and next the next sibling, siblings in
+	// ascending label order whatever order they were inserted in.
+	child, next uint32
+	// ids lists, ascending, the graphs holding this node's path.
+	ids []int32
 }
 
 // Name implements Index.
@@ -62,195 +98,165 @@ func (ix *PathTrie) Name() string {
 	return "GGSX"
 }
 
-// Build implements Index.
-func (ix *PathTrie) Build(db *graph.Database, opts BuildOptions) error {
-	*ix = PathTrie{counted: ix.counted, root: &trieNode{}, nodes: 1, numGraphs: db.Len()}
-	build := ix.buildSequential
+// reset empties the trie to its root.
+func (ix *PathTrie) reset() {
+	ix.nodes, ix.counts, ix.entries = chunked[trieNode]{}, chunked[[]int32]{}, 0
+	ix.addNode(trieNode{})
+}
+
+func (ix *PathTrie) addNode(n trieNode) uint32 {
 	if ix.counted {
-		build = ix.buildPooled
+		ix.counts.push(nil)
 	}
-	if !build(db, opts) {
-		ix.root = nil
+	return ix.nodes.push(n)
+}
+
+// slot returns the link — cur's child field or a sibling's next — that
+// holds cur's child labelled l, or where that child belongs.
+func (ix *PathTrie) slot(cur uint32, l graph.Label) *uint32 {
+	link := &ix.nodes.at(cur).child
+	for *link != 0 {
+		n := ix.nodes.at(*link)
+		if n.label >= l {
+			break
+		}
+		link = &n.next
+	}
+	return link
+}
+
+// descend returns cur's child labelled l, adding it if need be.
+func (ix *PathTrie) descend(cur uint32, l graph.Label) uint32 {
+	link := ix.slot(cur, l)
+	if c := *link; c != 0 && ix.nodes.at(c).label == l {
+		return c
+	}
+	*link = ix.addNode(trieNode{label: l, parent: cur, next: *link})
+	return *link
+}
+
+// featureBudget is BuildOptions.MaxFeatures shared by a build's workers,
+// who settle what they enumerated in batches and at the end of each graph.
+type featureBudget struct {
+	max  int64
+	used atomic.Int64
+}
+
+const featureBatch = 8192
+
+func (b *featureBudget) spend(n int64) bool { return b.max <= 0 || b.used.Add(n) <= b.max }
+
+// addGraph posts gid at the node of every path of g, with its number of
+// instances in a counted trie. gid is the largest id posted so far. It
+// reports false once the checkpoint or the budget says stop.
+func (ix *PathTrie) addGraph(g *graph.Graph, gid int32, check *budget.Checkpoint, features *featureBudget) bool {
+	var unsettled int64
+	ok := walkPaths(g, DefaultMaxPathLength, nil, 0, func(cur uint32, l graph.Label) (uint32, bool) {
+		c := ix.descend(cur, l)
+		n := ix.nodes.at(c)
+		if last := len(n.ids) - 1; last < 0 || n.ids[last] != gid {
+			n.ids = append(n.ids, gid)
+			ix.entries++
+			if ix.counted {
+				*ix.counts.at(c) = append(*ix.counts.at(c), 1)
+			}
+		} else if ix.counted {
+			(*ix.counts.at(c))[last]++
+		}
+		if unsettled++; unsettled == featureBatch {
+			if !features.spend(featureBatch) {
+				return c, false
+			}
+			unsettled = 0
+		}
+		return c, !check.Tick()
+	})
+	return ok && features.spend(unsettled)
+}
+
+// Build implements Index. Each of the build's workers — one, unless the
+// trie is counted and opts.Workers asks for more — takes graphs in
+// ascending order into a trie of its own, so posting lists are born
+// ascending; the first worker's trie is ix itself and the others' are merged
+// into it at the end. The first worker to overdraw the feature budget, or to
+// run into the deadline, fails the build.
+func (ix *PathTrie) Build(db *graph.Database, opts BuildOptions) error {
+	ix.numGraphs = db.Len()
+	parts := []*PathTrie{ix}
+	if ix.counted {
+		for w := min(max(opts.Workers, 1), runtime.NumCPU()); len(parts) < w; {
+			parts = append(parts, NewGrapes())
+		}
+	}
+	for _, part := range parts {
+		part.reset()
+	}
+	features := featureBudget{max: opts.MaxFeatures}
+	var next atomic.Int64
+	var failed atomic.Bool
+	work := func(part *PathTrie) {
+		check := opts.checkpoint()
+		for gid := next.Add(1) - 1; gid < int64(db.Len()) && !failed.Load(); gid = next.Add(1) - 1 {
+			if !part.addGraph(db.Graph(int(gid)), int32(gid), &check, &features) {
+				failed.Store(true)
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	for _, part := range parts[1:] {
+		wg.Add(1)
+		go func(part *PathTrie) {
+			defer wg.Done()
+			work(part)
+		}(part)
+	}
+	work(ix)
+	wg.Wait()
+	if failed.Load() {
+		*ix = PathTrie{counted: ix.counted}
 		return ErrBudget
+	}
+	for _, part := range parts[1:] {
+		ix.merge(0, part, 0)
+	}
+	if len(parts) > 1 {
+		for n := uint32(0); n < ix.nodes.n; n++ {
+			sort.Sort(postingsByGraph{ix.nodes.at(n).ids, *ix.counts.at(n)})
+		}
 	}
 	debugCheckTrie(ix) // sqdebug builds only; compiles away otherwise
 	return nil
 }
 
-// buildSequential inserts every enumerated path as it is found, graph by
-// graph, so posting lists are born ascending.
-func (ix *PathTrie) buildSequential(db *graph.Database, opts BuildOptions) bool {
-	var features int64
-	check := opts.checkpoint()
-	for gid := 0; gid < db.Len(); gid++ {
-		ok := enumeratePaths(db.Graph(gid), DefaultMaxPathLength, func(labels []graph.Label) bool {
-			ix.insert(labels, int32(gid), 0)
-			features++
-			return !check.Tick() && (opts.MaxFeatures <= 0 || features <= opts.MaxFeatures)
-		})
-		if !ok {
-			return false
-		}
+// merge adds the subtrie of part under src to ix under dst. The lists of
+// two workers interleave, so Build sorts them afterwards.
+func (ix *PathTrie) merge(dst uint32, part *PathTrie, src uint32) {
+	from, to := part.nodes.at(src), ix.nodes.at(dst)
+	to.ids = append(to.ids, from.ids...)
+	*ix.counts.at(dst) = append(*ix.counts.at(dst), *part.counts.at(src)...)
+	ix.entries += int64(len(from.ids))
+	for c := from.child; c != 0; c = part.nodes.at(c).next {
+		ix.merge(ix.descend(dst, part.nodes.at(c).label), part, c)
 	}
-	return true
-}
-
-// buildPooled counts paths per graph on opts.Workers workers and streams
-// each graph's counts to one merger that inserts them immediately — bounded
-// memory instead of buffering every graph's feature map. Graphs arrive out
-// of order, so the posting lists are sorted at the end.
-func (ix *PathTrie) buildPooled(db *graph.Database, opts BuildOptions) bool {
-	workers := min(max(opts.Workers, 1), runtime.NumCPU())
-	type graphCounts struct {
-		gid    int32
-		counts map[string]int32
-	}
-	results := make(chan graphCounts, workers) // one finished graph per worker in flight
-	merged := make(chan struct{})
-	go func() {
-		defer close(merged)
-		for r := range results {
-			ix.insertCounts(r.counts, r.gid)
-		}
-	}()
-
-	// The feature budget is shared: workers settle what they enumerated in
-	// batches and at the end of each graph, and the first to overdraw it —
-	// or to run into the deadline — fails the build.
-	var used atomic.Int64
-	var failed atomic.Bool
-	const batch = 8192
-	spend := func(n int64) bool { return opts.MaxFeatures <= 0 || used.Add(n) <= opts.MaxFeatures }
-
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				if failed.Load() {
-					continue // keep draining so the producer never blocks
-				}
-				counts := make(map[string]int32)
-				var unsettled int64
-				check := opts.checkpoint()
-				ok := enumeratePaths(db.Graph(i), DefaultMaxPathLength, func(labels []graph.Label) bool {
-					counts[pathKey(labels)]++
-					if unsettled++; unsettled == batch {
-						if !spend(batch) {
-							return false
-						}
-						unsettled = 0
-					}
-					return !check.Tick()
-				})
-				if !ok || !spend(unsettled) {
-					failed.Store(true)
-					continue
-				}
-				results <- graphCounts{gid: int32(i), counts: counts}
-			}
-		}()
-	}
-	for i := 0; i < db.Len() && !failed.Load(); i++ {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	close(results)
-	<-merged
-	if failed.Load() {
-		return false
-	}
-	sortPostings(ix.root)
-	return true
 }
 
 // postingsByGraph sorts a node's parallel id and count lists by id.
-type postingsByGraph trieNode
+type postingsByGraph struct{ ids, counts []int32 }
 
-func (p *postingsByGraph) Len() int           { return len(p.graphIDs) }
-func (p *postingsByGraph) Less(i, j int) bool { return p.graphIDs[i] < p.graphIDs[j] }
-func (p *postingsByGraph) Swap(i, j int) {
-	p.graphIDs[i], p.graphIDs[j] = p.graphIDs[j], p.graphIDs[i]
+func (p postingsByGraph) Len() int           { return len(p.ids) }
+func (p postingsByGraph) Less(i, j int) bool { return p.ids[i] < p.ids[j] }
+func (p postingsByGraph) Swap(i, j int) {
+	p.ids[i], p.ids[j] = p.ids[j], p.ids[i]
 	p.counts[i], p.counts[j] = p.counts[j], p.counts[i]
-}
-
-func sortPostings(n *trieNode) {
-	sort.Sort((*postingsByGraph)(n))
-	for _, c := range n.children {
-		sortPostings(c)
-	}
-}
-
-// insert records that graph gid holds the path with the given labels, count
-// times in a counted trie. A presence trie sees one call per occurrence, in
-// ascending gid, and keeps the first.
-func (ix *PathTrie) insert(labels []graph.Label, gid, count int32) {
-	node := ix.root
-	for _, l := range labels {
-		if node.children == nil {
-			node.children = make(map[graph.Label]*trieNode)
-		}
-		child := node.children[l]
-		if child == nil {
-			child = &trieNode{}
-			node.children[l] = child
-			ix.nodes++
-		}
-		node = child
-	}
-	if ix.counted {
-		node.counts = append(node.counts, count)
-	} else if n := len(node.graphIDs); n > 0 && node.graphIDs[n-1] == gid {
-		return
-	}
-	node.graphIDs = append(node.graphIDs, gid)
-	ix.entries++
-}
-
-// insertCounts inserts one graph's path counts, as countPaths keys them.
-func (ix *PathTrie) insertCounts(counts map[string]int32, gid int32) {
-	var buf [DefaultMaxPathLength + 1]graph.Label
-	for key, c := range counts {
-		ix.insert(keyLabels(buf[:0], key), gid, c)
-	}
-}
-
-// lookup returns the trie node of the feature with the given pathKey, or
-// nil, counting the child hops the walk performed into *visited.
-func (ix *PathTrie) lookup(key string, visited *int64) *trieNode {
-	var buf [DefaultMaxPathLength + 1]graph.Label
-	node := ix.root
-	for _, l := range keyLabels(buf[:0], key) {
-		if node.children == nil {
-			return nil
-		}
-		node = node.children[l]
-		*visited++
-		if node == nil {
-			return nil
-		}
-	}
-	return node
 }
 
 // InsertGraph implements Appender: gid is the largest id so far, so every
 // posting list it joins stays ascending.
 func (ix *PathTrie) InsertGraph(g *graph.Graph, gid int) error {
-	if ix.root == nil {
-		ix.root = &trieNode{}
-		ix.nodes = 1
+	if ix.nodes.n == 0 {
+		ix.reset()
 	}
-	if ix.counted {
-		ix.insertCounts(countPaths(g, DefaultMaxPathLength), int32(gid))
-	} else {
-		enumeratePaths(g, DefaultMaxPathLength, func(labels []graph.Label) bool {
-			ix.insert(labels, int32(gid), 0)
-			return true
-		})
-	}
+	ix.addGraph(g, int32(gid), &budget.Checkpoint{}, &featureBudget{})
 	ix.numGraphs = max(ix.numGraphs, gid+1)
 	return nil
 }
@@ -270,61 +276,106 @@ func (ix *PathTrie) FilterExplain(q *graph.Graph, ex *obs.Explain) []int {
 		t0 = time.Now()
 	}
 	probe := obs.IndexProbe{Index: ix.Name()}
-	if ix.root == nil {
-		finishProbe(ex, &probe, t0)
-		return nil
+	var out []int
+	if ix.nodes.n != 0 {
+		s := probePool.Get().(*probeScratch)
+		out = ix.probe(q, s, &probe, ex != nil)
+		probePool.Put(s)
 	}
-	features := countPaths(q, DefaultMaxPathLength)
-	probe.Features = len(features)
-	lists := make([]posting, 0, len(features))
-	for _, key := range sortedKeys(features) {
-		node := ix.lookup(key, &probe.NodesVisited)
-		if node == nil {
-			finishProbe(ex, &probe, t0)
-			return nil
-		}
-		lists = append(lists, posting{ids: node.graphIDs, counts: node.counts, need: features[key]})
-	}
-	cand := intersectPostings(lists, &probe, ex != nil)
-	probe.Survivors = len(cand)
 	finishProbe(ex, &probe, t0)
-	if len(cand) == 0 {
+	return out
+}
+
+// probeScratch is what a probe needs besides its result. Probes of one trie
+// run concurrently, so it is pooled, not a field.
+type probeScratch struct {
+	onPath []bool
+	// at and feats are a sparse set of the trie nodes the query's walk
+	// reached: node n is in it iff feats[at[n]].node == n.
+	at    []uint32
+	feats []posting
+	cand  []int32
+}
+
+var probePool = sync.Pool{New: func() any { return new(probeScratch) }}
+
+// posting is one distinct path of the query and the occurrence list it
+// selects: its node, its number of instances in the query, whether the
+// query also holds an extension of it, and — filled in once the walk is
+// done — the node's graph ids, ascending, with its counts in a counted trie.
+type posting struct {
+	node        uint32
+	need        int32
+	extended    bool
+	ids, counts []int32
+}
+
+// probe walks q's paths and the trie together — a path no graph holds ends
+// the probe — and intersects the posting lists of the nodes reached. A
+// presence trie intersects the maximal ones only: a graph holding a path
+// holds every prefix of it, so a prefix's list is a superset of its
+// extension's and cannot remove anything. A count says nothing about a
+// prefix's count, so a counted trie intersects them all.
+func (ix *PathTrie) probe(q *graph.Graph, s *probeScratch, probe *obs.IndexProbe, record bool) []int {
+	if len(s.at) < int(ix.nodes.n) {
+		s.at = make([]uint32, ix.nodes.n+ix.nodes.n/4)
+	}
+	if len(s.onPath) < q.NumVertices() {
+		s.onPath = make([]bool, q.NumVertices())
+	}
+	feats := s.feats[:0]
+	held := walkPaths(q, DefaultMaxPathLength, s.onPath, 0, func(cur uint32, l graph.Label) (uint32, bool) {
+		probe.NodesVisited++
+		c := *ix.slot(cur, l)
+		if c == 0 || ix.nodes.at(c).label != l {
+			return 0, false
+		}
+		i := s.at[c]
+		if int(i) >= len(feats) || feats[i].node != c {
+			i = uint32(len(feats))
+			s.at[c] = i
+			feats = append(feats, posting{node: c})
+		}
+		feats[i].need++
+		if cur != 0 {
+			feats[s.at[cur]].extended = true
+		}
+		return c, true
+	})
+	s.feats = feats
+	if !held {
 		return nil
 	}
-	return toInts(cand)
-}
-
-// posting is the occurrence list one query feature selects: graph ids
-// ascending and, in a counted trie, the feature's count in each graph beside
-// the count the query needs.
-type posting struct {
-	ids, counts []int32
-	need        int32
-}
-
-// sortedKeys returns the feature keys in ascending order. The probe looks
-// features up in this order, not in map order, so that one query visits the
-// same nodes on every probe — a missing feature ends the probe at the same
-// lookup each time.
-func sortedKeys(features map[string]int32) []string {
-	keys := make([]string, 0, len(features))
-	for key := range features {
-		keys = append(keys, key)
+	lists := feats[:0]
+	for _, f := range feats {
+		if f.ids = ix.nodes.at(f.node).ids; ix.counted {
+			f.counts = *ix.counts.at(f.node)
+		} else if f.extended {
+			continue
+		}
+		lists = append(lists, f)
 	}
-	sort.Strings(keys)
-	return keys
+	probe.Features = len(lists)
+	s.cand = intersectPostings(lists, s.cand[:0], probe, record)
+	clear(lists) // the pool must not keep a replaced trie's lists alive
+	probe.Survivors = len(s.cand)
+	if len(s.cand) == 0 {
+		return nil
+	}
+	return toInts(s.cand)
 }
 
-// intersectPostings returns the graphs present — often enough, where the
-// lists carry counts — on every list: shortest list first, so the running
-// set starts at its size rather than at |D|, ties in key order. With record
-// set the size after each list goes on the probe.
-func intersectPostings(lists []posting, probe *obs.IndexProbe, record bool) []int32 {
-	sort.SliceStable(lists, func(i, j int) bool { return len(lists[i].ids) < len(lists[j].ids) })
-	var cand []int32
+// intersectPostings returns, in buf, the graphs present — often enough,
+// where the lists carry counts — on every list: shortest list first, so the
+// running set starts at its size rather than at |D|, ties in the order the
+// query's walk reached them. With record set the size after each list goes
+// on the probe.
+func intersectPostings(lists []posting, buf []int32, probe *obs.IndexProbe, record bool) []int32 {
+	slices.SortStableFunc(lists, func(a, b posting) int { return len(a.ids) - len(b.ids) })
+	cand := buf
 	for i, p := range lists {
 		if i == 0 {
-			cand = slices.Clone(p.ids)
+			cand = append(cand, p.ids...)
 		}
 		if p.counts != nil {
 			cand = retainWithCount(cand, p.ids, p.counts, p.need)
@@ -335,7 +386,7 @@ func intersectPostings(lists []posting, probe *obs.IndexProbe, record bool) []in
 			probe.IntersectionSizes = append(probe.IntersectionSizes, len(cand))
 		}
 		if len(cand) == 0 {
-			return nil
+			break
 		}
 	}
 	return cand
@@ -355,10 +406,11 @@ func finishProbe(ex *obs.Explain, p *obs.IndexProbe, t0 time.Time) {
 // pointer amortized) plus per-node posting lists, 4 bytes an id and 4 a
 // count.
 func (ix *PathTrie) MemoryFootprint() int64 {
+	nodes := int64(ix.nodes.n)
 	if ix.counted {
-		return ix.nodes*64 + ix.entries*8
+		return nodes*64 + ix.entries*8
 	}
-	return ix.nodes*56 + ix.entries*4
+	return nodes*56 + ix.entries*4
 }
 
 // retainWithCount intersects the sorted candidate ids with the sorted
@@ -413,39 +465,51 @@ func toInts(ids []int32) []int {
 // debugCheckTrie panics if the trie violates an invariant the probe or the
 // reported index size relies on: strictly ascending posting lists of known
 // graphs (the intersection silently returns wrong candidate sets
-// otherwise), counts exactly where the configuration keeps them, and
-// nodes/entries counters matching the real tree (MemoryFootprint feeds the
+// otherwise), counts exactly where the configuration keeps them, sibling
+// chains in strictly ascending label order under the parent they name (so
+// no label twice and no cycle), and every stored node on exactly one chain
+// with the entries counter matching the lists (MemoryFootprint feeds the
 // paper's reported index sizes). No-op outside sqdebug builds.
 func debugCheckTrie(ix *PathTrie) {
-	if !debugInvariants || ix.root == nil {
+	if !debugInvariants || ix.nodes.n == 0 {
 		return
 	}
-	var nodes, entries int64
-	var walk func(n *trieNode, depth int)
-	walk = func(n *trieNode, depth int) {
-		nodes++
-		if want := len(n.graphIDs); ix.counted && len(n.counts) != want || !ix.counted && n.counts != nil {
-			debugFailf("%s node at depth %d has %d ids but %d counts", ix.Name(), depth, want, len(n.counts))
+	if want := ix.nodes.n; ix.counted && ix.counts.n != want || !ix.counted && ix.counts.n != 0 {
+		debugFailf("%s has %d nodes but %d counts lists", ix.Name(), want, ix.counts.n)
+	}
+	chained, entries := uint32(1), int64(0) // the root is on no chain
+	for i := uint32(0); i < ix.nodes.n; i++ {
+		n := ix.nodes.at(i)
+		var counts []int32
+		if ix.counted {
+			if counts = *ix.counts.at(i); len(counts) != len(n.ids) {
+				debugFailf("%s node %d has %d ids but %d counts", ix.Name(), i, len(n.ids), len(counts))
+			}
 		}
-		for i, id := range n.graphIDs {
+		for j, id := range n.ids {
 			if int(id) >= ix.numGraphs || id < 0 {
-				debugFailf("%s node at depth %d lists graph %d outside [0,%d)", ix.Name(), depth, id, ix.numGraphs)
+				debugFailf("%s node %d lists graph %d outside [0,%d)", ix.Name(), i, id, ix.numGraphs)
 			}
-			if i > 0 && n.graphIDs[i-1] >= id {
-				debugFailf("%s posting list at depth %d not strictly ascending at position %d", ix.Name(), depth, i)
+			if j > 0 && n.ids[j-1] >= id {
+				debugFailf("%s posting list of node %d not strictly ascending at position %d", ix.Name(), i, j)
 			}
-			if ix.counted && n.counts[i] <= 0 {
-				debugFailf("%s node at depth %d has non-positive count %d for graph %d", ix.Name(), depth, n.counts[i], id)
+			if ix.counted && counts[j] <= 0 {
+				debugFailf("%s node %d has non-positive count %d for graph %d", ix.Name(), i, counts[j], id)
 			}
 		}
-		entries += int64(len(n.graphIDs))
-		for _, c := range n.children {
-			walk(c, depth+1)
+		entries += int64(len(n.ids))
+		for prev, c := uint32(0), n.child; c != 0; prev, c = c, ix.nodes.at(c).next {
+			if c >= ix.nodes.n || ix.nodes.at(c).parent != i {
+				debugFailf("%s node %d has child %d, which names another parent", ix.Name(), i, c)
+			}
+			if prev != 0 && ix.nodes.at(prev).label >= ix.nodes.at(c).label {
+				debugFailf("%s children of node %d not in strictly ascending label order at node %d", ix.Name(), i, c)
+			}
+			chained++
 		}
 	}
-	walk(ix.root, 0)
-	if nodes != ix.nodes {
-		debugFailf("%s nodes counter %d, walked %d", ix.Name(), ix.nodes, nodes)
+	if chained != ix.nodes.n {
+		debugFailf("%s stores %d nodes, chains reach %d", ix.Name(), ix.nodes.n, chained)
 	}
 	if entries != ix.entries {
 		debugFailf("%s entries counter %d, walked %d", ix.Name(), ix.entries, entries)

@@ -219,12 +219,15 @@ type IndexProbe struct {
 	// Index names the probed structure ("Grapes", "GGSX", "CT-Index",
 	// "result-cache", ...).
 	Index string `json:"index"`
-	// Features is the number of query features probed (path features for
-	// the tries, enumerated tree/cycle features for CT-Index, cached
-	// entries for the result cache).
+	// Features is the number of query features probed: for the path tries
+	// the distinct paths whose posting lists were intersected — all of the
+	// query's for Grapes, for GGSX only the maximal ones, those the query
+	// holds no extension of —, enumerated tree/cycle features for CT-Index,
+	// cached entries for the result cache.
 	Features int `json:"features"`
-	// NodesVisited counts trie/suffix-tree nodes traversed across all
-	// feature lookups; 0 for fingerprint indexes.
+	// NodesVisited counts the child hops of the trie walk, one per path
+	// instance of the query (the walk follows the query's paths depth
+	// first, a hop from each path's prefix); 0 for fingerprint indexes.
 	NodesVisited int64 `json:"nodes_visited,omitempty"`
 	// IntersectionSizes is the candidate-set size after each successive
 	// occurrence-list intersection, capped at maxIntersectionSizes — the

@@ -16,8 +16,9 @@ if [ -n "$unformatted" ]; then
     exit 1
 fi
 
-echo "== go vet ./..."
+echo "== go vet ./... (and ./benchmark by name: the frozen surface must keep compiling against the tree)"
 go vet ./...
+go vet ./benchmark
 
 echo "== go build ./..."
 go build ./...
@@ -53,6 +54,10 @@ go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"
 go test -run '^$' -bench 'SmallGraphKernels' -benchtime 1x ./internal/matching
 
+echo "== path-trie and reader bench smoke (GGSX build, probe and append on 4 000 AIDS graphs; parsing them)"
+go test -run '^$' -bench 'GGSX(Build|Probe|Insert)AIDS' -benchtime 1x ./internal/index
+go test -run '^$' -bench 'ReadDatabase' -benchtime 1x ./internal/graph
+
 echo "== serve bench smoke (whole handler chain in process: bare, default and default+cache flags, B/op and allocs/op)"
 go test -run '^$' -bench 'Serve' -benchtime 1x ./cmd/sqserver
 
@@ -60,5 +65,8 @@ echo "== served-path benchmark smoke (real sqserver, traced replay with its self
 # -short above skips it; a change that breaks replay/engine parity should
 # fail here, not in the benchmark gate.
 go test -count=1 -run TestSmoke ./benchmark
+
+echo "== the benchmark gate's own form on the index workload (traced: non-zero on a wrong answer, a dead server or a failed self-check)"
+go run ./benchmark -workload aids-index-append -trace 1 -seconds 2
 
 echo "ok"
