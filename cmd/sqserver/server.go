@@ -8,6 +8,7 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
+	"runtime"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -195,8 +196,9 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	// Index construction runs after the registry exists so its cost is a
 	// first-class metric: the multi-second index builds (CT-Index ~14s on
 	// the paper's datasets) were previously invisible to /metrics.
+	// It runs on every core: the server is not yet serving anything else.
 	t0 := time.Now()
-	if err := engine.Build(db, sq.BuildOptions{}); err != nil {
+	if err := engine.Build(db, sq.BuildOptions{Workers: runtime.GOMAXPROCS(0)}); err != nil {
 		s.exporter.Close()
 		return nil, err
 	}

@@ -108,7 +108,7 @@ func RunCluster(cfg Config, study ClusterStudyConfig) ([]ClusterRow, error) {
 		}
 		row := ClusterRow{Shards: n, Replicas: study.Replicas}
 		t0 := time.Now()
-		if err := c.Build(db, cfg.buildOptions()); err != nil {
+		if err := c.Build(db, cfg.buildOptions(study.Engine)); err != nil {
 			return nil, fmt.Errorf("bench: building %d-shard cluster: %w", n, err)
 		}
 		row.BuildTime = time.Since(t0)

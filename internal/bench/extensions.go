@@ -62,7 +62,7 @@ func RunExtensions(cfg Config) ([]ExtensionRow, error) {
 		}
 		row := ExtensionRow{Engine: name}
 		t0 := time.Now()
-		buildErr := e.Build(db, cfg.buildOptions())
+		buildErr := e.Build(db, cfg.buildOptions(name))
 		row.BuildTime = time.Since(t0)
 		if buildErr != nil {
 			row.BuildOOT = true

@@ -105,7 +105,7 @@ func RunReal(cfg Config) (*RealEvaluation, error) {
 				return nil, err
 			}
 			t0 := time.Now()
-			err = e.Build(db, cfg.buildOptions())
+			err = e.Build(db, cfg.buildOptions(en))
 			elapsed := time.Since(t0)
 			if IsIndexed(en) {
 				// vcGrapes/vcGGSX share their base index's cell; record

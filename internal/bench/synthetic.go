@@ -159,7 +159,7 @@ func runSyntheticCell(axis SweepAxis, value int, cfg Config) (SyntheticCell, err
 			return cell, err
 		}
 		t0 := time.Now()
-		buildErr := e.Build(db, cfg.buildOptions())
+		buildErr := e.Build(db, cfg.buildOptions(en))
 		if contains(SyntheticIndexEngines, en) {
 			cell.IndexTime[en] = IndexCell{Time: time.Since(t0), OOT: buildErr != nil}
 		}

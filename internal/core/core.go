@@ -65,7 +65,7 @@ type BuildOptions struct {
 	Cancel <-chan struct{}
 	// MaxFeatures is a deterministic enumeration budget (see index pkg).
 	MaxFeatures int64
-	// Workers parallelizes index construction where supported (Grapes).
+	// Workers parallelizes index construction where supported (path tries).
 	Workers int
 }
 

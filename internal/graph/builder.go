@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"subgraphquery/internal/domain"
 )
@@ -44,6 +43,8 @@ func (b *Builder) NumEdges() int { return len(b.edges) }
 
 // Build validates the accumulated vertices and edges and returns the CSR
 // graph. It fails on out-of-range endpoints, self-loops and duplicate edges.
+// Neighbour lists sort as packed (label, id) keys, with no callback and no
+// allocation, in a buffer the label directory and label-pair table reuse.
 func (b *Builder) Build() (*Graph, error) {
 	n := len(b.labels)
 	for _, e := range b.edges {
@@ -61,45 +62,42 @@ func (b *Builder) Build() (*Graph, error) {
 		adj:     make([]VertexID, 2*len(b.edges)),
 	}
 
-	deg := make([]uint32, n)
+	// offsets[v+1] counts v's degree, then becomes where v's list ends.
 	for _, e := range b.edges {
-		deg[e.U]++
-		deg[e.V]++
+		g.offsets[e.U+1]++
+		g.offsets[e.V+1]++
 	}
 	for v := 0; v < n; v++ {
-		g.offsets[v+1] = g.offsets[v] + deg[v]
-		if deg[v] > g.maxDegree {
-			g.maxDegree = deg[v]
-		}
+		g.maxDegree = max(g.maxDegree, g.offsets[v+1])
+		g.offsets[v+1] += g.offsets[v]
 	}
-	cursor := make([]uint32, n)
-	copy(cursor, g.offsets[:n])
+	// offsets[v] is v's write cursor while the keys go in, which leaves it
+	// at the end of v's list; shifting the array by one restores it.
+	keys := make([]uint64, max(len(g.adj), n))
 	for _, e := range b.edges {
-		g.adj[cursor[e.U]] = e.V
-		cursor[e.U]++
-		g.adj[cursor[e.V]] = e.U
-		cursor[e.V]++
+		keys[g.offsets[e.U]] = PairKey(g.labels[e.V], Label(e.V))
+		g.offsets[e.U]++
+		keys[g.offsets[e.V]] = PairKey(g.labels[e.U], Label(e.U))
+		g.offsets[e.V]++
 	}
+	copy(g.offsets[1:], g.offsets[:n])
+	g.offsets[0] = 0
 
 	// Sort each neighbor list by (label, id) and reject duplicates.
 	for v := 0; v < n; v++ {
-		nbrs := g.adj[g.offsets[v]:g.offsets[v+1]]
-		sort.Slice(nbrs, func(i, j int) bool {
-			li, lj := g.labels[nbrs[i]], g.labels[nbrs[j]]
-			if li != lj {
-				return li < lj
+		start := g.offsets[v]
+		nbrs := keys[start:g.offsets[v+1]]
+		slices.Sort(nbrs)
+		for i, k := range nbrs {
+			if i > 0 && k == nbrs[i-1] {
+				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, VertexID(k))
 			}
-			return nbrs[i] < nbrs[j]
-		})
-		for i := 1; i < len(nbrs); i++ {
-			if nbrs[i] == nbrs[i-1] {
-				return nil, fmt.Errorf("graph: duplicate edge (%d,%d)", v, nbrs[i])
-			}
+			g.adj[start+uint32(i)] = VertexID(k)
 		}
 	}
 	g.buildLabelIndex()
-	g.buildLabelDirectory()
-	g.buildNbrMax()
+	g.buildLabelDirectory(keys)
+	g.buildNbrMax(keys)
 	if n <= domain.WordVertices {
 		g.nbrWords = make([]uint64, n)
 		for _, e := range b.edges {
@@ -113,9 +111,10 @@ func (b *Builder) Build() (*Graph, error) {
 
 // buildLabelDirectory sorts the vertex ids by (label, id) into byLabel and
 // records where each label's run starts, backing LabeledVertices. The sort
-// runs on packed (label, id) keys, which need no comparison callback.
-func (g *Graph) buildLabelDirectory() {
-	keys := make([]uint64, len(g.labels))
+// runs on packed (label, id) keys, which need no comparison callback, in
+// buf, which has room for one key per vertex.
+func (g *Graph) buildLabelDirectory(buf []uint64) {
+	keys := buf[:len(g.labels)]
 	for v, l := range g.labels {
 		keys[v] = PairKey(l, Label(v))
 	}

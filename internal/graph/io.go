@@ -5,7 +5,9 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"runtime"
 	"strconv"
+	"sync"
 	"unicode"
 	"unicode/utf8"
 )
@@ -44,7 +46,8 @@ func WriteDatabase(w io.Writer, d *Database) error {
 }
 
 // ReadDatabase parses a concatenation of graphs in the text format and
-// returns them as a database.
+// returns them as a database. Graphs are built on GOMAXPROCS workers while
+// the parse goes on; the error is the one a graph-by-graph reader meets first.
 func ReadDatabase(r io.Reader) (*Database, error) {
 	graphs, err := readGraphs(r, -1)
 	if err != nil {
@@ -53,7 +56,7 @@ func ReadDatabase(r io.Reader) (*Database, error) {
 	return NewDatabase(graphs), nil
 }
 
-// ReadGraph parses exactly one graph from r.
+// ReadGraph parses exactly one graph from r, on the caller's goroutine.
 func ReadGraph(r io.Reader) (*Graph, error) {
 	graphs, err := readGraphs(r, 1)
 	if err != nil {
@@ -65,7 +68,67 @@ func ReadGraph(r io.Reader) (*Graph, error) {
 	return graphs[0], nil
 }
 
+// parsed is one graph of the input: its builder until it is built, then
+// the graph or the build's error, prefixed with the line whose record ended
+// the graph (none at the end of the input).
+type parsed struct {
+	b    *Builder
+	line int
+	g    *Graph
+	err  error
+}
+
+func (p *parsed) build() {
+	if p.g, p.err = p.b.Build(); p.err != nil && p.line > 0 {
+		p.err = fmt.Errorf("line %d: %w", p.line, p.err)
+	}
+	p.b = nil // its arrays are garbage once built
+}
+
 func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
+	// Builds run on a pool fed through a queue of one slot per worker, so
+	// the parse runs at most that far ahead and only a few builders are
+	// alive at once. With one processor, or for one graph, they run inline.
+	var done []*parsed
+	var queue chan *parsed
+	var wg sync.WaitGroup
+	if workers := runtime.GOMAXPROCS(0); limit != 1 && workers > 1 {
+		queue = make(chan *parsed, workers)
+		wg.Add(workers)
+		for range workers {
+			go func() {
+				defer wg.Done()
+				for p := range queue {
+					p.build()
+				}
+			}()
+		}
+	}
+	err := parseGraphs(r, limit, func(p *parsed) {
+		if done = append(done, p); queue != nil {
+			queue <- p
+		} else {
+			p.build()
+		}
+	})
+	if queue != nil {
+		close(queue)
+		wg.Wait()
+	}
+	// Every graph in done ends before the parse error, so its build error wins.
+	graphs := make([]*Graph, len(done))
+	for i, p := range done {
+		if p.err != nil {
+			return nil, p.err
+		}
+		graphs[i] = p.g
+	}
+	return graphs, err
+}
+
+// parseGraphs parses up to limit graphs (all of them if limit < 0) and
+// hands each one's builder to emit; it stops at the first parse error.
+func parseGraphs(r io.Reader, limit int, emit func(*parsed)) error {
 	sc := bufio.NewScanner(r)
 	if limit == 1 {
 		// One graph is a request body of a few hundred bytes, parsed once
@@ -77,12 +140,13 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 		sc.Buffer(make([]byte, 1<<16), 1<<24)
 	}
 
-	var graphs []*Graph
+	graphs := 0 // emitted so far
 	var b *Builder
 	var wantV, wantE int
 	lineNo := 0
 
-	flush := func() error {
+	// flush ends the graph being parsed at line (0: the end of the input).
+	flush := func(line int) error {
 		if b == nil {
 			return nil
 		}
@@ -92,12 +156,8 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 		if b.NumEdges() != wantE {
 			return fmt.Errorf("graph: declared %d edges, got %d", wantE, b.NumEdges())
 		}
-		g, err := b.Build()
-		if err != nil {
-			return err
-		}
-		graphs = append(graphs, g)
-		b = nil
+		emit(&parsed{b: b, line: line})
+		graphs, b = graphs+1, nil
 		return nil
 	}
 
@@ -117,20 +177,20 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 		}
 		switch string(fields[0]) {
 		case "t":
-			if err := flush(); err != nil {
-				return nil, fmt.Errorf("line %d: %w", lineNo, err)
+			if err := flush(lineNo); err != nil {
+				return fmt.Errorf("line %d: %w", lineNo, err)
 			}
-			if limit >= 0 && len(graphs) == limit {
-				return graphs, nil
+			if limit >= 0 && graphs == limit {
+				return nil
 			}
 			if n < 4 {
-				return nil, malformed()
+				return malformed()
 			}
 			var err1, err2 error
 			wantV, err1 = strconv.Atoi(string(fields[2]))
 			wantE, err2 = strconv.Atoi(string(fields[3]))
 			if err1 != nil || err2 != nil || wantV < 0 || wantE < 0 {
-				return nil, malformed()
+				return malformed()
 			}
 			// The declared counts are capacity hints here (flush enforces
 			// them exactly), so cap them: a hostile header must not force
@@ -139,44 +199,41 @@ func readGraphs(r io.Reader, limit int) ([]*Graph, error) {
 			b = NewBuilder(min(wantV, maxHint), min(wantE, maxHint))
 		case "v":
 			if b == nil {
-				return nil, fmt.Errorf("line %d: v record before t record", lineNo)
+				return fmt.Errorf("line %d: v record before t record", lineNo)
 			}
 			if n < 3 {
-				return nil, malformed()
+				return malformed()
 			}
 			id, err1 := strconv.Atoi(string(fields[1]))
 			lab, err2 := strconv.ParseUint(string(fields[2]), 10, 32)
 			if err1 != nil || err2 != nil {
-				return nil, malformed()
+				return malformed()
 			}
 			if id != b.NumVertices() {
-				return nil, fmt.Errorf("line %d: vertex ids must be consecutive, got %d want %d", lineNo, id, b.NumVertices())
+				return fmt.Errorf("line %d: vertex ids must be consecutive, got %d want %d", lineNo, id, b.NumVertices())
 			}
 			b.AddVertex(Label(lab))
 		case "e":
 			if b == nil {
-				return nil, fmt.Errorf("line %d: e record before t record", lineNo)
+				return fmt.Errorf("line %d: e record before t record", lineNo)
 			}
 			if n < 3 {
-				return nil, malformed()
+				return malformed()
 			}
 			u, err1 := strconv.Atoi(string(fields[1]))
 			v, err2 := strconv.Atoi(string(fields[2]))
 			if err1 != nil || err2 != nil || int(VertexID(u)) != u || int(VertexID(v)) != v {
-				return nil, malformed() // also an endpoint no VertexID holds: it must not wrap into range
+				return malformed() // also an endpoint no VertexID holds: it must not wrap into range
 			}
 			b.AddEdge(VertexID(u), VertexID(v))
 		default:
-			return nil, fmt.Errorf("line %d: unknown record type %q", lineNo, fields[0])
+			return fmt.Errorf("line %d: unknown record type %q", lineNo, fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := flush(); err != nil {
-		return nil, err
-	}
-	return graphs, nil
+	return flush(0)
 }
 
 // splitFields is strings.Fields for a line that stays where it is: it

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -236,7 +239,8 @@ func TestReadDatabaseRejectsWrappingEndpoint(t *testing.T) {
 }
 
 // BenchmarkReadDatabase parses the 4 000 AIDS-like graphs the served
-// workloads start from; B/op and allocs/op are per database.
+// workloads start from; B/op and allocs/op are per database, allocs/graph
+// per graph. Builds run on GOMAXPROCS workers: pass -cpu to compare.
 func BenchmarkReadDatabase(b *testing.B) {
 	db, err := gen.Real(gen.AIDS, 0.1, 1)
 	if err != nil {
@@ -249,10 +253,181 @@ func BenchmarkReadDatabase(b *testing.B) {
 	b.SetBytes(int64(buf.Len()))
 	b.ReportAllocs()
 	b.ResetTimer()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	for i := 0; i < b.N; i++ {
 		got, err := ReadDatabase(bytes.NewReader(buf.Bytes()))
 		if err != nil || got.Len() != db.Len() {
 			b.Fatalf("ReadDatabase: %d graphs, %v", got.Len(), err)
 		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N*db.Len()), "allocs/graph")
+}
+
+// TestReadDatabaseFirstErrorInInputOrder: graph k of n, neither first nor
+// last, fails Build — on a duplicate edge, a self-loop or an out-of-range
+// endpoint — and a later line is malformed too. Graph by graph the build
+// error comes first, so the pooled reader must return it, at any number of
+// workers.
+func TestReadDatabaseFirstErrorInInputOrder(t *testing.T) {
+	db, err := gen.Real(gen.AIDS, 0.002, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := WriteDatabase(&buf, db); err != nil {
+		t.Fatal(err)
+	}
+	records := strings.SplitAfter(buf.String(), "\nt ")
+	k := len(records) / 2
+	for name, bad := range map[string]string{
+		"duplicate-edge": "0 3 3\nv 0 1 2\nv 1 2 1\nv 2 3 1\ne 0 1\ne 1 0\ne 0 2\n",
+		"self-loop":      "0 2 2\nv 0 1 1\nv 1 2 2\ne 0 1\ne 1 1\n",
+		"out-of-range":   "0 2 1\nv 0 1 1\nv 1 2 1\ne 0 7\n",
+	} {
+		parts := slices.Clone(records)
+		parts[k] = bad + "t "
+		parts[len(parts)-1] += "e 1 x\n"
+		in := strings.Join(parts, "")
+		_, want := readGraphsRef(strings.NewReader(in), -1)
+		if want == nil || !strings.Contains(want.Error(), "graph: ") {
+			t.Fatalf("%s: reference error %v, want graph %d's build error", name, want, k)
+		}
+		for _, procs := range []int{1, 2, 4} {
+			prev := runtime.GOMAXPROCS(procs)
+			_, err := ReadDatabase(strings.NewReader(in))
+			runtime.GOMAXPROCS(prev)
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s at GOMAXPROCS %d: %v, want %v", name, procs, err, want)
+			}
+		}
+	}
+}
+
+// buildersOf is a lenient parse of in into one builder per t record,
+// keeping every vertex and edge whose numbers parse, valid or not.
+func buildersOf(in string) []*Builder {
+	var bs []*Builder
+	for _, line := range strings.Split(in, "\n") {
+		f := strings.Fields(line)
+		if len(f) < 3 || len(bs) == 0 && f[0] != "t" {
+			continue
+		}
+		a, err1 := strconv.ParseUint(f[1], 10, 32)
+		c, err2 := strconv.ParseUint(f[2], 10, 32)
+		switch {
+		case f[0] == "t":
+			bs = append(bs, NewBuilder(0, 0))
+		case err1 != nil || err2 != nil:
+		case f[0] == "v":
+			bs[len(bs)-1].AddVertex(Label(c))
+		case f[0] == "e":
+			bs[len(bs)-1].AddEdge(VertexID(a), VertexID(c))
+		}
+	}
+	return bs
+}
+
+// TestBuildMatchesReference: Build yields the reference's graph field for
+// field (so the same MemoryFootprint), or its error, over generated
+// databases with their edges shuffled and flipped, the fuzz corpus, and
+// graphs with a duplicate edge, a self-loop or an endpoint out of range.
+func TestBuildMatchesReference(t *testing.T) {
+	var builders []*Builder
+	for _, in := range fuzzCorpus(t) {
+		builders = append(builders, buildersOf(in)...)
+	}
+	builders = append(builders, buildersOf("t 0 3 3\nv 0 1 2\nv 1 2 1\nv 2 1 1\ne 0 1\ne 2 0\ne 1 0\n"+
+		"t 1 2 1\nv 0 1 1\nv 1 2 1\ne 1 1\nt 2 2 1\nv 0 1 1\nv 1 2 1\ne 0 2\nt 3 0 0\n")...)
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, db := range testDatabases(t) {
+		for _, g := range db.Graphs() {
+			edges := g.Edges()
+			rng.Shuffle(len(edges), func(i, j int) { edges[i], edges[j] = edges[j], edges[i] })
+			b := NewBuilder(g.NumVertices(), len(edges))
+			for _, l := range g.Labels() {
+				b.AddVertex(l)
+			}
+			for _, e := range edges {
+				if rng.IntN(2) == 0 {
+					e.U, e.V = e.V, e.U
+				}
+				b.AddEdge(e.U, e.V)
+			}
+			builders = append(builders, b)
+		}
+	}
+	failed := 0
+	for i, b := range builders {
+		got, err := b.Build()
+		want, wantErr := BuildRef(b)
+		switch {
+		case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+			t.Errorf("builder %d: error %v, reference %v", i, err, wantErr)
+		case err != nil:
+			failed++
+		case !SameGraph(got, want) || got.MemoryFootprint() != want.MemoryFootprint():
+			t.Errorf("builder %d: Build differs from the reference: %v vs %v", i, got, want)
+		}
+	}
+	if failed < 3 || failed == len(builders) {
+		t.Errorf("%d of %d builders fail; the set should have both kinds", failed, len(builders))
+	}
+}
+
+// testDatabases are generated databases of every kind the tests draw on:
+// AIDS-like graphs, and synthetic ones past the 64 vertices of a word.
+func testDatabases(t testing.TB) []*Database {
+	t.Helper()
+	var dbs []*Database
+	for _, mk := range []func() (*Database, error){
+		func() (*Database, error) { return gen.Real(gen.AIDS, 0.01, 7) },
+		func() (*Database, error) {
+			return gen.Synthetic(gen.SyntheticConfig{NumGraphs: 20, NumVertices: 30, NumLabels: 5, Degree: 4, Seed: 5})
+		},
+		func() (*Database, error) {
+			return gen.Synthetic(gen.SyntheticConfig{NumGraphs: 10, NumVertices: 100, NumLabels: 3, Degree: 6, Seed: 6})
+		},
+	} {
+		db, err := mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	return dbs
+}
+
+// TestBuildAllocations: Build allocates a fixed handful of arrays per
+// graph, not a sort per vertex.
+func TestBuildAllocations(t *testing.T) {
+	if DebugInvariants {
+		t.Skip("the sqdebug checks allocate")
+	}
+	db, err := gen.Real(gen.AIDS, 0.01, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	builders := make([]*Builder, db.Len())
+	for i, g := range db.Graphs() {
+		builders[i] = NewBuilder(g.NumVertices(), g.NumEdges())
+		for _, l := range g.Labels() {
+			builders[i].AddVertex(l)
+		}
+		for _, e := range g.Edges() {
+			builders[i].AddEdge(e.U, e.V)
+		}
+	}
+	perDB := testing.AllocsPerRun(3, func() {
+		for _, b := range builders {
+			if _, err := b.Build(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if perGraph := perDB / float64(len(builders)); perGraph > 20 {
+		t.Errorf("Build: %.1f allocations per AIDS graph, want at most 20", perGraph)
 	}
 }

@@ -1,6 +1,6 @@
 package graph
 
-import "sort"
+import "slices"
 
 // Label-pair neighborhood-frequency table, built once per graph alongside
 // the CSR (l2Match-style prefiltering): for every ordered label pair
@@ -30,36 +30,48 @@ type PairDemand struct {
 }
 
 // buildNbrMax fills the (l1,l2) → max-l2-neighbors table by walking the
-// per-vertex label runs the CSR index already delimits.
-func (g *Graph) buildNbrMax() {
-	type entry struct {
-		key uint64
-		max uint32
-	}
-	acc := make(map[uint64]uint32)
-	for v := 0; v < g.NumVertices(); v++ {
-		l1 := g.labels[v]
-		s, e := g.nlStart[v], g.nlStart[v+1]
-		prev := g.offsets[v]
-		for i := s; i < e; i++ {
-			runLen := g.nlEnds[i] - prev
-			prev = g.nlEnds[i]
-			k := PairKey(l1, g.nlLabels[i])
-			if runLen > acc[k] {
-				acc[k] = runLen
+// per-vertex label runs the CSR index already delimits. The l1-labeled
+// vertices are one run of the label directory; their label runs, packed as
+// (l2, length) keys, sort with no comparison callback, and the last key of
+// each l2 carries the maximum. buf has room for every label run (at most
+// one per adjacency entry); each l1's maxima are compacted into it behind
+// the previous one's.
+func (g *Graph) buildNbrMax(buf []uint64) {
+	pairs := make([]int, len(g.dir)) // distinct l2 around each l1
+	w := 0
+	for r := range g.dir {
+		end := len(g.byLabel)
+		if r+1 < len(g.dir) {
+			end = int(g.dir[r+1].start)
+		}
+		n := w
+		for _, v := range g.byLabel[g.dir[r].start:end] {
+			prev := g.offsets[v]
+			for i := g.nlStart[v]; i < g.nlStart[v+1]; i++ {
+				buf[n] = uint64(g.nlLabels[i])<<32 | uint64(g.nlEnds[i]-prev)
+				prev = g.nlEnds[i]
+				n++
 			}
 		}
+		runs := buf[w:n]
+		slices.Sort(runs)
+		for i, k := range runs {
+			if i+1 == len(runs) || runs[i+1]>>32 != k>>32 {
+				buf[w+pairs[r]] = k
+				pairs[r]++
+			}
+		}
+		w += pairs[r]
 	}
-	entries := make([]entry, 0, len(acc))
-	for k, m := range acc {
-		entries = append(entries, entry{k, m})
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
-	g.nbrMaxKeys = make([]uint64, len(entries))
-	g.nbrMaxVals = make([]uint32, len(entries))
-	for i, e := range entries {
-		g.nbrMaxKeys[i] = e.key
-		g.nbrMaxVals[i] = e.max
+	g.nbrMaxKeys = make([]uint64, w)
+	g.nbrMaxVals = make([]uint32, w)
+	i := 0
+	for r, run := range g.dir {
+		for _, k := range buf[i : i+pairs[r]] {
+			g.nbrMaxKeys[i] = PairKey(run.label, Label(k>>32))
+			g.nbrMaxVals[i] = uint32(k)
+			i++
+		}
 	}
 }
 

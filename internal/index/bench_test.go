@@ -1,6 +1,7 @@
 package index
 
 import (
+	"fmt"
 	"testing"
 
 	"subgraphquery/internal/gen"
@@ -36,16 +37,22 @@ func benchQueries(b *testing.B, db *graph.Database) []*graph.Graph {
 
 var benchSink int
 
+// BenchmarkGGSXBuildAIDS builds on one worker, as the paper harness does,
+// and on two, as sqserver does on two cores (GOMAXPROCS caps the pool, so
+// run it with -cpu 2 or more to see the second worker).
 func BenchmarkGGSXBuildAIDS(b *testing.B) {
 	db := benchAIDS(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var ix GGSX
-		if err := ix.Build(db, BuildOptions{}); err != nil {
-			b.Fatal(err)
-		}
-		benchSink += int(ix.MemoryFootprint())
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var ix GGSX
+				if err := ix.Build(db, BuildOptions{Workers: workers}); err != nil {
+					b.Fatal(err)
+				}
+				benchSink += int(ix.MemoryFootprint())
+			}
+		})
 	}
 }
 

@@ -3,9 +3,9 @@
 //
 //   - the path trie (PathTrie): exhaustively enumerated labeled paths up to
 //     a maximum length. Grapes [10] is the trie with per-graph occurrence
-//     counts, built and probed with a worker pool (the paper configures 6
-//     threads); GGSX (GraphGrepSX) [2] is the same trie keeping per-graph
-//     presence only, built sequentially.
+//     counts (the paper builds it with 6 threads); GGSX (GraphGrepSX) [2] is
+//     the same trie keeping per-graph presence only (built sequentially in
+//     the original). Both build on BuildOptions.Workers workers.
 //   - the mined posting table (Mined): gIndex, TreePi and FG-Index keep the
 //     frequent path, tree and connected-subgraph features.
 //   - per-graph fingerprints: CT-Index [20] hashes tree and cycle features
@@ -78,7 +78,7 @@ type BuildOptions struct {
 	MaxFeatures int64
 
 	// Workers sets the parallelism of index construction for indexes that
-	// support it (Grapes). 0 selects 1.
+	// support it (the path trie), at most GOMAXPROCS; 0 selects 1.
 	Workers int
 }
 

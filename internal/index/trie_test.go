@@ -204,6 +204,63 @@ func TestFilterMatchesReferenceProbe(t *testing.T) {
 	}
 }
 
+// TestPooledBuildMatchesSequential: for both configurations, a build on 2,
+// 3 or 4 workers yields the sequential trie — node for node, list for list,
+// the same footprint and the same answers — and runs out of a feature
+// budget exactly when the sequential build does.
+func TestPooledBuildMatchesSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for name, c := range probeCorpora(t) {
+		var features int64
+		for _, g := range c.db.Graphs() {
+			walkPaths(g, DefaultMaxPathLength, nil, 0, func(uint32, graph.Label) (uint32, bool) {
+				features++
+				return 0, true
+			})
+		}
+		for _, mk := range []func() *PathTrie{func() *PathTrie { return new(GGSX) }, NewGrapes} {
+			seq := mk()
+			if err := seq.Build(c.db, BuildOptions{Workers: 1}); err != nil {
+				t.Fatal(err)
+			}
+			for workers := 2; workers <= 4; workers++ {
+				pooled := mk()
+				if err := pooled.Build(c.db, BuildOptions{Workers: workers}); err != nil {
+					t.Fatal(err)
+				}
+				if !sameTrie(seq, pooled, true) || pooled.MemoryFootprint() != seq.MemoryFootprint() {
+					t.Errorf("%s %s on %d workers: not the sequential trie", name, seq.Name(), workers)
+				}
+				for qi, q := range c.queries {
+					if got, want := pooled.Filter(q), seq.Filter(q); !reflect.DeepEqual(got, want) {
+						t.Errorf("%s %s on %d workers q%d: Filter %v, sequential %v", name, seq.Name(), workers, qi, got, want)
+					}
+				}
+				for _, budget := range []int64{1, features / 2, features - 1, features} {
+					errSeq := mk().Build(c.db, BuildOptions{Workers: 1, MaxFeatures: budget})
+					errPooled := mk().Build(c.db, BuildOptions{Workers: workers, MaxFeatures: budget})
+					if errPooled != errSeq || (errSeq == nil) != (budget == features) {
+						t.Errorf("%s %s, %d of %d features on %d workers: %v, sequential %v", name, seq.Name(), budget, features, workers, errPooled, errSeq)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestBuildWorkersClampToGOMAXPROCS: under a CPU quota of one, a build
+// asked for four workers runs one.
+func TestBuildWorkersClampToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	if w := buildWorkers(BuildOptions{Workers: 4}); w != 1 {
+		t.Errorf("Workers 4 at GOMAXPROCS 1: %d workers, want 1", w)
+	}
+	runtime.GOMAXPROCS(4)
+	if w := buildWorkers(BuildOptions{Workers: 4}); w != 4 {
+		t.Errorf("Workers 4 at GOMAXPROCS 4: %d workers, want 4", w)
+	}
+}
+
 // TestTrieHeapMatchesFootprint: what a built presence trie keeps alive is
 // what MemoryFootprint — the number behind the paper's index sizes — says,
 // within a quarter.

@@ -31,6 +31,9 @@ go run ./cmd/sqlint -baseline cmd/sqlint/baseline.txt ./...
 echo "== go test -race -short ./..."
 go test -race -short ./...
 
+echo "== start-up pools under race, not short (the parallel reader, the pooled trie build)"
+go test -race -count=1 ./internal/graph ./internal/index
+
 echo "== harness smoke tests (internal/bench non-short: every table and figure at miniature scale, deterministic budgets)"
 go test -count=1 ./internal/bench
 
@@ -54,9 +57,10 @@ go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"
 go test -run '^$' -bench 'SmallGraphKernels' -benchtime 1x ./internal/matching
 
-echo "== path-trie and reader bench smoke (GGSX build, probe and append on 4 000 AIDS graphs; parsing them)"
-go test -run '^$' -bench 'GGSX(Build|Probe|Insert)AIDS' -benchtime 1x ./internal/index
-go test -run '^$' -bench 'ReadDatabase' -benchtime 1x ./internal/graph
+echo "== path-trie and reader bench smoke (GGSX build on 1 and 2 workers, probe and append on 4 000 AIDS graphs; parsing them, allocs/graph)"
+go test -run '^$' -bench 'GGSXBuildAIDS/workers=(1|2)' -benchtime 1x -cpu 2 ./internal/index
+go test -run '^$' -bench 'GGSX(Probe|Insert)AIDS' -benchtime 1x ./internal/index
+go test -run '^$' -bench 'ReadDatabase' -benchtime 1x -cpu 2 ./internal/graph
 
 echo "== serve bench smoke (whole handler chain in process: bare, default and default+cache flags, B/op and allocs/op)"
 go test -run '^$' -bench 'Serve' -benchtime 1x ./cmd/sqserver
