@@ -33,7 +33,7 @@ func main() {
 	flag.StringVar(&opts.Engine, "engine", "CFQL", "engine name")
 	flag.DurationVar(&opts.Budget, "budget", 10*time.Minute, "per-query time budget")
 	flag.DurationVar(&opts.IndexBudget, "index-budget", 24*time.Hour, "index construction budget")
-	flag.IntVar(&opts.Workers, "workers", 6, "verification workers for the Grapes engines")
+	flag.IntVar(&opts.Workers, "workers", 6, "index build and verification workers for the Grapes engines")
 	flag.BoolVar(&opts.Verbose, "v", false, "print per-query results")
 	flag.BoolVar(&opts.Explain, "explain", false,
 		"print a per-query EXPLAIN report: filter-stage candidate counts, index probe stats, matching order")
@@ -90,10 +90,16 @@ func run(opts runOptions) error {
 	if err != nil {
 		return err
 	}
+	// Only the pooled (Grapes) engines build on -workers; GGSX builds
+	// sequentially, as in the paper harness.
+	buildWorkers := 1
+	if bench.IsPooled(opts.Engine) {
+		buildWorkers = opts.Workers
+	}
 	t0 := time.Now()
 	err = engine.Build(db, core.BuildOptions{
 		Deadline: time.Now().Add(opts.IndexBudget),
-		Workers:  opts.Workers,
+		Workers:  buildWorkers,
 	})
 	if err != nil {
 		return fmt.Errorf("index construction: %w", err)

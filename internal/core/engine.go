@@ -164,6 +164,10 @@ func (e *engine) Name() string { return e.name }
 // Indexed reports whether the configuration has an index stage.
 func (e *engine) Indexed() bool { return e.idx != nil }
 
+// Pooled reports whether the configuration runs on a worker pool of its
+// own: Grapes and vcGrapes, as in the paper, and CFQL-parallel.
+func (e *engine) Pooled() bool { return e.workers > 0 }
+
 // Build implements Engine: constructs the index, if the configuration has
 // one; index-free engines only retain the database.
 func (e *engine) Build(db *graph.Database, opts BuildOptions) error {
