@@ -10,11 +10,10 @@ build:
 check:
 	sh scripts/check.sh
 
-# Project-specific static analyzers (hotpath, hotalloc, locks, ctxbudget,
-# errwrap, recoverhygiene, atomichygiene, goroterm, chansend, atomicalign)
-# with the checked-in baseline and per-analyzer timing on stderr.
+# The project-specific static analyzer (chansend: channel discipline on the
+# serving paths); copied locks are go vet's, mixed access is -race's.
 lint:
-	$(GO) run ./cmd/sqlint -v -baseline cmd/sqlint/baseline.txt ./...
+	$(GO) run ./cmd/sqlint ./...
 
 # Full suite (tier-1; about two minutes on 2 cores, most of it the harness
 # smoke tests of internal/bench).

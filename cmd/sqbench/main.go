@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"subgraphquery/internal/bench"
-	"subgraphquery/internal/cluster"
 )
 
 func main() {
@@ -50,7 +49,6 @@ func main() {
 	clusterEngine := fs.String("cluster-engine", "CFQL", "per-shard engine for the cluster track")
 	clusterShards := fs.String("cluster-shards", "1,2,4,8", "comma-separated shard counts for the cluster track")
 	clusterReplicas := fs.Int("cluster-replicas", 1, "replicas per shard for the cluster track")
-	clusterStrategy := fs.String("cluster-strategy", "hash", "partitioning strategy for the cluster track: hash or size")
 	fs.Parse(os.Args[2:])
 
 	cfg := bench.Config{
@@ -64,7 +62,7 @@ func main() {
 	}
 
 	if cmd == "cluster" {
-		if err := runCluster(cfg, *clusterEngine, *clusterShards, *clusterReplicas, *clusterStrategy); err != nil {
+		if err := runCluster(cfg, *clusterEngine, *clusterShards, *clusterReplicas); err != nil {
 			fmt.Fprintln(os.Stderr, "sqbench:", err)
 			os.Exit(1)
 		}
@@ -78,7 +76,7 @@ func main() {
 }
 
 // runCluster executes the per-shard-count scatter-gather track.
-func runCluster(cfg bench.Config, engine, shards string, replicas int, strategy string) error {
+func runCluster(cfg bench.Config, engine, shards string, replicas int) error {
 	var counts []int
 	for _, part := range strings.Split(shards, ",") {
 		part = strings.TrimSpace(part)
@@ -95,7 +93,6 @@ func runCluster(cfg bench.Config, engine, shards string, replicas int, strategy 
 		Engine:      engine,
 		ShardCounts: counts,
 		Replicas:    replicas,
-		Strategy:    cluster.Strategy(strategy),
 	}
 	fmt.Fprintf(os.Stderr, "running cluster study (scale %.3f, %d queries/set, shards %s)...\n",
 		cfg.Scale, cfg.QueryCount, shards)
@@ -130,7 +127,7 @@ synthetic experiments (one shared run):
   extensions every engine (incl. Table II reproductions) on one workload
   cluster    scatter-gather tier at increasing shard counts
              (-cluster-engine CFQL -cluster-shards 1,2,4,8
-              -cluster-replicas 1 -cluster-strategy hash|size)
+              -cluster-replicas 1)
   all        everything`)
 }
 

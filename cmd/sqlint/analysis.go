@@ -11,10 +11,9 @@ import (
 
 // Analyzer is one project-specific static check. The driver runs every
 // analyzer over every loaded package; analyzers decide for themselves
-// (via their applies hook) which import paths they care about.
+// (via their Applies hook) which import paths they care about.
 type Analyzer struct {
-	// Name is the short identifier used in diagnostics and in
-	// //sqlint:ignore directives.
+	// Name is the short identifier used in diagnostics.
 	Name string
 	// Doc is a one-line description printed by -help.
 	Doc string
@@ -29,9 +28,7 @@ type Analyzer struct {
 type Pass struct {
 	Analyzer *Analyzer
 	Fset     *token.FileSet
-	Path     string // import path
 	Files    []*ast.File
-	Pkg      *types.Package
 	Info     *types.Info
 
 	diags *[]Diagnostic
@@ -51,86 +48,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	})
-}
-
-// ignoreDirective is one parsed //sqlint:ignore comment.
-type ignoreDirective struct {
-	file      string
-	line      int
-	analyzers map[string]bool // nil means "all"
-	reason    string
-	pos       token.Pos
-}
-
-const ignorePrefix = "//sqlint:ignore"
-
-// collectIgnores parses //sqlint:ignore directives from the files of one
-// package. A directive suppresses matching diagnostics on its own line and
-// on the line directly below it. Directives without a reason are
-// themselves reported: a suppression must say why.
-func collectIgnores(fset *token.FileSet, files []*ast.File, diags *[]Diagnostic) []ignoreDirective {
-	var out []ignoreDirective
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, ignorePrefix) {
-					continue
-				}
-				rest := strings.TrimSpace(strings.TrimPrefix(c.Text, ignorePrefix))
-				names, reason, _ := strings.Cut(rest, " ")
-				reason = strings.TrimSpace(reason)
-				pos := fset.Position(c.Pos())
-				d := ignoreDirective{file: pos.Filename, line: pos.Line, reason: reason, pos: c.Pos()}
-				if names != "all" {
-					d.analyzers = map[string]bool{}
-					for _, n := range strings.Split(names, ",") {
-						d.analyzers[strings.TrimSpace(n)] = true
-					}
-				}
-				if names == "" || reason == "" {
-					*diags = append(*diags, Diagnostic{
-						Pos:      pos,
-						Analyzer: "sqlint",
-						Message:  "malformed ignore directive: want //sqlint:ignore <analyzer[,analyzer]|all> <reason>",
-					})
-					continue
-				}
-				out = append(out, d)
-			}
-		}
-	}
-	return out
-}
-
-// applyIgnores drops diagnostics covered by a directive on the same line
-// or the line above.
-func applyIgnores(diags []Diagnostic, ignores []ignoreDirective) []Diagnostic {
-	if len(ignores) == 0 {
-		return diags
-	}
-	type key struct {
-		file string
-		line int
-	}
-	byLine := map[key][]ignoreDirective{}
-	for _, ig := range ignores {
-		byLine[key{ig.file, ig.line}] = append(byLine[key{ig.file, ig.line}], ig)
-		byLine[key{ig.file, ig.line + 1}] = append(byLine[key{ig.file, ig.line + 1}], ig)
-	}
-	kept := diags[:0]
-	for _, d := range diags {
-		suppressed := false
-		for _, ig := range byLine[key{d.Pos.Filename, d.Pos.Line}] {
-			if ig.analyzers == nil || ig.analyzers[d.Analyzer] {
-				suppressed = true
-				break
-			}
-		}
-		if !suppressed {
-			kept = append(kept, d)
-		}
-	}
-	return kept
 }
 
 func sortDiagnostics(diags []Diagnostic) {

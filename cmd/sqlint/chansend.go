@@ -2,6 +2,7 @@ package main
 
 import (
 	"go/ast"
+	"go/constant"
 	"go/token"
 	"go/types"
 )
@@ -135,36 +136,19 @@ func makeChanCapacity(pass *Pass, e ast.Expr) (buffered, isMakeChan bool) {
 	// A constant zero capacity is unbuffered; a non-constant capacity is
 	// taken at its word (the admission limiter sizes its semaphore from
 	// config).
-	if tv, ok := pass.Info.Types[call.Args[1]]; ok && tv.Value != nil {
-		if v, exact := constIntValue(tv); exact && v == 0 {
-			return false, true
-		}
+	if v := pass.Info.Types[call.Args[1]].Value; v != nil && constant.Sign(v) == 0 {
+		return false, true
 	}
 	return true, true
 }
 
-func constIntValue(tv types.TypeAndValue) (int64, bool) {
-	if tv.Value == nil {
-		return 0, false
+// isChanType reports whether t's underlying type is a channel.
+func isChanType(t types.Type) bool {
+	if t == nil {
+		return false
 	}
-	s := tv.Value.ExactString()
-	var v int64
-	neg := false
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if i == 0 && c == '-' {
-			neg = true
-			continue
-		}
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		v = v*10 + int64(c-'0')
-	}
-	if neg {
-		v = -v
-	}
-	return v, true
+	_, ok := t.Underlying().(*types.Chan)
+	return ok
 }
 
 // chanOperandObj resolves the channel operand of a send/receive to the
@@ -253,8 +237,8 @@ func selectHasAlternative(n ast.Node, stack []ast.Node) bool {
 // makes itself and hands to a goroutine it launches to close or send on —
 // the `done := make(chan struct{}); go func(){ ...; close(done) }(); <-done`
 // join idiom, whose termination is owned entirely by this function. The
-// goroutine body is resolved through local `worker := func(){}` bindings
-// the same way recoverhygiene and goroterm resolve it.
+// goroutine body is resolved through local `worker := func(){}` bindings,
+// package functions and methods (resolveGoBody).
 func isCompletionWait(pass *Pass, stack []ast.Node, obj types.Object) bool {
 	_, body := enclosingFunc(stack)
 	if body == nil {

@@ -1,38 +1,15 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"path/filepath"
 	"strings"
 )
 
-// Output formats. "text" is the human-readable default; "json" is the
-// stable machine-readable schema other tooling consumes; "github" emits
+// Output formats. "text" is the human-readable default; "github" emits
 // GitHub Actions workflow commands so findings surface as inline PR
 // annotations in CI.
-
-// jsonFinding is one diagnostic in the -format=json schema. The file path
-// is module-root-relative with forward slashes, so output is stable across
-// checkouts and operating systems.
-type jsonFinding struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Col      int    `json:"col"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-// jsonReport is the -format=json envelope. Version names the schema, not
-// the tool build: bump it only on breaking shape changes.
-type jsonReport struct {
-	Version  string        `json:"version"`
-	Count    int           `json:"count"`
-	Findings []jsonFinding `json:"findings"`
-}
-
-const jsonSchemaVersion = "sqlint/v1"
 
 // relFindingPath renders a diagnostic's filename relative to root (the
 // module root), falling back to the absolute path for files outside it.
@@ -50,26 +27,6 @@ func writeText(w io.Writer, root string, diags []Diagnostic) {
 	if len(diags) > 0 {
 		fmt.Fprintf(w, "sqlint: %d finding(s)\n", len(diags))
 	}
-}
-
-func writeJSON(w io.Writer, root string, diags []Diagnostic) error {
-	report := jsonReport{
-		Version:  jsonSchemaVersion,
-		Count:    len(diags),
-		Findings: make([]jsonFinding, 0, len(diags)),
-	}
-	for _, d := range diags {
-		report.Findings = append(report.Findings, jsonFinding{
-			File:     relFindingPath(root, d.Pos.Filename),
-			Line:     d.Pos.Line,
-			Col:      d.Pos.Column,
-			Analyzer: d.Analyzer,
-			Message:  d.Message,
-		})
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(report)
 }
 
 // writeGitHub emits one ::error workflow command per finding. GitHub

@@ -31,8 +31,6 @@ type loader struct {
 
 // loadedPackage is one parsed and type-checked package.
 type loadedPackage struct {
-	path  string
-	dir   string
 	files []*ast.File
 	pkg   *types.Package
 	info  *types.Info
@@ -106,7 +104,7 @@ func (l *loader) load(path string) (*loadedPackage, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	p := &loadedPackage{path: path, dir: dir, files: files, pkg: pkg, info: info}
+	p := &loadedPackage{files: files, pkg: pkg, info: info}
 	l.pkgs[path] = p
 	return p, nil
 }

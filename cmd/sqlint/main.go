@@ -1,59 +1,20 @@
-// Command sqlint runs this repository's project-specific static analyzers
-// over the module — the correctness rules generic `go vet` cannot know:
+// Command sqlint runs this repository's project-specific static analyzer
+// over the module — the one correctness rule generic `go vet` cannot know:
 //
-//	hotpath   — no fmt.Sprintf-family allocations and no unguarded
-//	            Observer calls inside enumeration/refinement loops of
-//	            internal/matching and internal/core (the nil-Observer /
-//	            nil-Explain paths must stay allocation-free).
-//	hotalloc  — no per-iteration heap allocation (make/new, the arena
-//	            constructors, append onto fresh slices) inside the loops
-//	            of the hot-path files of internal/matching and
-//	            internal/core; buffers come from the Scratch arena.
-//	locks     — no sync.Mutex/RWMutex/WaitGroup/Once passed or received
-//	            by value, no unguarded map writes on engine/index structs
-//	            reachable from Query/Build, no goroutines without a
-//	            completion bound (WaitGroup or channel).
-//	ctxbudget — every exported Query/Filter/Build entry point threads a
-//	            deadline or budget (an options struct with a Deadline
-//	            field, a time.Time, or a context.Context).
-//	errwrap   — fmt.Errorf wraps error operands with %w, sentinel errors
-//	            are package-level vars, error strings follow Go style.
-//	recoverhygiene — every goroutine launched on the query path of
-//	            internal/core or cmd/sqserver (reachable from a
-//	            Query*/handle* entry point) defers a recover; a panic
-//	            escaping a goroutine kills the process.
-//	atomichygiene — fields accessed through sync/atomic anywhere must be
-//	            accessed that way everywhere; atomic.Pointer.Load results
-//	            need nil guards before dereference; typed atomics are
-//	            never copied by value; CAS retry loops reload or back off.
-//	goroterm  — goroutines launched on the serving paths (reachable from
-//	            Query*/Handle*/Serve*/Build*/New*/main) need a provable
-//	            termination path: infinite loops must hear a stop signal,
-//	            straight-line bodies must leave completion evidence.
 //	chansend  — blocking channel sends/receives on the serving paths need
 //	            a select with a cancellation alternative or a buffered
 //	            channel; close is called only by the owning side.
-//	atomicalign — 64-bit fields used with the function-style sync/atomic
-//	            API stay 8-byte aligned under 32-bit struct layouts.
 //
-// Findings can be suppressed — with a mandatory justification — by a
-// comment on the same line or the line above:
-//
-//	//sqlint:ignore locks single consumer; lifetime bounded by Build
-//
-// Known legacy findings live in a checked-in baseline (cmd/sqlint/
-// baseline.txt): `-baseline file` tolerates exactly those findings (keyed
-// by path, analyzer and message — line numbers don't matter) and fails on
-// anything new, so analyzers land strict-on-new-code while the backlog is
-// burned down explicitly. Regenerate with -format=baseline.
+// The other concurrency and hot-path rules are checked elsewhere: by-value
+// locks and typed atomics by `go vet` (copylocks), mixed plain/atomic access
+// and unguarded map writes by `go test -race`, loop allocations by the
+// testing.AllocsPerRun tests over the hot files (DESIGN.md lists them).
 //
 // Usage:
 //
 //	go run ./cmd/sqlint ./...
 //	go run ./cmd/sqlint -tags sqdebug ./internal/... ./cmd/...
-//	go run ./cmd/sqlint -baseline cmd/sqlint/baseline.txt ./...
-//	go run ./cmd/sqlint -only=chansend -format=json ./internal/core/...
-//	go run ./cmd/sqlint -list
+//	go run ./cmd/sqlint -format=github ./...
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal error.
 //
@@ -68,21 +29,11 @@ import (
 	"fmt"
 	"os"
 	"strings"
-	"time"
 )
 
 // analyzers is the registry, in output order.
 var analyzers = []*Analyzer{
-	hotpathAnalyzer,
-	hotallocAnalyzer,
-	locksAnalyzer,
-	ctxbudgetAnalyzer,
-	errwrapAnalyzer,
-	recoverhygieneAnalyzer,
-	atomichygieneAnalyzer,
-	gorotermAnalyzer,
 	chansendAnalyzer,
-	atomicalignAnalyzer,
 }
 
 func main() {
@@ -92,13 +43,9 @@ func main() {
 func run(args []string, out *os.File) int {
 	fs := flag.NewFlagSet("sqlint", flag.ContinueOnError)
 	tags := fs.String("tags", "", "comma-separated extra build tags (e.g. sqdebug)")
-	only := fs.String("only", "", "comma-separated analyzer names to run (default: all)")
-	list := fs.Bool("list", false, "list registered analyzers and exit")
-	format := fs.String("format", "text", "output format: text, json, github (CI annotations), baseline")
-	baselinePath := fs.String("baseline", "", "baseline file of tolerated findings (see cmd/sqlint/baseline.txt)")
-	verbose := fs.Bool("v", false, "print per-analyzer timing to stderr")
+	format := fs.String("format", "text", "output format: text, or github (CI annotations)")
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: sqlint [-tags tags] [-only names] [-format f] [-baseline file] [-v] packages...")
+		fmt.Fprintln(fs.Output(), "usage: sqlint [-tags tags] [-format f] packages...")
 		for _, a := range analyzers {
 			fmt.Fprintf(fs.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
@@ -107,16 +54,8 @@ func run(args []string, out *os.File) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Fprintf(out, "%-14s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	switch *format {
-	case "text", "json", "github", "baseline":
-	default:
-		fmt.Fprintf(os.Stderr, "sqlint: unknown -format=%s (want text, json, github or baseline)\n", *format)
+	if *format != "text" && *format != "github" {
+		fmt.Fprintf(os.Stderr, "sqlint: unknown -format=%s (want text or github)\n", *format)
 		return 2
 	}
 	patterns := fs.Args()
@@ -129,40 +68,14 @@ func run(args []string, out *os.File) int {
 		fmt.Fprintln(os.Stderr, "sqlint:", err)
 		return 2
 	}
-	diags, timings, err := lintTimed(cwd, patterns, splitList(*tags), splitList(*only))
+	diags, err := Lint(cwd, patterns, splitList(*tags))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "sqlint:", err)
 		return 2
 	}
-	if *verbose {
-		printTimings(os.Stderr, timings)
-	}
-	if *baselinePath != "" {
-		base, err := parseBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "sqlint:", err)
-			return 2
-		}
-		var stale []string
-		diags, stale = applyBaseline(cwd, diags, base)
-		for _, k := range stale {
-			fmt.Fprintf(os.Stderr, "sqlint: stale baseline entry (finding fixed — delete the line): %s\n", k)
-		}
-	}
-
-	switch *format {
-	case "json":
-		if err := writeJSON(out, cwd, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "sqlint:", err)
-			return 2
-		}
-	case "github":
+	if *format == "github" {
 		writeGitHub(out, cwd, diags)
-	case "baseline":
-		for _, d := range diags {
-			fmt.Fprintln(out, baselineKey(cwd, d))
-		}
-	default:
+	} else {
 		writeText(out, cwd, diags)
 	}
 	if len(diags) > 0 {
@@ -171,99 +84,40 @@ func run(args []string, out *os.File) int {
 	return 0
 }
 
-// AnalyzerTiming aggregates one analyzer's work across every package it
-// ran on — surfaced by -v so slow passes are visible before they slow CI.
-type AnalyzerTiming struct {
-	Name     string
-	Packages int
-	Total    time.Duration
-}
-
-func printTimings(out *os.File, timings []AnalyzerTiming) {
-	for _, tm := range timings {
-		fmt.Fprintf(out, "sqlint: %-14s %3d package(s)  %s\n", tm.Name, tm.Packages, tm.Total.Round(10*time.Microsecond))
-	}
-}
-
 // Lint loads the packages matched by patterns under the module containing
-// dir and returns the surviving diagnostics, sorted by position. It is the
-// testable core of the command.
-func Lint(dir string, patterns, tags, only []string) ([]Diagnostic, error) {
-	diags, _, err := lintTimed(dir, patterns, tags, only)
-	return diags, err
-}
-
-// lintTimed is Lint plus per-analyzer wall-clock accounting, in registry
-// order.
-func lintTimed(dir string, patterns, tags, only []string) ([]Diagnostic, []AnalyzerTiming, error) {
+// dir and returns the diagnostics, sorted by position. It is the testable
+// core of the command.
+func Lint(dir string, patterns, tags []string) ([]Diagnostic, error) {
 	rootDir, module, err := findModuleRoot(dir)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	l := newLoader(rootDir, module, tags)
 	paths, err := expandPatterns(l, patterns)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	selected := analyzers
-	if len(only) > 0 {
-		want := map[string]bool{}
-		for _, n := range only {
-			want[n] = true
-		}
-		selected = nil
-		for _, a := range analyzers {
-			if want[a.Name] {
-				selected = append(selected, a)
-			}
-		}
-		if len(selected) == 0 {
-			return nil, nil, fmt.Errorf("no analyzers match -only=%s", strings.Join(only, ","))
-		}
-	}
-
-	spent := map[string]*AnalyzerTiming{}
 	var diags []Diagnostic
 	for _, path := range paths {
 		p, err := l.load(path)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		var pkgDiags []Diagnostic
-		ignores := collectIgnores(l.fset, p.files, &pkgDiags)
-		for _, a := range selected {
+		for _, a := range analyzers {
 			if a.Applies != nil && !a.Applies(path) {
 				continue
 			}
-			pass := &Pass{
+			a.Run(&Pass{
 				Analyzer: a,
 				Fset:     l.fset,
-				Path:     path,
 				Files:    p.files,
-				Pkg:      p.pkg,
 				Info:     p.info,
-				diags:    &pkgDiags,
-			}
-			start := time.Now()
-			a.Run(pass)
-			tm := spent[a.Name]
-			if tm == nil {
-				tm = &AnalyzerTiming{Name: a.Name}
-				spent[a.Name] = tm
-			}
-			tm.Packages++
-			tm.Total += time.Since(start)
+				diags:    &diags,
+			})
 		}
-		diags = append(diags, applyIgnores(pkgDiags, ignores)...)
 	}
 	sortDiagnostics(diags)
-	var timings []AnalyzerTiming
-	for _, a := range selected {
-		if tm := spent[a.Name]; tm != nil {
-			timings = append(timings, *tm)
-		}
-	}
-	return diags, timings, nil
+	return diags, nil
 }
 
 func splitList(s string) []string {

@@ -8,6 +8,7 @@ package inflight
 type Hub struct {
 	out  chan uint64
 	buf  chan uint64
+	zero chan uint64
 	stop chan struct{}
 	done chan struct{}
 }
@@ -16,6 +17,7 @@ func newHub() *Hub {
 	return &Hub{
 		out:  make(chan uint64),
 		buf:  make(chan uint64, 16),
+		zero: make(chan uint64, 0),
 		stop: make(chan struct{}),
 		done: make(chan struct{}),
 	}
@@ -30,6 +32,12 @@ func (h *Hub) HandleForward(v uint64) {
 // HandleBuffered sends on a channel declared with capacity: ok.
 func (h *Hub) HandleBuffered(v uint64) {
 	h.buf <- v
+}
+
+// HandleZeroCapacity sends on a channel made with a constant zero
+// capacity, which is unbuffered.
+func (h *Hub) HandleZeroCapacity(v uint64) {
+	h.zero <- v // want: blocking send outside a select
 }
 
 // HandleSelectSend races the send against the stop channel: ok.

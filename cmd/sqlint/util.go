@@ -3,6 +3,7 @@ package main
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // walkStack traverses the AST below root, calling fn with every node and
@@ -23,20 +24,6 @@ func walkStack(root ast.Node, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// loopDepth counts the for/range statements in the stack — how deeply
-// nested in loops the current node is. Function literals do not reset the
-// count: a closure created inside a loop runs per iteration.
-func loopDepth(stack []ast.Node) int {
-	depth := 0
-	for _, n := range stack {
-		switch n.(type) {
-		case *ast.ForStmt, *ast.RangeStmt:
-			depth++
-		}
-	}
-	return depth
-}
-
 // enclosingFunc returns the innermost function declaration or literal in
 // the stack, and its body.
 func enclosingFunc(stack []ast.Node) (ast.Node, *ast.BlockStmt) {
@@ -49,184 +36,6 @@ func enclosingFunc(stack []ast.Node) (ast.Node, *ast.BlockStmt) {
 		}
 	}
 	return nil, nil
-}
-
-// pkgFuncCall reports whether call invokes the named function of the named
-// package (e.g. "fmt", "Sprintf"), resolving the package qualifier through
-// the type info so aliased imports are handled.
-func pkgFuncCall(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != name {
-		return false
-	}
-	id, ok := sel.X.(*ast.Ident)
-	if !ok {
-		return false
-	}
-	pn, ok := info.Uses[id].(*types.PkgName)
-	return ok && pn.Imported().Path() == pkgPath
-}
-
-// namedFrom unwraps pointers and returns the named type, or nil.
-func namedFrom(t types.Type) *types.Named {
-	if t == nil {
-		return nil
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	n, _ := t.(*types.Named)
-	if n == nil {
-		if p, ok := t.(*types.Pointer); ok {
-			n, _ = p.Elem().(*types.Named)
-		}
-	}
-	return n
-}
-
-// isNamedType reports whether t (possibly behind one pointer) is the named
-// type pkgName.typeName, where pkgName is matched against the final
-// element of the defining package's import path ("obs", "sync", ...).
-func isNamedType(t types.Type, pkgName, typeName string) bool {
-	n := namedFrom(t)
-	if n == nil || n.Obj() == nil || n.Obj().Pkg() == nil {
-		return false
-	}
-	if n.Obj().Name() != typeName {
-		return false
-	}
-	return pathBase(n.Obj().Pkg().Path()) == pkgName
-}
-
-func pathBase(path string) string {
-	for i := len(path) - 1; i >= 0; i-- {
-		if path[i] == '/' {
-			return path[i+1:]
-		}
-	}
-	return path
-}
-
-// lockTypeName returns the name of the sync type t contains by value
-// ("sync.Mutex", ...), or "" if t carries no lock. Pointers stop the
-// search: sharing a lock by pointer is fine.
-func lockTypeName(t types.Type) string {
-	return lockTypeNameRec(t, map[types.Type]bool{})
-}
-
-var syncLockTypes = map[string]bool{
-	"Mutex": true, "RWMutex": true, "WaitGroup": true,
-	"Once": true, "Cond": true, "Pool": true, "Map": true,
-}
-
-func lockTypeNameRec(t types.Type, seen map[types.Type]bool) string {
-	if t == nil || seen[t] {
-		return ""
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && syncLockTypes[obj.Name()] {
-			return "sync." + obj.Name()
-		}
-		return lockTypeNameRec(n.Underlying(), seen)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if name := lockTypeNameRec(u.Field(i).Type(), seen); name != "" {
-				return name
-			}
-		}
-	case *types.Array:
-		return lockTypeNameRec(u.Elem(), seen)
-	}
-	return ""
-}
-
-// isNilCheckOf reports whether cond (or one conjunct of it) is the
-// comparison `expr != nil`, with expr matched by its printed form.
-func isNilCheckOf(cond ast.Expr, exprStr string) bool {
-	switch c := cond.(type) {
-	case *ast.ParenExpr:
-		return isNilCheckOf(c.X, exprStr)
-	case *ast.BinaryExpr:
-		switch c.Op.String() {
-		case "&&", "||":
-			return isNilCheckOf(c.X, exprStr) || isNilCheckOf(c.Y, exprStr)
-		case "!=":
-			return (types.ExprString(c.X) == exprStr && isNilIdent(c.Y)) ||
-				(types.ExprString(c.Y) == exprStr && isNilIdent(c.X))
-		}
-	}
-	return false
-}
-
-func isNilIdent(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "nil"
-}
-
-// nilGuarded reports whether the node whose ancestor stack is given runs
-// only when exprStr is non-nil: either an enclosing if-statement's
-// then-branch tests `exprStr != nil`, or the innermost enclosing function
-// opens with `if exprStr == nil { return }`.
-func nilGuarded(stack []ast.Node, exprStr string) bool {
-	for i := len(stack) - 1; i >= 0; i-- {
-		ifs, ok := stack[i].(*ast.IfStmt)
-		if !ok {
-			continue
-		}
-		// Only the then-branch is guarded; a node in Else is not.
-		if i+1 < len(stack) && stack[i+1] == ifs.Body && isNilCheckOf(ifs.Cond, exprStr) {
-			return true
-		}
-	}
-	_, body := enclosingFunc(stack)
-	if body != nil && len(body.List) > 0 {
-		if ifs, ok := body.List[0].(*ast.IfStmt); ok {
-			if isEarlyNilReturn(ifs, exprStr) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// isEarlyNilReturn matches `if expr == nil { return ... }`.
-func isEarlyNilReturn(ifs *ast.IfStmt, exprStr string) bool {
-	be, ok := ifs.Cond.(*ast.BinaryExpr)
-	if !ok || be.Op.String() != "==" {
-		return false
-	}
-	match := (types.ExprString(be.X) == exprStr && isNilIdent(be.Y)) ||
-		(types.ExprString(be.Y) == exprStr && isNilIdent(be.X))
-	if !match || len(ifs.Body.List) == 0 {
-		return false
-	}
-	_, ret := ifs.Body.List[len(ifs.Body.List)-1].(*ast.ReturnStmt)
-	return ret
-}
-
-// rootIdent returns the identifier at the base of a selector/index chain
-// (`e.field[k]` -> `e`), or nil.
-func rootIdent(e ast.Expr) *ast.Ident {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return x
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
 }
 
 // localFuncBindings collects `name := func() {...}` (and `name = func()`,
@@ -295,9 +104,7 @@ func funcDeclBody(pass *Pass, tf *types.Func) *ast.BlockStmt {
 // localLits), a package-level function, or a method of a package-local
 // type (the `go w.loop()` method-value form). Returns nil when the callee
 // is declared outside this package — whole-program resolution is out of
-// scope, and callers decide whether unresolved means "flag" (recover
-// hygiene: the boundary must be visible) or "trust" (termination: assume
-// the callee owns its lifecycle).
+// scope, and the caller decides what unresolved means.
 func resolveGoBody(pass *Pass, gs *ast.GoStmt, localLits map[types.Object]*ast.FuncLit) *ast.BlockStmt {
 	switch fun := gs.Call.Fun.(type) {
 	case *ast.FuncLit:
@@ -319,12 +126,61 @@ func resolveGoBody(pass *Pass, gs *ast.GoStmt, localLits map[types.Object]*ast.F
 	return nil
 }
 
-// implementsError reports whether t implements the error interface.
-func implementsError(t types.Type) bool {
-	if t == nil {
-		return false
+// reachableFuncs computes the functions of this package reachable from any
+// method or function whose name starts with one of the prefixes, closed
+// under intra-package calls.
+func reachableFuncs(pass *Pass, prefixes ...string) map[*types.Func]bool {
+	decls := map[*types.Func]*ast.FuncDecl{}
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
+			}
+			if obj, ok := pass.Info.Defs[fd.Name].(*types.Func); ok {
+				decls[obj] = fd
+			}
+		}
 	}
-	return types.Implements(t, errorInterface) || types.Implements(types.NewPointer(t), errorInterface)
+	reachable := map[*types.Func]bool{}
+	var queue []*types.Func
+	for obj := range decls {
+		for _, p := range prefixes {
+			if strings.HasPrefix(obj.Name(), p) {
+				reachable[obj] = true
+				queue = append(queue, obj)
+				break
+			}
+		}
+	}
+	for len(queue) > 0 {
+		obj := queue[0]
+		queue = queue[1:]
+		fd := decls[obj]
+		if fd == nil || fd.Body == nil {
+			continue
+		}
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			var callee *types.Func
+			switch fun := call.Fun.(type) {
+			case *ast.SelectorExpr:
+				callee, _ = pass.Info.Uses[fun.Sel].(*types.Func)
+			case *ast.Ident:
+				callee, _ = pass.Info.Uses[fun].(*types.Func)
+			}
+			if callee == nil {
+				return true
+			}
+			if _, local := decls[callee]; local && !reachable[callee] {
+				reachable[callee] = true
+				queue = append(queue, callee)
+			}
+			return true
+		})
+	}
+	return reachable
 }
-
-var errorInterface = types.Universe.Lookup("error").Type().Underlying().(*types.Interface)

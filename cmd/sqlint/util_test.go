@@ -28,17 +28,14 @@ func checkSource(t *testing.T, src string) *Pass {
 		Implicits:  map[ast.Node]types.Object{},
 	}
 	conf := types.Config{Importer: importer.ForCompiler(fset, "source", nil)}
-	pkg, err := conf.Check("p", fset, []*ast.File{f}, info)
-	if err != nil {
+	if _, err := conf.Check("p", fset, []*ast.File{f}, info); err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}
 	var diags []Diagnostic
 	return &Pass{
 		Analyzer: &Analyzer{Name: "test"},
 		Fset:     fset,
-		Path:     "p",
 		Files:    []*ast.File{f},
-		Pkg:      pkg,
 		Info:     info,
 		diags:    &diags,
 	}

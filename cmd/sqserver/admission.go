@@ -67,10 +67,18 @@ func (a *admission) acquire(done <-chan struct{}) (func(), admitVerdict) {
 		return a.release, admitOK
 	default:
 	}
-	if a.queued.Load() >= a.maxQueue {
-		return nil, admitShed
+	// Claim a queue place in one step: a load followed by an add lets every
+	// arrival that loads before the others add slip past the bound.
+	// Compare-and-swap, not add-then-undo, so depth never reads above it.
+	for {
+		q := a.queued.Load()
+		if q >= a.maxQueue {
+			return nil, admitShed
+		}
+		if a.queued.CompareAndSwap(q, q+1) {
+			break
+		}
 	}
-	a.queued.Add(1)
 	defer a.queued.Add(-1)
 	t := time.NewTimer(a.wait)
 	defer t.Stop()

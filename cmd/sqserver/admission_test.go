@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -105,6 +106,70 @@ func TestAdmissionVerdicts(t *testing.T) {
 		if v2 := <-got; v2 != admitCancelled {
 			t.Errorf("queued acquire with dead client: %v, want admitCancelled", v2)
 		}
+	})
+
+	t.Run("queue-bound-under-burst", func(t *testing.T) {
+		// Every slot held, room for one waiter, and 64 arrivals released
+		// together: exactly one may queue, the other 63 shed on arrival, and
+		// no reader may ever see a deeper queue than the bound.
+		const arrivals = 64
+		a := newAdmission(1, 1, time.Minute, 0)
+		release, v := a.acquire(never)
+		if v != admitOK {
+			t.Fatalf("first acquire: %v", v)
+		}
+		start := make(chan struct{})
+		verdicts := make(chan admitVerdict, arrivals)
+		var wg sync.WaitGroup
+		for range arrivals {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				r, v := a.acquire(never)
+				if r != nil {
+					defer r()
+				}
+				verdicts <- v
+			}()
+		}
+		stop := make(chan struct{})
+		peak := make(chan int64)
+		go func() {
+			var p int64
+			for {
+				select {
+				case <-stop:
+					peak <- p
+					return
+				default:
+					p = max(p, a.depth())
+				}
+			}
+		}()
+		close(start)
+		// Until the slot frees, a verdict can only be a shed: count them
+		// until every arrival has either shed or queued.
+		shed := 0
+		for shed+int(a.depth()) < arrivals {
+			select {
+			case v := <-verdicts:
+				if v != admitShed {
+					t.Fatalf("verdict %v while the only slot is held, want admitShed", v)
+				}
+				shed++
+			case <-time.After(time.Millisecond):
+			}
+		}
+		close(stop)
+		if p := <-peak; p > 1 {
+			t.Errorf("queue depth read %d, above the bound 1", p)
+		}
+		if shed != arrivals-1 || a.depth() != 1 {
+			t.Errorf("%d shed and %d queued, want %d and 1", shed, a.depth(), arrivals-1)
+		}
+		release()
+		wg.Wait()
 	})
 
 	t.Run("retry-after", func(t *testing.T) {

@@ -47,7 +47,7 @@
 // inside the engines; an engine panic becomes a structured error response.
 //
 // With -shards N the engine runs behind a scatter-gather coordinator over N
-// partitions (-shard-strategy, -shard-replicas): per-shard failures are
+// rendezvous-hash partitions (-shard-replicas): per-shard failures are
 // retried, hedged against replicas after an adaptive p99 delay
 // (-hedge-after), and finally degraded into a partial result with
 // "degraded":true and KindShard graph errors naming the lost partition.
@@ -64,7 +64,7 @@
 // Usage:
 //
 //	sqserver -db db.graph [-addr :8080] [-engine CFQL] [-cache 64]
-//	         [-shards 4] [-shard-replicas 2] [-shard-strategy hash]
+//	         [-shards 4] [-shard-replicas 2]
 //	         [-shard-concurrency 0] [-hedge-after 0]
 //	         [-budget 10m] [-mem-budget 268435456]
 //	         [-max-inflight 16] [-max-queue 64] [-queue-wait 1s] [-retry-jitter 2]
@@ -101,8 +101,6 @@ func main() {
 		"partition the database across N engine shards behind a scatter-gather coordinator (0 = single engine)")
 	shardReplicas := flag.Int("shard-replicas", 1,
 		"replicas per shard; hedged duplicate requests need >= 2")
-	shardStrategy := flag.String("shard-strategy", "hash",
-		"partitioning strategy: hash (rendezvous) or size (byte-balanced)")
 	shardConcurrency := flag.Int("shard-concurrency", 0,
 		"max concurrent queries executing inside one shard (0 = unbounded)")
 	hedgeAfter := flag.Duration("hedge-after", 0,
@@ -163,7 +161,6 @@ func main() {
 		coord, cerr := cluster.New(cluster.Config{
 			Shards:           *shards,
 			Replicas:         *shardReplicas,
-			Strategy:         cluster.Strategy(*shardStrategy),
 			BaseName:         engine.Name(),
 			ShardConcurrency: *shardConcurrency,
 			HedgeAfter:       *hedgeAfter,

@@ -25,8 +25,6 @@ type ClusterStudyConfig struct {
 	ShardCounts []int
 	// Replicas per shard; default 1 (no hedging).
 	Replicas int
-	// Strategy is the partitioning strategy; default hash.
-	Strategy cluster.Strategy
 }
 
 func (c ClusterStudyConfig) normalized() ClusterStudyConfig {
@@ -38,9 +36,6 @@ func (c ClusterStudyConfig) normalized() ClusterStudyConfig {
 	}
 	if c.Replicas <= 0 {
 		c.Replicas = 1
-	}
-	if c.Strategy == "" {
-		c.Strategy = cluster.StrategyHash
 	}
 	return c
 }
@@ -99,7 +94,6 @@ func RunCluster(cfg Config, study ClusterStudyConfig) ([]ClusterRow, error) {
 		c, err := cluster.New(cluster.Config{
 			Shards:   n,
 			Replicas: study.Replicas,
-			Strategy: study.Strategy,
 			Factory:  factory,
 			BaseName: study.Engine,
 		})
@@ -132,8 +126,8 @@ func RenderCluster(cfg Config, study ClusterStudyConfig, rows []ClusterRow) {
 	cfg = cfg.normalized()
 	study = study.normalized()
 	w := cfg.Out
-	fmt.Fprintf(w, "Cluster study: %s behind a scatter-gather coordinator on AIDS-like Q8S+Q8D (%s partitioning)\n",
-		study.Engine, string(study.Strategy))
+	fmt.Fprintf(w, "Cluster study: %s behind a scatter-gather coordinator on AIDS-like Q8S+Q8D (hash partitioning)\n",
+		study.Engine)
 	fmt.Fprintf(w, "%-8s %4s %10s %10s %10s %10s %10s %8s %8s %8s\n",
 		"shards", "rep", "build", "index MB", "query", "p50", "p99", "|A(q)|", "timeout", "hedges")
 	for _, r := range rows {

@@ -1,7 +1,7 @@
 // Package cluster is the fault-tolerant scatter-gather serving tier: a
-// Partitioner splits the graph database across N shards, each Shard
-// hosts an independent engine instance over its partition, and the
-// Coordinator — itself a core.Engine, so the server and the benchmark
+// rendezvous-hash partition splits the graph database across N shards,
+// each Shard hosts an independent engine instance over its partition, and
+// the Coordinator — itself a core.Engine, so the server and the benchmark
 // harness slot it in unchanged — fans every query out over a Transport
 // and merges the partial results.
 //
@@ -62,8 +62,6 @@ type Config struct {
 	// default 1). Hedging needs >= 2: the duplicate request targets the
 	// next replica, not the one already in flight.
 	Replicas int
-	// Strategy selects the partitioner ("" = StrategyHash).
-	Strategy Strategy
 	// Factory builds one engine instance per shard replica.
 	Factory func() core.Engine
 	// BaseName overrides the engine name used in Name() ("<base>-x<N>");
@@ -97,7 +95,6 @@ type Config struct {
 type Coordinator struct {
 	cfg  Config
 	name string
-	part Partitioner
 
 	transport  Transport
 	local      *Local  // nil when the transport is external
@@ -120,7 +117,7 @@ var (
 )
 
 // New returns a coordinator that will build its own in-process cluster:
-// Build partitions the database with cfg.Strategy and hosts
+// Build partitions the database by rendezvous hashing and hosts
 // cfg.Shards × cfg.Replicas engine instances behind a Local transport.
 func New(cfg Config) (*Coordinator, error) {
 	if cfg.Shards < 1 {
@@ -132,17 +129,12 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.Replicas < 1 {
 		cfg.Replicas = 1
 	}
-	p, err := NewPartitioner(cfg.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	base := cfg.BaseName
 	if base == "" {
 		base = cfg.Factory().Name()
 	}
 	c := &Coordinator{
 		cfg:  cfg,
-		part: p,
 		name: fmt.Sprintf("%s-x%d", base, cfg.Shards),
 	}
 	c.lat = newHistograms(cfg.Shards)
@@ -201,7 +193,7 @@ func (c *Coordinator) Build(db *graph.Database, opts core.BuildOptions) error {
 	if c.external {
 		return nil
 	}
-	partitions := groupByShard(c.part.Partition(db, c.cfg.Shards), c.cfg.Shards)
+	partitions := groupByShard(partition(db, c.cfg.Shards), c.cfg.Shards)
 	replicas := make([][]*Shard, c.cfg.Shards)
 	for s := range replicas {
 		replicas[s] = make([]*Shard, c.cfg.Replicas)

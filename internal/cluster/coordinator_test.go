@@ -278,8 +278,8 @@ func TestCoordinatorQueryBeforeBuildFails(t *testing.T) {
 }
 
 // End-to-end over the real Local transport: a sharded CFQL cluster must
-// return exactly the single-engine answer set, for both strategies, with
-// and without replicas, across shard counts.
+// return exactly the single-engine answer set, with and without replicas,
+// across shard counts.
 func TestCoordinatorEndToEndMatchesSingleEngine(t *testing.T) {
 	db, err := gen.Synthetic(gen.SyntheticConfig{
 		NumGraphs: 80, NumVertices: 14, NumLabels: 4, Degree: 3, Seed: 5,
@@ -304,20 +304,17 @@ func TestCoordinatorEndToEndMatchesSingleEngine(t *testing.T) {
 		want[i] = r.Answers
 	}
 	for _, tc := range []struct {
-		strategy Strategy
 		shards   int
 		replicas int
 	}{
-		{StrategyHash, 1, 1},
-		{StrategyHash, 3, 1},
-		{StrategyHash, 4, 2},
-		{StrategySize, 3, 1},
+		{1, 1},
+		{3, 1},
+		{4, 2},
 	} {
-		t.Run(fmt.Sprintf("%s-x%d-r%d", tc.strategy, tc.shards, tc.replicas), func(t *testing.T) {
+		t.Run(fmt.Sprintf("hash-x%d-r%d", tc.shards, tc.replicas), func(t *testing.T) {
 			c, err := New(Config{
 				Shards:   tc.shards,
 				Replicas: tc.replicas,
-				Strategy: tc.strategy,
 				Factory:  core.NewCFQL,
 			})
 			if err != nil {

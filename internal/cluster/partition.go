@@ -1,66 +1,11 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/telemetry"
 )
 
-// Strategy names a partitioning strategy.
-type Strategy string
-
-// Partitioning strategies.
-const (
-	// StrategyHash spreads graphs by rendezvous (highest-random-weight)
-	// hashing over each graph's content fingerprint. Balanced in count,
-	// oblivious to graph sizes, and minimally disruptive under
-	// rebalancing: growing N shards to N+1 moves only the graphs whose
-	// new shard out-scores every old one — 1/(N+1) of the database in
-	// expectation, never a full reshuffle as modulo hashing would.
-	StrategyHash Strategy = "hash"
-	// StrategySize balances the shards' byte load instead of their graph
-	// count: graphs are placed largest-first on their rendezvous-preferred
-	// shard, diverting to the next preference only when a shard is
-	// already at its capacity cap. Databases with skewed graph sizes get
-	// near-equal per-shard memory footprints; most placements still
-	// follow the hash preference, so rebalancing stays bounded.
-	StrategySize Strategy = "size"
-)
-
-// sizeSlack is StrategySize's capacity headroom: a shard accepts graphs
-// until it holds sizeSlack × (total bytes / shards). 1.15 keeps the
-// worst shard within ~15% of perfect balance while leaving the vast
-// majority of graphs on their first-preference (hash-stable) shard.
-const sizeSlack = 1.15
-
-// A Partitioner assigns every graph of a database to exactly one of n
-// shards. Implementations must be deterministic functions of graph
-// *content* and database position — never of vertex numbering — so two
-// replicas partitioning the same database independently agree, and
-// reloading a database whose graphs were re-serialized (vertices
-// renumbered) reproduces the same partition.
-type Partitioner interface {
-	// Name identifies the strategy ("hash", "size").
-	Name() string
-	// Partition returns one shard in [0, n) per graph id. n must be >= 1.
-	Partition(db *graph.Database, n int) []int
-}
-
-// NewPartitioner returns the named strategy.
-func NewPartitioner(s Strategy) (Partitioner, error) {
-	switch s {
-	case StrategyHash, "":
-		return hashPartitioner{}, nil
-	case StrategySize:
-		return sizePartitioner{}, nil
-	}
-	return nil, fmt.Errorf("cluster: unknown partition strategy %q (want %q or %q)",
-		s, StrategyHash, StrategySize)
-}
-
-// graphKey is the per-graph hash key both strategies rendezvous on: the
+// graphKey is the per-graph hash key the partition rendezvous on: the
 // renumbering-invariant content fingerprint (telemetry.Compute) mixed
 // with the graph's database position, so duplicate graphs — common in
 // chemical datasets — still spread across shards instead of piling onto
@@ -83,11 +28,17 @@ func rendezvous(key uint64, shard int) uint64 {
 	return mix64(key ^ mix64(uint64(shard)+0x517cc1b727220a95))
 }
 
-type hashPartitioner struct{}
-
-func (hashPartitioner) Name() string { return string(StrategyHash) }
-
-func (hashPartitioner) Partition(db *graph.Database, n int) []int {
+// partition assigns every graph of db to one of n >= 1 shards by
+// rendezvous (highest-random-weight) hashing over its graphKey, returning
+// one shard in [0, n) per graph id. It is a function of graph content and
+// database position, never of vertex numbering, so two replicas
+// partitioning the same database agree, and reloading re-serialized
+// graphs reproduces the same partition. The partition is balanced in
+// count, oblivious to graph sizes, and minimally disruptive under
+// rebalancing: growing n shards to n+1 moves only the graphs whose new
+// shard out-scores every old one — 1/(n+1) of the database in
+// expectation, never a full reshuffle as modulo hashing would.
+func partition(db *graph.Database, n int) []int {
 	part := make([]int, db.Len())
 	for id := range part {
 		key := graphKey(db, id)
@@ -98,68 +49,6 @@ func (hashPartitioner) Partition(db *graph.Database, n int) []int {
 			}
 		}
 		part[id] = best
-	}
-	return part
-}
-
-type sizePartitioner struct{}
-
-func (sizePartitioner) Name() string { return string(StrategySize) }
-
-func (sizePartitioner) Partition(db *graph.Database, n int) []int {
-	type item struct {
-		id   int
-		size int64
-		key  uint64
-	}
-	items := make([]item, db.Len())
-	var total int64
-	for id := range items {
-		size := db.Graph(id).MemoryFootprint()
-		items[id] = item{id: id, size: size, key: graphKey(db, id)}
-		total += size
-	}
-	// Largest first; the key breaks size ties so the order — and with it
-	// the whole placement — is independent of vertex numbering.
-	sort.Slice(items, func(i, j int) bool {
-		if items[i].size != items[j].size {
-			return items[i].size > items[j].size
-		}
-		return items[i].key < items[j].key
-	})
-	cap64 := int64(float64(total) * sizeSlack / float64(n))
-	part := make([]int, db.Len())
-	load := make([]int64, n)
-	scores := make([]int, n)
-	for _, it := range items {
-		// Rank the shards by rendezvous preference for this graph.
-		for s := range scores {
-			scores[s] = s
-		}
-		sort.Slice(scores, func(i, j int) bool {
-			return rendezvous(it.key, scores[i]) > rendezvous(it.key, scores[j])
-		})
-		placed := false
-		for _, s := range scores {
-			if load[s]+it.size <= cap64 {
-				part[it.id] = s
-				load[s] += it.size
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			// Every shard at cap (a giant graph, or a tiny database):
-			// take the lightest, keeping the overflow minimal.
-			best := 0
-			for s := 1; s < n; s++ {
-				if load[s] < load[best] {
-					best = s
-				}
-			}
-			part[it.id] = best
-			load[best] += it.size
-		}
 	}
 	return part
 }

@@ -18,41 +18,26 @@ func testDB(t *testing.T, graphs, vertices int, seed int64) *graph.Database {
 	return db
 }
 
-func strategies(t *testing.T) map[Strategy]Partitioner {
-	t.Helper()
-	out := map[Strategy]Partitioner{}
-	for _, s := range []Strategy{StrategyHash, StrategySize} {
-		p, err := NewPartitioner(s)
-		if err != nil {
-			t.Fatalf("NewPartitioner(%q): %v", s, err)
-		}
-		out[s] = p
-	}
-	return out
-}
-
 // Invariant 1: every graph id lands on exactly one shard, for every
-// strategy and cluster width.
+// cluster width.
 func TestPartitionCoversEveryGraphExactlyOnce(t *testing.T) {
 	db := testDB(t, 200, 14, 11)
-	for name, p := range strategies(t) {
-		for _, n := range []int{1, 2, 3, 5, 8} {
-			part := p.Partition(db, n)
-			if len(part) != db.Len() {
-				t.Fatalf("%s/n=%d: %d assignments for %d graphs", name, n, len(part), db.Len())
+	for _, n := range []int{1, 2, 3, 5, 8} {
+		part := partition(db, n)
+		if len(part) != db.Len() {
+			t.Fatalf("n=%d: %d assignments for %d graphs", n, len(part), db.Len())
+		}
+		for id, s := range part {
+			if s < 0 || s >= n {
+				t.Fatalf("n=%d: graph %d assigned to shard %d", n, id, s)
 			}
-			for id, s := range part {
-				if s < 0 || s >= n {
-					t.Fatalf("%s/n=%d: graph %d assigned to shard %d", name, n, id, s)
-				}
-			}
-			total := 0
-			for _, g := range groupByShard(part, n) {
-				total += len(g)
-			}
-			if total != db.Len() {
-				t.Fatalf("%s/n=%d: groups cover %d of %d graphs", name, n, total, db.Len())
-			}
+		}
+		total := 0
+		for _, g := range groupByShard(part, n) {
+			total += len(g)
+		}
+		if total != db.Len() {
+			t.Fatalf("n=%d: groups cover %d of %d graphs", n, total, db.Len())
 		}
 	}
 }
@@ -85,14 +70,12 @@ func TestPartitionDeterministicUnderVertexRenumbering(t *testing.T) {
 		renum[i] = renumber(db.Graph(i))
 	}
 	db2 := graph.NewDatabase(renum)
-	for name, p := range strategies(t) {
-		for _, n := range []int{2, 4, 7} {
-			a, b := p.Partition(db, n), p.Partition(db2, n)
-			for id := range a {
-				if a[id] != b[id] {
-					t.Fatalf("%s/n=%d: graph %d moved %d -> %d under vertex renumbering",
-						name, n, id, a[id], b[id])
-				}
+	for _, n := range []int{2, 4, 7} {
+		a, b := partition(db, n), partition(db2, n)
+		for id := range a {
+			if a[id] != b[id] {
+				t.Fatalf("n=%d: graph %d moved %d -> %d under vertex renumbering",
+					n, id, a[id], b[id])
 			}
 		}
 	}
@@ -103,9 +86,8 @@ func TestPartitionDeterministicUnderVertexRenumbering(t *testing.T) {
 // would move ~N/(N+1) and fail this hard.
 func TestHashRebalancingMovesBoundedFraction(t *testing.T) {
 	db := testDB(t, 600, 10, 31)
-	p := hashPartitioner{}
 	for _, n := range []int{2, 4, 8} {
-		before, after := p.Partition(db, n), p.Partition(db, n+1)
+		before, after := partition(db, n), partition(db, n+1)
 		moved := 0
 		for id := range before {
 			if before[id] != after[id] {
@@ -126,40 +108,5 @@ func TestHashRebalancingMovesBoundedFraction(t *testing.T) {
 		if moved == 0 {
 			t.Errorf("n=%d -> %d moved nothing; new shard unused", n, n+1)
 		}
-	}
-}
-
-// StrategySize: per-shard byte loads stay near even, within the
-// documented slack plus one graph of quantization.
-func TestSizePartitionerBalancesBytes(t *testing.T) {
-	db := testDB(t, 300, 16, 47)
-	part := sizePartitioner{}.Partition(db, 4)
-	load := make([]int64, 4)
-	var total, maxGraph int64
-	for id, s := range part {
-		b := db.Graph(id).MemoryFootprint()
-		load[s] += b
-		total += b
-		if b > maxGraph {
-			maxGraph = b
-		}
-	}
-	limit := int64(float64(total)*sizeSlack/4) + maxGraph
-	for s, l := range load {
-		if l > limit {
-			t.Errorf("shard %d holds %d bytes, cap %d (total %d)", s, l, limit, total)
-		}
-		if l == 0 {
-			t.Errorf("shard %d empty on a 300-graph database", s)
-		}
-	}
-}
-
-func TestNewPartitionerRejectsUnknownStrategy(t *testing.T) {
-	if _, err := NewPartitioner("modulo"); err == nil {
-		t.Fatal("want error for unknown strategy")
-	}
-	if p, err := NewPartitioner(""); err != nil || p.Name() != string(StrategyHash) {
-		t.Fatalf("empty strategy: %v, %v (want hash default)", p, err)
 	}
 }

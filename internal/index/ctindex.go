@@ -286,7 +286,7 @@ func cycleCode(g *graph.Graph, cycle []graph.VertexID) string {
 }
 
 // Filter implements Index: fingerprint subset test against every graph.
-func (ix *CTIndex) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the built fingerprint set, not the data graphs
+func (ix *CTIndex) Filter(q *graph.Graph) []int {
 	return ix.FilterExplain(q, nil)
 }
 

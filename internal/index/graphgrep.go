@@ -60,7 +60,7 @@ func pathBucket(labels []graph.Label) uint32 {
 }
 
 // Filter implements Index.
-func (ix *GraphGrep) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the built hash tables, not the data graphs
+func (ix *GraphGrep) Filter(q *graph.Graph) []int {
 	fault.Inject(fault.PointIndexProbe)
 	if ix.tables == nil {
 		return nil

@@ -102,7 +102,7 @@ func (ix *Mined) Build(db *graph.Database, opts BuildOptions) error {
 }
 
 // Filter implements Index.
-func (ix *Mined) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the mined feature table, not the data graphs
+func (ix *Mined) Filter(q *graph.Graph) []int {
 	ids, _ := ix.FilterExact(q)
 	return ids
 }
@@ -111,7 +111,7 @@ func (ix *Mined) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe 
 // are already the exact answer set — the miner took the query whole and the
 // table holds it. A small query absent from the table can still have
 // answers if it was mined away, so a miss falls through to filtering.
-func (ix *Mined) FilterExact(q *graph.Graph) ([]int, bool) { //sqlint:ignore ctxbudget probe cost is bounded by the mined feature table, not the data graphs
+func (ix *Mined) FilterExact(q *graph.Graph) ([]int, bool) {
 	fault.Inject(fault.PointIndexProbe)
 	if ix.features == nil {
 		return nil, false

@@ -279,7 +279,7 @@ func (ix *PathTrie) InsertGraph(g *graph.Graph, gid int) error {
 
 // Filter implements Index: C(q) = the graphs holding every path feature of
 // q — in a counted trie, at least as often as q does.
-func (ix *PathTrie) Filter(q *graph.Graph) []int { //sqlint:ignore ctxbudget probe cost is bounded by the built trie, not the data graphs
+func (ix *PathTrie) Filter(q *graph.Graph) []int {
 	return ix.FilterExplain(q, nil)
 }
 

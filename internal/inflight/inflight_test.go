@@ -383,4 +383,16 @@ func TestHandleHotMethodsZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("nil handle methods allocate %.1f/op, want 0", avg)
 	}
+	// Register allocates the handle and its channels, nothing per slot its
+	// claim loop scans: with one free slot left it costs what it costs empty.
+	register := func(r *Registry) float64 {
+		return testing.AllocsPerRun(1000, func() { r.Deregister(r.Register(RegisterOptions{})) })
+	}
+	crowded := NewRegistry(64)
+	for range 63 {
+		crowded.Register(RegisterOptions{})
+	}
+	if empty, full := register(NewRegistry(64)), register(crowded); empty != full {
+		t.Fatalf("Register allocates %.1f/op on an empty registry and %.1f/op with one slot free, want equal", empty, full)
+	}
 }

@@ -17,8 +17,7 @@ import (
 // buffers, GraphQL's bipartite rows, the ordering and enumeration state —
 // lives here and is reused across graphs, so steady-state filtering
 // performs zero heap allocations per graph (asserted by
-// testing.AllocsPerRun in the tests and statically by sqlint's hotalloc
-// rule).
+// testing.AllocsPerRun in the tests).
 //
 // Ownership rules (see DESIGN.md, "Scratch arenas"):
 //

@@ -183,6 +183,15 @@ func TestEnumerateZeroAllocSteadyState(t *testing.T) {
 		if _, err := Enumerate(q, g, cand, order, Options{Limit: 1, Scratch: s}); err != nil {
 			t.Fatal(err)
 		}
+		// The same pair through Matcher.Run, as the engines and the result
+		// cache's probes drive the catalogue's filter-then-order matchers.
+		// CFL is not among them: CFLOrderScratch still collects its
+		// root-to-leaf paths on the heap, about 35 allocations per call here.
+		for _, m := range []Matcher{GraphQL, CFQL} {
+			if !m.FindFirst(q, g, Options{Scratch: s}).Found() {
+				t.Fatalf("%s found no embedding of a query drawn from the graph", m.Name)
+			}
+		}
 	}
 	pipeline() // warm-up
 	if allocs := testing.AllocsPerRun(50, pipeline); allocs != 0 {

@@ -1,9 +1,16 @@
 #!/bin/sh
 # check.sh — pre-commit gate: formatting, vet, build, the project-specific
-# static analyzers (cmd/sqlint), the race-enabled short test suite over
+# static analyzer (cmd/sqlint), the race-enabled short test suite over
 # every package, and the harness smoke tests -short skips, so that what
 # passes here passes tier-1 (`go build ./... && go test ./...`); the sqdebug
 # invariant tests run via `make test-sqdebug`.
+#
+# Which step checks what: `go vet ./...` is the by-value copy gate (a
+# sync.Mutex, WaitGroup or typed atomic copied through a receiver,
+# parameter, assignment or return); `go test -race` is the mixed-access gate
+# (a field read plainly in one goroutine and atomically or under a lock in
+# another, unguarded map writes); the AllocsPerRun tests are the hot-loop
+# allocation gate; sqlint checks channel discipline on the serving paths.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -23,10 +30,8 @@ go vet ./benchmark
 echo "== go build ./..."
 go build ./...
 
-echo "== go run ./cmd/sqlint -baseline cmd/sqlint/baseline.txt ./..."
-# Fails on any finding not listed in the baseline; stale baseline entries
-# (fixed findings whose line was not deleted) warn on stderr.
-go run ./cmd/sqlint -baseline cmd/sqlint/baseline.txt ./...
+echo "== go run ./cmd/sqlint ./..."
+go run ./cmd/sqlint ./...
 
 echo "== go test -race -short ./..."
 go test -race -short ./...
