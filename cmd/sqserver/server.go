@@ -41,6 +41,10 @@ type server struct {
 	// retry/hedge/degradation counters /metrics exposes (nil = one engine).
 	cluster *cluster.Coordinator
 
+	// cache is the result cache wrapping the engine, whose admission
+	// counters /metrics exposes (nil = -cache 0).
+	cache *core.Cached
+
 	// Telemetry. The registry backs GET /metrics; the named instruments
 	// are held directly so the hot path never takes the registry lock.
 	reg       *obs.Registry
@@ -144,8 +148,10 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	// Remember the coordinator before any cache wrapping so /metrics can
 	// reach its scatter-gather counters.
 	coord, _ := engine.(*cluster.Coordinator)
+	var cache *core.Cached
 	if cfg.cacheEntries > 0 {
-		engine = sq.NewCachedEngine(engine, cfg.cacheEntries)
+		cache = core.NewCached(engine, cfg.cacheEntries)
+		engine = cache
 	}
 	if logger == nil {
 		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
@@ -166,6 +172,7 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 		reg:      obs.NewRegistry(),
 		adm:      newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, cfg.retryJitter),
 		cluster:  coord,
+		cache:    cache,
 		profile:  telemetry.NewProfile(0),
 		exporter: exporter,
 		events:   telemetry.NewRing[telemetry.DebugEvent](cfg.eventsSize),
@@ -617,15 +624,20 @@ func (s *server) handleAppend(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "engine does not support appends; restart with a vcFV engine", http.StatusConflict)
 		return
 	}
+	// The stats cache is cleared under the write lock and filled under the
+	// read lock, so a computation that read the database before this append
+	// cannot store its count after the clear.
 	s.mu.Lock()
 	id, err := u.AppendGraph(g)
+	if err == nil {
+		s.statsCache.Store(nil)
+	}
 	s.mu.Unlock()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusConflict)
 		return
 	}
 	s.appends.Inc()
-	s.statsCache.Store(nil)
 	writeJSON(w, map[string]int{"id": id})
 }
 
@@ -636,7 +648,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		stats := s.db.ComputeStats()
 		mem := s.db.MemoryFootprint()
 		idx := s.engine.IndexMemory()
-		s.mu.RUnlock()
 		cached = &map[string]any{
 			"graphs":             stats.NumGraphs,
 			"labels":             stats.NumLabels,
@@ -648,6 +659,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 			"engine":             s.engine.Name(),
 		}
 		s.statsCache.Store(cached)
+		s.mu.RUnlock()
 	}
 	writeJSON(w, *cached)
 }
@@ -694,6 +706,11 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("cluster_degraded_queries").Set(int64(cs.DegradedQueries))
 		s.reg.Gauge("cluster_transport_attempts").Set(int64(cs.TransportAttempts))
 		s.reg.Gauge("cluster_transport_refused").Set(int64(cs.TransportRefused))
+	}
+	// Result-cache admission, copied from the cache's own atomics.
+	if s.cache != nil {
+		s.reg.Gauge("cache_admitted_total").Set(int64(s.cache.Admitted()))
+		s.reg.Gauge("cache_rejected_total").Set(int64(s.cache.Rejected()))
 	}
 	// Live-query registry occupancy and lifetime counters.
 	s.reg.Gauge("inflight_tracked").Set(int64(s.live.Len()))

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 
 	sq "subgraphquery"
@@ -216,6 +217,89 @@ func TestStatsCacheInvalidation(t *testing.T) {
 	}
 }
 
+// TestStatsStorm: goroutines alternate appends and GET /stats beside
+// readers that only GET /stats. A /stats
+// issued after an append returned id k must count graph k: a computation
+// that read the database before the append may not outlive it in the
+// cache. Run with -race -count=20.
+func TestStatsStorm(t *testing.T) {
+	srv := testServer(t)
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	g, err := sq.FromEdges([]sq.Label{0, 1}, []sq.Edge{{U: 0, V: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := graphText(t, g)
+	// decode reads one response into out; the workers report failures
+	// with t.Error, since t.Fatal may not be called off the test goroutine.
+	decode := func(resp *http.Response, err error, out any) error {
+		if err != nil {
+			return err
+		}
+		defer resp.Body.Close()
+		return json.NewDecoder(resp.Body).Decode(out)
+	}
+	// Readers keep refilling the cache, so a computation is nearly always
+	// in flight when an append lands.
+	stop := make(chan struct{})
+	var readers sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				var stats map[string]any
+				resp, err := http.Get(ts.URL + "/stats")
+				if err = decode(resp, err, &stats); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	defer func() {
+		close(stop)
+		readers.Wait()
+	}()
+	const workers, rounds = 4, 25
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				var appended struct {
+					ID int `json:"id"`
+				}
+				var stats struct {
+					Graphs int `json:"graphs"`
+				}
+				resp, err := http.Post(ts.URL+"/graphs", "text/plain", strings.NewReader(body))
+				if err = decode(resp, err, &appended); err != nil {
+					t.Error(err)
+					return
+				}
+				resp, err = http.Get(ts.URL + "/stats")
+				if err = decode(resp, err, &stats); err != nil {
+					t.Error(err)
+					return
+				}
+				if stats.Graphs < appended.ID+1 {
+					t.Errorf("/stats after the append of graph %d reports %d graphs", appended.ID, stats.Graphs)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // metricsResponse mirrors the /metrics JSON shape.
 type metricsResponse struct {
 	Engine     string           `json:"engine"`
@@ -286,6 +370,53 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if h.P50US <= 0 || h.P90US < h.P50US || h.P99US < h.P90US {
 		t.Errorf("quantiles not ordered: p50=%d p90=%d p99=%d", h.P50US, h.P90US, h.P99US)
+	}
+}
+
+// TestMetricsCacheAdmission: /metrics reports what the result cache
+// admitted and what it refused. With one slot, a query asked for twice
+// holds it against a one-off.
+func TestMetricsCacheAdmission(t *testing.T) {
+	db, err := sq.GenerateSynthetic(sq.SyntheticConfig{NumGraphs: 15, NumVertices: 20, NumLabels: 3, Degree: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(db, sq.NewCFQLEngine(), serverConfig{cacheEntries: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	oneOff, err := sq.GenerateQuerySet(db, sq.QuerySetConfig{Count: 1, Edges: 2, Method: sq.QueryBFS, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repeat := testQuery(t, srv)
+	for _, q := range []*sq.Graph{repeat, repeat, oneOff[0]} {
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(graphText(t, q)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Gauges["cache_admitted_total"]; got != 1 {
+		t.Errorf("cache_admitted_total = %d, want 1 (the repeated query)", got)
+	}
+	if got := m.Gauges["cache_rejected_total"]; got != 1 {
+		t.Errorf("cache_rejected_total = %d, want 1 (the one-off)", got)
+	}
+	if hits, misses := m.Counters["cache_hits_total"], m.Counters["cache_misses_total"]; hits+misses != 3 || hits < 1 {
+		t.Errorf("cache_hits_total %d, cache_misses_total %d, want three lookups with the repeat a hit", hits, misses)
 	}
 }
 

@@ -49,17 +49,25 @@ const (
 // matching.Scratch; the pool is verified by the engines' per-graph loop
 // (run.each), on its own.
 //
-// Replacement is least-recently-used, and a query occupies at most one
-// slot. Build and AppendGraph bump an epoch; an answer set computed under
-// an older epoch is dropped instead of stored, so a query that raced a
-// database change cannot publish a stale result.
+// Admission is TinyLFU's rule (Einziger, Friedman and Manes, ACM ToS
+// 2017): every lookup counts one use of its fingerprint, and a full cache
+// gives the least-recently-used entry's slot to a new answer set only if
+// the new fingerprint has been asked for more often than the victim's — on
+// a tie the incumbent stays. So a stream of one-off queries cannot push
+// out the repeated ones. Every agingPeriod × capacity lookups all counts
+// are halved and zero counts dropped, which lets a new hot set take over
+// and bounds the table at 2 × agingPeriod × capacity keys. A query occupies
+// at most one slot. Build and AppendGraph bump an epoch; an answer set
+// computed under an older epoch is dropped instead of stored, so a query
+// that raced a database change cannot publish a stale result.
 type Cached struct {
 	inner Engine
 	name  string
 	max   int
 
-	hits, misses atomic.Int64
-	clock        atomic.Uint64 // LRU time: one tick per entry use
+	hits, misses       atomic.Int64
+	admitted, rejected atomic.Int64
+	clock              atomic.Uint64 // LRU time: one tick per entry use
 
 	mu    sync.Mutex
 	db    *graph.Database
@@ -69,6 +77,10 @@ type Cached struct {
 	// under mu after releasing it.
 	entries []*cacheEntry
 	byKey   map[telemetry.Fingerprint][]*cacheEntry
+	// freq counts lookups per fingerprint, halved at every aging (the
+	// admission filter); lookups counts them toward the next aging.
+	freq    map[telemetry.Fingerprint]uint32
+	lookups int
 }
 
 // cacheEntry is immutable once published, except for its LRU stamp.
@@ -102,6 +114,11 @@ type cacheHit struct {
 // probeSteps bounds one query-to-query matching; query graphs are tiny.
 const probeSteps = 1 << 16
 
+// agingPeriod is how many lookups per slot pass between two halvings of
+// the admission counts. Periods of 8 to 64 give exact-hit shares within
+// half a point of each other on BenchmarkCachedZipf.
+const agingPeriod = 16
+
 // NewCached wraps inner with a result cache of the given capacity
 // (0 selects 64 entries).
 func NewCached(inner Engine, capacity int) *Cached {
@@ -113,6 +130,7 @@ func NewCached(inner Engine, capacity int) *Cached {
 		name:  inner.Name() + "+cache",
 		max:   capacity,
 		byKey: map[telemetry.Fingerprint][]*cacheEntry{},
+		freq:  map[telemetry.Fingerprint]uint32{},
 	}
 }
 
@@ -126,6 +144,15 @@ func (e *Cached) Hits() int { return int(e.hits.Load()) }
 // Misses returns how many queries went to the inner engine. Safe for
 // concurrent use.
 func (e *Cached) Misses() int { return int(e.misses.Load()) }
+
+// Admitted returns how many answer sets were published to the cache. Safe
+// for concurrent use.
+func (e *Cached) Admitted() int { return int(e.admitted.Load()) }
+
+// Rejected returns how many answer sets the full cache refused because
+// their query had been asked for no more often than the entry they would
+// have replaced. Safe for concurrent use.
+func (e *Cached) Rejected() int { return int(e.rejected.Load()) }
 
 // Build implements Engine and clears the cache: cached answer sets are
 // only valid for the database they were computed on.
@@ -237,13 +264,33 @@ func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Dur
 	return res
 }
 
-// view snapshots the cache for one query. The critical section is a map
-// lookup and three loads.
+// view snapshots the cache for one query and counts the lookup toward its
+// fingerprint's admission count. The critical section is two map accesses
+// and three loads, plus the halving of every count once per aging period.
 func (e *Cached) view(fp telemetry.Fingerprint) cacheView {
 	e.mu.Lock()
 	v := cacheView{entries: e.entries, chain: e.byKey[fp], db: e.db, epoch: e.epoch}
+	e.freq[fp]++
+	if e.lookups++; e.lookups >= agingPeriod*e.max {
+		e.age()
+	}
 	e.mu.Unlock()
 	return v
+}
+
+// age halves every admission count and forgets the ones that reach zero.
+// Between two agings at most agingPeriod × capacity new keys arrive, and
+// halving leaves at most half the counts' sum, so the table never holds
+// more than 2 × agingPeriod × capacity keys. Caller holds mu.
+func (e *Cached) age() {
+	e.lookups = 0
+	for fp, n := range e.freq {
+		if n /= 2; n == 0 {
+			delete(e.freq, fp)
+		} else {
+			e.freq[fp] = n
+		}
+	}
 }
 
 // lookup resolves q against the snapshot, holding no lock: first the
@@ -390,7 +437,9 @@ func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed 
 
 // store publishes (q, res.Answers) unless the result is not cacheable, the
 // database changed since the query's snapshot, or an isomorphic query
-// already holds a slot; when full it evicts the least recently used entry.
+// already holds a slot. When full it evicts the least recently used entry,
+// but only for a query asked for more often than that entry's; otherwise
+// the answer set is refused (res itself is the caller's either way).
 func (e *Cached) store(q *graph.Graph, fp telemetry.Fingerprint, res *Result, epoch uint64, s *matching.Scratch) {
 	// Only complete answer sets are cacheable: a timed-out, cancelled,
 	// failed or partially-skipped query yields a lower bound that would
@@ -422,6 +471,10 @@ func (e *Cached) store(q *graph.Graph, fp telemetry.Fingerprint, res *Result, ep
 				victim = old
 			}
 		}
+		if e.freq[fp] <= e.freq[victim.key] {
+			e.rejected.Add(1)
+			return
+		}
 		e.byKey[victim.key] = without(e.byKey[victim.key], victim)
 		if len(e.byKey[victim.key]) == 0 {
 			delete(e.byKey, victim.key)
@@ -429,6 +482,7 @@ func (e *Cached) store(q *graph.Graph, fp telemetry.Fingerprint, res *Result, ep
 	}
 	e.entries = append(without(e.entries, victim), ent)
 	e.byKey[fp] = append(without(e.byKey[fp], nil), ent)
+	e.admitted.Add(1)
 }
 
 // without returns a fresh copy of list with drop removed and room for one

@@ -330,15 +330,27 @@ func TestCachedDropsStaleStore(t *testing.T) {
 	}
 }
 
-// TestCachedLRUOneSlotPerQuery: a repeated query holds one slot however
-// often and however it hits, and eviction takes the least recently *used*
-// entry, not the oldest.
-func TestCachedLRUOneSlotPerQuery(t *testing.T) {
-	// Single-edge queries over disjoint label pairs: no containment
-	// between them, so every outcome is exact or a miss.
-	edge := func(a, b graph.Label) *graph.Graph {
-		return graph.MustFromEdges([]graph.Label{a, b}, []graph.Edge{{U: 0, V: 1}})
+// edge is a single-edge query. Over disjoint label pairs there is no
+// containment between two of them, so every outcome is exact or a miss.
+func edge(a, b graph.Label) *graph.Graph {
+	return graph.MustFromEdges([]graph.Label{a, b}, []graph.Edge{{U: 0, V: 1}})
+}
+
+// distinctEdges returns n single-edge queries over disjoint label pairs,
+// starting at label first.
+func distinctEdges(first graph.Label, n int) []*graph.Graph {
+	qs := make([]*graph.Graph, n)
+	for i := range qs {
+		qs[i] = edge(first+graph.Label(2*i), first+graph.Label(2*i+1))
 	}
+	return qs
+}
+
+// TestCachedLRUOneSlotPerQuery: a repeated query holds one slot however
+// often and however it hits, eviction takes the least recently *used*
+// entry, not the oldest, and a new query takes that slot only once it has
+// been asked for more often than the entry holding it.
+func TestCachedLRUOneSlotPerQuery(t *testing.T) {
 	qa, qb, qc := edge(0, 1), edge(2, 3), edge(4, 5)
 	db := graph.NewDatabase([]*graph.Graph{qa, qb, qc, extendQuery(qa, 1)})
 	cached := builtCached(t, db, 2)
@@ -365,13 +377,111 @@ func TestCachedLRUOneSlotPerQuery(t *testing.T) {
 	cached.Query(qa, QueryOptions{})
 	cached.Query(qb, QueryOptions{})
 	cached.Query(qa, QueryOptions{}) // qa is now the more recently used
-	cached.Query(qc, QueryOptions{}) // evicts qb
-	if got := cached.Query(qa, QueryOptions{}); got.Cache != CacheExact {
-		t.Errorf("recently used query was evicted (outcome %q)", got.Cache)
+	// qc has been asked for as often as qb, the victim: qb keeps its slot.
+	if got := cached.Query(qc, QueryOptions{}); got.Cache != "" || cached.Rejected() != 1 {
+		t.Fatalf("first qc: outcome %q, %d rejected, want a miss and 1", got.Cache, cached.Rejected())
 	}
-	if got := cached.Query(qb, QueryOptions{}); got.Cache != "" {
-		t.Errorf("least recently used query survived (outcome %q)", got.Cache)
+	// The second ask puts qc ahead of qb, which it now evicts.
+	if got := cached.Query(qc, QueryOptions{}); got.Cache != "" || cached.Admitted() != 3 {
+		t.Fatalf("second qc: outcome %q, %d admitted, want a miss and 3", got.Cache, cached.Admitted())
 	}
+	for _, c := range []struct {
+		name string
+		q    *graph.Graph
+		want string
+	}{{"qc", qc, CacheExact}, {"qa", qa, CacheExact}, {"qb", qb, ""}} {
+		if got := cached.Query(c.q, QueryOptions{}); got.Cache != c.want {
+			t.Errorf("%s: outcome %q, want %q", c.name, got.Cache, c.want)
+		}
+	}
+}
+
+// freqLen returns how many fingerprints the admission filter counts.
+func freqLen(e *Cached) int {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return len(e.freq)
+}
+
+// TestCachedAdmission: one-off queries cannot push repeated ones out, a
+// new hot set still takes over, the count table stays bounded, and a
+// refused answer set reaches its caller whole.
+func TestCachedAdmission(t *testing.T) {
+	const capacity = 4
+	hot := distinctEdges(0, capacity)
+	db := graph.NewDatabase(append(distinctEdges(0, 2*capacity), extendQuery(hot[0], 1)))
+
+	t.Run("one-offs-do-not-evict", func(t *testing.T) {
+		cached := builtCached(t, db, capacity)
+		for range 2 {
+			for _, q := range hot {
+				cached.Query(q, QueryOptions{})
+			}
+		}
+		for i, q := range distinctEdges(100, 10*capacity) {
+			if got := cached.Query(q, QueryOptions{}); got.Cache != "" {
+				t.Fatalf("one-off %d: outcome %q, want a miss", i, got.Cache)
+			}
+			if got := cached.Query(hot[i%capacity], QueryOptions{}); got.Cache != CacheExact {
+				t.Fatalf("hot query %d after one-off %d: outcome %q, want an exact hit", i%capacity, i, got.Cache)
+			}
+		}
+		if cached.Rejected() != 10*capacity {
+			t.Errorf("%d answer sets rejected, want the %d one-offs", cached.Rejected(), 10*capacity)
+		}
+	})
+
+	t.Run("new-hot-set-takes-over", func(t *testing.T) {
+		cached := builtCached(t, db, capacity)
+		// Long enough for the old set's counts to reach their ceiling.
+		for range 4 * agingPeriod {
+			for _, q := range hot {
+				cached.Query(q, QueryOptions{})
+			}
+		}
+		next := distinctEdges(2*capacity, capacity)
+		for range agingPeriod {
+			for _, q := range next {
+				cached.Query(q, QueryOptions{})
+			}
+		}
+		for i, q := range next {
+			if got := cached.Query(q, QueryOptions{}); got.Cache != CacheExact {
+				t.Errorf("new hot query %d after one aging period: outcome %q, want an exact hit", i, got.Cache)
+			}
+		}
+	})
+
+	t.Run("table-bounded", func(t *testing.T) {
+		cached := builtCached(t, db, capacity)
+		most := 0
+		for _, q := range distinctEdges(100, 100*capacity) {
+			cached.Query(q, QueryOptions{})
+			most = max(most, freqLen(cached))
+		}
+		if most > 2*agingPeriod*capacity {
+			t.Errorf("admission table reached %d keys, want at most %d", most, 2*agingPeriod*capacity)
+		}
+	})
+
+	t.Run("refused-answers-returned", func(t *testing.T) {
+		cached := builtCached(t, db, 1)
+		for range 3 {
+			cached.Query(hot[1], QueryOptions{})
+		}
+		q := hot[0]
+		want := trueAnswers(db, q)
+		if len(want) < 2 {
+			t.Fatalf("fixture: %d answers, want several", len(want))
+		}
+		got := cached.Query(q, QueryOptions{})
+		if got.Cache != "" || cached.Rejected() != 1 {
+			t.Fatalf("outcome %q with %d rejected, want a refused miss", got.Cache, cached.Rejected())
+		}
+		if !equalInts(got.Answers, want) {
+			t.Errorf("refused answer set %v, want %v", got.Answers, want)
+		}
+	})
 }
 
 // TestCachedStorm mixes exact repeats, containment hits and appends from

@@ -84,15 +84,18 @@ func NewBFSTree(g *Graph, root VertexID) *BFSTree {
 // have an empty 2-core.
 func (g *Graph) TwoCore() []bool {
 	n := g.NumVertices()
-	deg := make([]int, n)
-	inCore := make([]bool, n)
-	queue := make([]VertexID, 0)
-	for v := 0; v < n; v++ {
-		deg[v] = g.Degree(VertexID(v))
-		inCore[v] = true
-		if deg[v] < 2 {
+	return g.TwoCoreInto(make([]bool, n), make([]int32, n), make([]VertexID, 0, n))
+}
+
+// TwoCoreInto is TwoCore on caller-owned storage: inCore and deg hold one
+// entry per vertex, queue has room for as many (appending past its
+// capacity allocates). It fills and returns inCore.
+func (g *Graph) TwoCoreInto(inCore []bool, deg []int32, queue []VertexID) []bool {
+	for v := range inCore {
+		deg[v] = int32(g.Degree(VertexID(v)))
+		inCore[v] = deg[v] >= 2
+		if !inCore[v] {
 			queue = append(queue, VertexID(v))
-			inCore[v] = false
 		}
 	}
 	for len(queue) > 0 {

@@ -1,8 +1,8 @@
 package matching
 
 import (
+	"cmp"
 	"slices"
-	"sort"
 
 	"subgraphquery/internal/domain"
 	"subgraphquery/internal/fault"
@@ -349,49 +349,29 @@ func CFLOrderScratch(q, g *graph.Graph, cand *Candidates, s *Scratch) []graph.Ve
 	if s == nil {
 		s = NewScratch()
 	}
-	root := cflRoot(q, g, s)
-	tree := graph.NewBFSTree(q, root)
-	core := q.TwoCore()
-
-	// Enumerate root-to-leaf tree paths.
-	var paths [][]graph.VertexID
-	var walk func(u graph.VertexID, prefix []graph.VertexID)
-	walk = func(u graph.VertexID, prefix []graph.VertexID) {
-		prefix = append(prefix, u)
-		if len(tree.Children[u]) == 0 {
-			paths = append(paths, append([]graph.VertexID(nil), prefix...))
-			return
-		}
-		for _, c := range tree.Children[u] {
-			walk(c, prefix)
-		}
+	s.core, s.coreDeg = scratch.Grow(s.core, n), scratch.Grow(s.coreDeg, n)
+	s.coreQueue = scratch.Grow(s.coreQueue, n)
+	core := q.TwoCoreInto(s.core, s.coreDeg, s.coreQueue[:0])
+	paths := s.treePaths(q, cflRoot(q, g, s))
+	for i := range paths {
+		p := s.pathVerts[paths[i].lo:paths[i].hi]
+		paths[i].cost = pathEmbeddingEstimate(g, q, cand, p, s)
+		paths[i].inCore = pathInCore(core, p)
 	}
-	walk(root, nil)
-
-	type scored struct {
-		path   []graph.VertexID
-		cost   float64
-		inCore bool
-	}
-	ranked := make([]scored, len(paths))
-	for i, p := range paths {
-		ranked[i] = scored{
-			path:   p,
-			cost:   pathEmbeddingEstimate(g, q, cand, p, s),
-			inCore: pathInCore(core, p),
+	slices.SortStableFunc(paths, func(a, b cflPath) int {
+		if a.inCore != b.inCore {
+			if a.inCore {
+				return -1 // core paths first
+			}
+			return 1
 		}
-	}
-	sort.SliceStable(ranked, func(i, j int) bool {
-		if ranked[i].inCore != ranked[j].inCore {
-			return ranked[i].inCore // core paths first
-		}
-		return ranked[i].cost < ranked[j].cost
+		return cmp.Compare(a.cost, b.cost)
 	})
 
 	order := s.orderBuf[:0]
 	in := growBools(&s.orderIn, n)
-	for _, sc := range ranked {
-		for _, u := range sc.path {
+	for _, p := range paths {
+		for _, u := range s.pathVerts[p.lo:p.hi] {
 			if !in[u] {
 				in[u] = true
 				order = append(order, u)
@@ -401,6 +381,64 @@ func CFLOrderScratch(q, g *graph.Graph, cand *Candidates, s *Scratch) []graph.Ve
 	s.orderBuf = order
 	return order
 }
+
+// cflPath is one root-to-leaf path of CFL's BFS tree, s.pathVerts[lo:hi],
+// with its rank: estimated embedding count and whether it lies in the
+// 2-core.
+type cflPath struct {
+	lo, hi int32
+	cost   float64
+	inCore bool
+}
+
+// treePaths returns the root-to-leaf paths of q's BFS tree rooted at root,
+// leaves in depth-first order and children in discovery order — the paths
+// a recursive walk over graph.NewBFSTree's Children finds — on the arena.
+// A vertex's children are the vertices it discovers, which the BFS queue
+// receives consecutively: first[i] is where the children of order[i]
+// start, so they are order[first[i]:first[i+1]].
+func (s *Scratch) treePaths(q *graph.Graph, root graph.VertexID) []cflPath {
+	seen := growBools(&s.orderIn, q.NumVertices())
+	order := append(s.treeOrder[:0], root)
+	seen[root] = true
+	first := s.treeFirst[:0]
+	for i := 0; i < len(order); i++ {
+		first = append(first, int32(len(order)))
+		for _, w := range q.Neighbors(order[i]) {
+			if !seen[w] {
+				seen[w] = true
+				order = append(order, w)
+			}
+		}
+	}
+	first = append(first, int32(len(order)))
+
+	// Depth-first over BFS positions; prefix is the path to the popped one.
+	stack := append(s.treeStack[:0], treeFrame{})
+	prefix := s.treePrefix[:0]
+	verts, paths := s.pathVerts[:0], s.paths[:0]
+	for len(stack) > 0 {
+		f := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		prefix = append(prefix[:f.depth], order[f.pos])
+		lo, hi := first[f.pos], first[f.pos+1]
+		if lo == hi {
+			paths = append(paths, cflPath{lo: int32(len(verts)), hi: int32(len(verts) + len(prefix))})
+			verts = append(verts, prefix...)
+			continue
+		}
+		for c := hi - 1; c >= lo; c-- { // first child on top
+			stack = append(stack, treeFrame{pos: c, depth: f.depth + 1})
+		}
+	}
+	s.treeOrder, s.treeFirst, s.treeStack, s.treePrefix = order, first, stack, prefix
+	s.pathVerts, s.paths = verts, paths
+	return paths
+}
+
+// treeFrame is one pending vertex of treePaths' walk: its BFS position and
+// its depth in the tree.
+type treeFrame struct{ pos, depth int32 }
 
 // pathInCore reports whether every non-root vertex of the path lies in the
 // query's 2-core.

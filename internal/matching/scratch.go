@@ -100,6 +100,19 @@ type Scratch struct {
 	conf     []scratch.Bits
 	backward scratch.Rows[graph.VertexID]
 	isect    scratch.Rows[graph.VertexID]
+
+	// CFL order: the query's 2-core and its peeling work space, the BFS
+	// tree (treePaths) and its root-to-leaf paths, one flat vertex buffer
+	// that the paths slice.
+	core       []bool
+	coreDeg    []int32
+	coreQueue  []graph.VertexID
+	treeOrder  []graph.VertexID
+	treeFirst  []int32
+	treeStack  []treeFrame
+	treePrefix []graph.VertexID
+	pathVerts  []graph.VertexID
+	paths      []cflPath
 }
 
 // growBools sizes *buf to n and clears it; for the visited/membership

@@ -78,4 +78,7 @@ go test -count=1 -run TestSmoke ./benchmark
 echo "== the benchmark gate's own form on the index workload (traced: non-zero on a wrong answer, a dead server or a failed self-check)"
 go run ./benchmark -workload aids-index-append -trace 1 -seconds 2
 
+echo "== the same on the cached workload (the only one that runs the result cache)"
+go run ./benchmark -workload aids-default-hot -trace 1 -seconds 2
+
 echo "ok"
