@@ -569,7 +569,7 @@ func BenchmarkCachedZipf(b *testing.B) {
 				}
 				b.ReportMetric(float64(outcomes[core.CacheExact])/queriesRun, "exact_share")
 				b.ReportMetric(float64(outcomes[core.CacheSubgraph])/queriesRun, "subgraph_share")
-				b.ReportMetric(float64(outcomes[""])/queriesRun, "miss_share")
+				b.ReportMetric(float64(outcomes[core.CacheMiss])/queriesRun, "miss_share")
 			}
 		})
 	}

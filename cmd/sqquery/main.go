@@ -23,6 +23,7 @@ import (
 	sq "subgraphquery"
 	"subgraphquery/internal/bench"
 	"subgraphquery/internal/core"
+	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/obs"
 )
 
@@ -111,12 +112,12 @@ func run(opts runOptions) error {
 	}
 
 	perQuery := opts.Verbose || opts.Explain || opts.Trace
-	// -progress registers each query in a private in-flight registry (the
-	// same handle the server path uses) and polls its snapshot onto stderr
-	// while the engine runs.
-	var reg *sq.InflightRegistry
+	// -progress registers each query in a private in-flight registry, as
+	// the server does, and polls its snapshot onto stderr while the engine
+	// runs.
+	var reg *inflight.Registry
 	if opts.Progress {
-		reg = sq.NewInflightRegistry(4)
+		reg = inflight.NewRegistry(4)
 	}
 	errw := opts.Err
 	if errw == nil {
@@ -129,7 +130,6 @@ func run(opts runOptions) error {
 		qopts := core.QueryOptions{
 			Deadline: time.Now().Add(opts.Budget),
 			Workers:  opts.Workers,
-			Inflight: reg,
 		}
 		var ex *obs.Explain
 		if opts.Explain {
@@ -143,10 +143,12 @@ func run(opts runOptions) error {
 		}
 		stopProgress := func() {}
 		if opts.Progress {
+			qopts.Handle = reg.Register(inflight.RegisterOptions{Engine: engine.Name()})
 			stopProgress = watchProgress(errw, reg, i)
 		}
 		res := engine.Query(q, qopts)
 		stopProgress()
+		reg.Deregister(qopts.Handle)
 		filter += res.FilterTime
 		verify += res.VerifyTime
 		cands += res.Candidates
@@ -169,7 +171,7 @@ func run(opts runOptions) error {
 			ex.Snapshot().WriteText(out)
 		}
 		if trace != nil {
-			writeTraceText(out, trace.Snapshot())
+			writeTraceText(out, res.TraceSnapshot(trace))
 		}
 	}
 	n := queryDB.Len()
@@ -192,9 +194,8 @@ var progressPeriod = 200 * time.Millisecond
 // watchProgress polls the registry while query qi runs, redrawing one
 // stderr line in place (phase, graphs done/total, candidates, answers,
 // enumeration steps). The returned stop function clears the line and
-// waits for the poller to exit; the engine itself registers and
-// deregisters the handle the poller reads.
-func watchProgress(w io.Writer, reg *sq.InflightRegistry, qi int) (stop func()) {
+// waits for the poller to exit.
+func watchProgress(w io.Writer, reg *inflight.Registry, qi int) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {

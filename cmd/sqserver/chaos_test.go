@@ -13,6 +13,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,6 +74,7 @@ func TestChaosServerSurvives(t *testing.T) {
 
 	baselineG := runtime.NumGoroutine()
 	baselineS := matching.ScratchLive()
+	panicsBefore := panicsRecovered(t, ts.URL)
 
 	fault.Set(fault.Config{
 		PanicRate:   0.02,
@@ -162,10 +164,10 @@ func TestChaosServerSurvives(t *testing.T) {
 	if panics == 0 {
 		t.Error("chaos run fired no panics; injection points or rates are dead")
 	}
-	// Engine-recovered panics reach the registry through the observer's
-	// ObservePanic, so the counter behind panics_recovered_total moves.
-	if srv.panics.Value() == 0 {
-		t.Error("panics_recovered_total stayed zero while panics fired")
+	// Every injected panic is recovered, in an engine or in the result
+	// cache's probe, and counted once in panics_recovered_total.
+	if got := panicsRecovered(t, ts.URL) - panicsBefore; got != int64(panics) {
+		t.Errorf("panics_recovered_total rose by %d while %d panics fired", got, panics)
 	}
 
 	// Quiesce and assert nothing leaked: the admission slots are all free,
@@ -212,6 +214,85 @@ func TestChaosServerSurvives(t *testing.T) {
 	}
 	if len(out.Answers) == 0 {
 		t.Error("clean query after chaos returned no answers")
+	}
+}
+
+// panicsRecovered reads panics_recovered_total from /metrics, on a
+// connection it closes, so goroutine counts are unaffected.
+func panicsRecovered(t *testing.T, url string) int64 {
+	t.Helper()
+	req, err := http.NewRequest(http.MethodGet, url+"/metrics", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Close = true
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	return m.Gauges["panics_recovered_total"]
+}
+
+// TestChaosCacheProbePanicCounted: a panic inside the result cache's probe
+// (its query-to-query matching runs CFQL's filter) is recovered into a
+// cache miss and reaches panics_recovered_total on /metrics. The engine is
+// GGSX, whose VF2 verification has no fault point, so every panic fired is
+// one of the probe's.
+func TestChaosCacheProbePanicCounted(t *testing.T) {
+	db, err := sq.GenerateSynthetic(sq.SyntheticConfig{
+		NumGraphs: 15, NumVertices: 20, NumLabels: 3, Degree: 4, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fault.Set(fault.Config{})
+	defer fault.Set(fault.Config{})
+	srv, err := newServer(db, sq.NewGGSXEngine(), serverConfig{cacheEntries: 16, slowThreshold: -1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+	body := graphText(t, testQuery(t, srv))
+	ask := func() queryResponse {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/query?trace=1", "text/plain", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var out queryResponse
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("status %d", resp.StatusCode)
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+
+	first := ask()
+	before := panicsRecovered(t, ts.URL)
+	fault.Set(fault.Config{PanicRate: 1, Points: map[string]bool{fault.PointFilter: true}})
+	second := ask()
+	fired, _, _, _ := fault.Counts()
+	after := panicsRecovered(t, ts.URL)
+
+	t.Logf("the repeat's cache probe fired %d panics", fired)
+	if fired == 0 {
+		t.Fatal("the cache probe fired no panic; the fault point is dead")
+	}
+	if second.Trace.CacheMisses != 1 || second.Skipped != 0 || !slices.Equal(second.Answers, first.Answers) {
+		t.Errorf("repeat under probe panics: cache_misses=%d skipped=%d answers %v, want a clean miss with %v",
+			second.Trace.CacheMisses, second.Skipped, second.Answers, first.Answers)
+	}
+	if after-before != int64(fired) {
+		t.Errorf("panics_recovered_total rose by %d, want the %d probe panics", after-before, fired)
 	}
 }
 

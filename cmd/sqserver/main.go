@@ -96,7 +96,8 @@ func main() {
 	dbPath := flag.String("db", "db.graph", "database file")
 	addr := flag.String("addr", ":8080", "listen address")
 	engineName := flag.String("engine", "CFQL", "query engine")
-	cache := flag.Int("cache", 64, "result cache entries, replaced least-recently-used (0 disables)")
+	cache := flag.Int("cache", 64,
+		"result cache entries (0 disables); a full cache stores a new answer set only for a query asked for more often than its least-recently-used entry")
 	shards := flag.Int("shards", 0,
 		"partition the database across N engine shards behind a scatter-gather coordinator (0 = single engine)")
 	shardReplicas := flag.Int("shard-replicas", 1,

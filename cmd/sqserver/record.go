@@ -32,6 +32,10 @@ type queryRecord struct {
 	// detail is the incident message when the producer knows more than the
 	// Event says (the watchdog's progress snapshot).
 	detail string
+	// cache is the Result's cache outcome ("" without a cache), workers its
+	// effective pool size.
+	cache   string
+	workers int
 
 	query   *sq.Graph
 	trace   *obs.Trace
@@ -65,20 +69,17 @@ func (rec *queryRecord) executed(res *sq.Result, start time.Time, elapsed time.D
 	rec.TimedOut = res.TimedOut
 	rec.Cancelled = res.Cancelled
 	rec.Error = res.Err != nil
-	rec.CacheHit = res.Cache != ""
+	rec.cache, rec.workers = res.Cache, res.Workers
+	rec.CacheHit = res.Cache == core.CacheExact || res.Cache == core.CacheSubgraph
 	rec.errsTruncated = res.GraphErrorsTruncated
+	rec.Panics = res.Panics()
 	for _, ge := range res.GraphErrors {
 		switch ge.Kind {
-		case core.KindPanic:
-			rec.Panics++
 		case core.KindBudget:
 			rec.Budget++
 		case core.KindShard:
 			rec.lostShards++
 		}
-	}
-	if res.Err != nil && res.Err.Kind == core.KindPanic {
-		rec.Panics++
 	}
 	if res.Degraded && rec.lostShards == 0 {
 		// The KindShard entries lead the capped error list by
@@ -94,7 +95,9 @@ func (rec *queryRecord) executed(res *sq.Result, start time.Time, elapsed time.D
 //
 //	               registry           profile export incidents slowlog log attrs
 //	executed       queries, latency,  yes     yes    if panics offered yes
-//	               timeouts, degraded
+//	               phases, cache,
+//	               workers, timeouts,
+//	               degraded
 //	bounced        shed (429 only)    yes     yes    yes       no      yes
 //	watchdog flag  watchdog_flagged   no      yes    yes       no      no
 func (s *server) publish(w http.ResponseWriter, rec *queryRecord) {
@@ -112,6 +115,18 @@ func (s *server) publish(w http.ResponseWriter, rec *queryRecord) {
 		s.queries.Inc()
 		elapsed := time.Duration(rec.DurationUS) * time.Microsecond
 		s.latency.Record(elapsed)
+		s.filterLat.Record(time.Duration(rec.FilterUS) * time.Microsecond)
+		s.verifyLat.Record(time.Duration(rec.VerifyUS) * time.Microsecond)
+		switch rec.cache {
+		case "":
+		case core.CacheMiss:
+			s.cacheMiss.Inc()
+		default:
+			s.cacheHit.Inc()
+		}
+		if rec.workers > 0 {
+			s.workerPool.Set(int64(rec.workers))
+		}
 		if rec.TimedOut {
 			s.timeouts.Inc()
 		}
@@ -214,7 +229,7 @@ func (rec *queryRecord) response(res *sq.Result, inflightID uint64) queryRespons
 		InflightID:           inflightID,
 	}
 	if rec.trace != nil {
-		snap := rec.trace.Snapshot()
+		snap := res.TraceSnapshot(rec.trace)
 		resp.Trace = &snap
 	}
 	if rec.explain != nil {

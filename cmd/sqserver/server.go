@@ -55,7 +55,6 @@ type server struct {
 	cacheHit  *obs.Counter
 	cacheMiss *obs.Counter
 	shed      *obs.Counter // requests bounced by admission control
-	panics    *obs.Counter // panics recovered in engines and handlers
 	// degradedShards counts shard partitions lost to a query response
 	// (shard_degraded_total); errsTruncated sums graph errors dropped by
 	// the coordinator's post-merge cap (graph_errors_truncated).
@@ -69,6 +68,8 @@ type server struct {
 	filterLat  *obs.Histogram // engine filtering phase
 	verifyLat  *obs.Histogram // engine verification phase
 	siLat      *obs.Histogram // per-SI-test (one sample per candidate graph)
+	// observer feeds siLat on a query without ?trace=1.
+	observer *registryObserver
 
 	// slow is the ring behind GET /debug/slowlog (nil = disabled): publish
 	// offers it every executed record and it keeps those whose wall-clock
@@ -189,7 +190,6 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	s.cacheHit = s.reg.Counter("cache_hits_total")
 	s.cacheMiss = s.reg.Counter("cache_misses_total")
 	s.shed = s.reg.Counter("queries_shed_total")
-	s.panics = s.reg.Counter("panics_recovered_total")
 	s.degradedShards = s.reg.Counter("shard_degraded_total")
 	s.errsTruncated = s.reg.Counter("graph_errors_truncated")
 	s.inflight = s.reg.Gauge("queries_inflight")
@@ -198,6 +198,7 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	s.filterLat = s.reg.Histogram("filter_latency/" + en)
 	s.verifyLat = s.reg.Histogram("verify_latency/" + en)
 	s.siLat = s.reg.Histogram("si_test_latency/" + en)
+	s.observer = &registryObserver{siLat: s.siLat}
 	s.stuck = s.reg.Counter("watchdog_flagged_total")
 
 	// Index construction runs after the registry exists so its cost is a
@@ -285,7 +286,6 @@ func (s *server) recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {
 			if v := recover(); v != nil {
-				s.panics.Inc()
 				obs.Panics.Inc()
 				s.incident(telemetry.DebugEvent{
 					Kind:    "handler_panic",
@@ -355,37 +355,17 @@ func (r *statusRecorder) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// registryObserver streams engine telemetry into the server's registry:
-// phase spans feed the per-phase histograms, every SI test feeds the
-// per-SI-test histogram, cache probes feed the hit/miss counters.
-type registryObserver struct{ s *server }
-
-func (o registryObserver) ObservePhase(name string, d time.Duration) {
-	switch name {
-	case obs.PhaseFilter:
-		o.s.filterLat.Record(d)
-	case obs.PhaseVerify:
-		o.s.verifyLat.Record(d)
-	}
+// registryObserver feeds every SI test into the per-SI-test histogram and,
+// under ?trace=1, into the request's trace (nil otherwise).
+type registryObserver struct {
+	siLat *obs.Histogram
+	trace *obs.Trace
 }
 
-func (o registryObserver) ObserveVerify(_ int, _ uint64, d time.Duration, _ bool) {
-	o.s.siLat.Record(d)
+func (o *registryObserver) ObserveVerify(gid int, steps uint64, d time.Duration, found bool) {
+	o.siLat.Record(d)
+	o.trace.ObserveVerify(gid, steps, d, found)
 }
-
-func (o registryObserver) ObserveCache(hit bool) {
-	if hit {
-		o.s.cacheHit.Inc()
-	} else {
-		o.s.cacheMiss.Inc()
-	}
-}
-
-func (o registryObserver) ObserveWorkers(n int) { o.s.workerPool.Set(int64(n)) }
-func (o registryObserver) ObservePanic(int)     { o.s.panics.Inc() }
-
-// ObserveFingerprint: per-shape aggregation is the workload profile's job.
-func (o registryObserver) ObserveFingerprint(uint64) {}
 
 // readGraph parses the one graph a POST body carries, answering 413 past
 // maxBodyBytes and 400 for anything unparsable; ok is false once it has
@@ -442,11 +422,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	opts := sq.QueryOptions{
 		MemoryBudget: s.cfg.memBudget,
 		Fingerprint:  rec.Fingerprint,
-		Observer:     registryObserver{s},
-		// A coordinator engine registers one sub-handle per shard attempt
-		// in the same registry, so /debug/inflight shows the fan-out live
-		// and cancellation reaches hedged losers.
-		Inflight: s.live,
+		Observer:     s.observer,
 	}
 	if s.cfg.budget > 0 {
 		var cancel context.CancelFunc
@@ -459,7 +435,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// carries identity and progress counters for GET /debug/inflight, and
 	// merging its cancel channel with the request context means remote
 	// cancellation (POST /debug/inflight/{id}/cancel), client disconnect
-	// and the budget all stop the engine through one channel.
+	// and the budget all stop the engine through one channel. A coordinator
+	// engine registers one sub-handle per shard attempt in the same
+	// registry, so /debug/inflight shows the fan-out live and cancellation
+	// reaches hedged losers.
 	h := s.live.Register(inflight.RegisterOptions{
 		Engine:      rec.Engine,
 		Fingerprint: uint64(rec.Fingerprint),
@@ -474,7 +453,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		v := r.URL.Query()
 		if v.Get("trace") == "1" {
 			rec.trace = sq.NewTrace()
-			opts.Observer = obs.Tee(opts.Observer, rec.trace)
+			opts.Observer = &registryObserver{siLat: s.siLat, trace: rec.trace}
 		}
 		if v.Get("explain") == "1" {
 			rec.explain = sq.NewExplain()
@@ -712,6 +691,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.reg.Gauge("cache_admitted_total").Set(int64(s.cache.Admitted()))
 		s.reg.Gauge("cache_rejected_total").Set(int64(s.cache.Rejected()))
 	}
+	// Panics recovered in engines, the result cache and handlers.
+	s.reg.Gauge("panics_recovered_total").Set(obs.Panics.Value())
 	// Live-query registry occupancy and lifetime counters.
 	s.reg.Gauge("inflight_tracked").Set(int64(s.live.Len()))
 	registered, overflowed, cancels := s.live.Stats()

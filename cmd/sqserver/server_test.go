@@ -9,8 +9,11 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	sq "subgraphquery"
+	"subgraphquery/internal/cluster"
+	"subgraphquery/internal/core"
 )
 
 func testServer(t *testing.T) *server {
@@ -420,53 +423,86 @@ func TestMetricsCacheAdmission(t *testing.T) {
 	}
 }
 
-// TestQueryTrace: ?trace=1 inlines the per-query trace and its phase
-// spans account for the reported filter/verify times.
+// TestQueryTrace: ?trace=1 inlines the per-query trace, with exactly one
+// filter span and one verify span that account for the reported
+// filter/verify times — also behind a sharded coordinator whose hedged
+// shard attempts each ran the engine.
 func TestQueryTrace(t *testing.T) {
-	srv := testServer(t)
-	ts := httptest.NewServer(srv.handler())
-	defer ts.Close()
-
-	q := testQuery(t, srv)
-	resp, err := http.Post(ts.URL+"/query?trace=1", "text/plain", strings.NewReader(graphText(t, q)))
+	cached := testServer(t)
+	coord, err := cluster.New(cluster.Config{
+		Shards:     2,
+		Replicas:   2,
+		Factory:    core.NewCFQL,
+		BaseName:   "CFQL",
+		HedgeAfter: time.Microsecond,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var out queryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+	sharded, err := newServer(cached.db, coord, serverConfig{}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Trace == nil {
-		t.Fatal("no trace in response")
-	}
+	defer sharded.Close()
+	for _, tc := range []struct {
+		name   string
+		srv    *server
+		probes int // result-cache probes per query
+	}{
+		{"cached", cached, 1},
+		{"sharded", sharded, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ts := httptest.NewServer(tc.srv.handler())
+			defer ts.Close()
 
-	var filterUS, verifyUS int64
-	for _, sp := range out.Trace.Phases {
-		switch sp.Name {
-		case "filter":
-			filterUS += sp.DurationUS
-		case "verify":
-			verifyUS += sp.DurationUS
-		}
-	}
-	// The spans are the engine's own FilterTime/VerifyTime measurements,
-	// so the sums agree up to microsecond truncation per span.
-	if diff := filterUS + verifyUS - (out.FilterUS + out.VerifyUS); diff < -4 || diff > 4 {
-		t.Errorf("span sum %dus != filter_us+verify_us %dus",
-			filterUS+verifyUS, out.FilterUS+out.VerifyUS)
-	}
-	if out.Candidates > 0 && len(out.Trace.Verifications) == 0 {
-		t.Error("no verification events despite candidates")
-	}
-	for _, ev := range out.Trace.Verifications {
-		if ev.Graph < 0 || ev.Graph >= srv.db.Len() {
-			t.Errorf("verification event graph %d out of range", ev.Graph)
-		}
-	}
-	if out.Trace.CacheMisses+out.Trace.CacheHits != 1 {
-		t.Errorf("cache events = %d hits + %d misses, want exactly 1 probe",
-			out.Trace.CacheHits, out.Trace.CacheMisses)
+			q := testQuery(t, tc.srv)
+			resp, err := http.Post(ts.URL+"/query?trace=1", "text/plain", strings.NewReader(graphText(t, q)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			var out queryResponse
+			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+				t.Fatal(err)
+			}
+			if out.Trace == nil {
+				t.Fatal("no trace in response")
+			}
+
+			spans := map[string]int{}
+			var filterUS, verifyUS int64
+			for _, sp := range out.Trace.Phases {
+				spans[sp.Name]++
+				switch sp.Name {
+				case "filter":
+					filterUS += sp.DurationUS
+				case "verify":
+					verifyUS += sp.DurationUS
+				}
+			}
+			if spans["filter"] != 1 || spans["verify"] != 1 || len(out.Trace.Phases) != 2 {
+				t.Errorf("phases %+v, want exactly one filter and one verify span", out.Trace.Phases)
+			}
+			// The spans are the engine's own FilterTime/VerifyTime measurements,
+			// so the sums agree up to microsecond truncation per span.
+			if diff := filterUS + verifyUS - (out.FilterUS + out.VerifyUS); diff < -4 || diff > 4 {
+				t.Errorf("span sum %dus != filter_us+verify_us %dus",
+					filterUS+verifyUS, out.FilterUS+out.VerifyUS)
+			}
+			if out.Candidates > 0 && len(out.Trace.Verifications) == 0 {
+				t.Error("no verification events despite candidates")
+			}
+			for _, ev := range out.Trace.Verifications {
+				if ev.Graph < 0 || ev.Graph >= tc.srv.db.Len() {
+					t.Errorf("verification event graph %d out of range", ev.Graph)
+				}
+			}
+			if out.Trace.CacheMisses+out.Trace.CacheHits != tc.probes {
+				t.Errorf("cache events = %d hits + %d misses, want %d probes",
+					out.Trace.CacheHits, out.Trace.CacheMisses, tc.probes)
+			}
+		})
 	}
 }
 

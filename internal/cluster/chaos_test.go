@@ -105,7 +105,7 @@ func TestClusterDropStormAllResponsesWellFormed(t *testing.T) {
 			defer wg.Done()
 			for i := w; i < total; i += clients {
 				q := i % len(queries)
-				res := c.Query(queries[q], core.QueryOptions{Inflight: reg})
+				res := queryTracked(c, queries[q], reg)
 				switch {
 				case res.Err != nil:
 					// Structured total failure is well-formed too.

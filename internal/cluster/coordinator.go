@@ -255,27 +255,15 @@ func (c *Coordinator) Query(q *graph.Graph, opts core.QueryOptions) *core.Result
 		opts.Fingerprint = telemetry.Compute(q)
 	}
 
-	// Parent live handle: reuse the caller's (the server pre-registers
-	// and owns merging/deregistration, like every engine's trackInflight
-	// contract) or register our own against the registry.
+	// The caller's live handle covers the whole query; each shard attempt
+	// registers a sub-handle in the same registry.
 	parent := opts.Handle
-	if parent == nil && opts.Inflight != nil {
-		parent = opts.Inflight.Register(inflight.RegisterOptions{
-			Engine:      c.name,
-			Fingerprint: uint64(opts.Fingerprint),
-		})
-		opts.Cancel = parent.MergeCancel(opts.Cancel)
-		defer opts.Inflight.Deregister(parent)
-		opts.Handle = parent
-	}
 	parent.SetPhase(inflight.PhaseFused)
 	parent.SetGraphsTotal(c.dbLen)
 
-	// Per-shard options: each shard attempt registers its own sub-handle,
-	// and the shard deadline withholds the merge reserve from the
-	// caller's budget.
+	// Per-shard options: the shard deadline withholds the merge reserve
+	// from the caller's budget.
 	sub := opts
-	sub.Handle = nil
 	if !opts.Deadline.IsZero() {
 		if d := opts.Deadline.Add(-c.mergeReserve()); d.After(time.Now()) {
 			sub.Deadline = d
@@ -403,20 +391,20 @@ type reply struct {
 // reporting the round failed.
 func (c *Coordinator) round(shard, primary, reps int, q *graph.Graph, opts core.QueryOptions, parentCancel <-chan struct{}) (*core.Result, error) {
 	ch := make(chan reply, 2)
+	reg := opts.Handle.Registry()
 	launch := func(replica int, hedged bool) *attemptCtl {
 		ctl := &attemptCtl{stop: make(chan struct{}), done: make(chan struct{})}
-		ctl.h = c.registry(&opts).Register(inflight.RegisterOptions{
+		ctl.h = reg.Register(inflight.RegisterOptions{
 			Engine:      fmt.Sprintf("%s#s%d", c.name, shard),
 			Fingerprint: uint64(opts.Fingerprint),
 			Verdict:     "shard",
 		})
 		sub := opts
-		sub.Inflight = nil
 		sub.Handle = ctl.h
 		sub.Cancel = fanInCancel(ctl.done, parentCancel, ctl.stop, ctl.h.CancelChan())
 		go func() {
 			defer close(ctl.done)
-			defer c.registry(&opts).Deregister(ctl.h)
+			defer reg.Deregister(ctl.h)
 			start := time.Now()
 			res, err := c.attempt(shard, replica, q, sub)
 			ch <- reply{res: res, err: err, dur: time.Since(start), hedged: hedged, ctl: ctl}
@@ -542,8 +530,6 @@ func (c *Coordinator) hedgeDelay(shard int) time.Duration {
 	}
 	return d
 }
-
-func (c *Coordinator) registry(opts *core.QueryOptions) *inflight.Registry { return opts.Inflight }
 
 func (c *Coordinator) maxAttempts() int {
 	if c.cfg.MaxAttempts > 0 {

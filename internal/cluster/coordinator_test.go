@@ -170,7 +170,7 @@ func TestCoordinatorHedgeWinsAndLoserIsCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := inflight.NewRegistry(16)
-	res := c.Query(testQuery, core.QueryOptions{Inflight: reg})
+	res := queryTracked(c, testQuery, reg)
 	if res.Err != nil || res.Degraded {
 		t.Fatalf("err=%v degraded=%v", res.Err, res.Degraded)
 	}
@@ -186,6 +186,15 @@ func TestCoordinatorHedgeWinsAndLoserIsCancelled(t *testing.T) {
 	if !slowSawCancel.Load() {
 		t.Fatal("loser deregistered without seeing its cancellation")
 	}
+}
+
+// queryTracked runs q the way the server does: under a live handle
+// registered in reg, whose registry the coordinator registers its shard
+// attempts in, deregistered when Query returns.
+func queryTracked(c *Coordinator, q *graph.Graph, reg *inflight.Registry) *core.Result {
+	h := reg.Register(inflight.RegisterOptions{Engine: c.Name()})
+	defer reg.Deregister(h)
+	return c.Query(q, core.QueryOptions{Handle: h})
 }
 
 // awaitDrained waits, bounded, for every shard attempt to leave the

@@ -21,6 +21,8 @@ const (
 	// CacheSubgraph marks a containment hit: a cached q' ⊆ q supplied the
 	// candidate pool and only that pool was verified.
 	CacheSubgraph = "subgraph"
+	// CacheMiss marks a query the inner engine answered.
+	CacheMiss = "miss"
 )
 
 // Cached wraps an engine with a subgraph-query result cache in the spirit
@@ -196,11 +198,6 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 		res.Fingerprint = fp
 		return res
 	}
-	// One live handle for the whole wrapped query: written back into opts
-	// so the inner engine (miss path) ticks it instead of registering a
-	// second one, and passed to verifyPool (hit path) the same way.
-	_, untrack := trackInflight(e.name, &opts)
-	defer untrack()
 	// One arena for everything the wrapper itself matches: the exact-hit
 	// confirmation and the containment probes.
 	s := matching.AcquireScratch()
@@ -211,13 +208,11 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 	hit := lookup(q, view, s)
 	took := time.Since(t0)
 
-	if o := opts.Observer; o != nil {
-		o.ObserveCache(hit.kind != "")
-	}
 	var res *Result
 	if hit.kind == "" {
 		e.misses.Add(1)
 		res = e.inner.Query(q, opts)
+		res.Cache = CacheMiss
 	} else {
 		e.hits.Add(1)
 		res = e.answer(q, view, hit, took, opts)
@@ -236,11 +231,6 @@ func (e *Cached) Query(q *graph.Graph, opts QueryOptions) *Result {
 // (exact), or the verified pool (subgraph).
 func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Duration, opts QueryOptions) *Result {
 	hit.from.used.Store(e.clock.Add(1))
-	if o := opts.Observer; o != nil {
-		// The lookup stood in for the filtering step: it produced the
-		// candidate set.
-		o.ObservePhase(obs.PhaseFilter, took)
-	}
 	if ex := opts.Explain; ex != nil {
 		// The cached answer pool acted as the index here; report it as a
 		// probe so EXPLAIN shows where the candidates came from.
@@ -260,6 +250,8 @@ func (e *Cached) answer(q *graph.Graph, v cacheView, hit cacheHit, took time.Dur
 		res = e.verifyPool(q, v.db, hit.from.answers, hit.confirmed, opts)
 	}
 	res.Cache = hit.kind
+	// The lookup stood in for the filtering step: it produced the
+	// candidate set.
 	res.FilterTime = took
 	return res
 }
@@ -404,8 +396,7 @@ var cfqlFirst = matcherTest(matching.CFQL.FindFirst)
 // confirmed by a supergraph hit. pool and confirmed are ascending.
 func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed []int, opts QueryOptions) (res *Result) {
 	res = &Result{Candidates: len(pool)}
-	o := opts.Observer
-	defer queryGuard(e.name, o, res)
+	defer queryGuard(e.name, res)
 	h := opts.Handle
 	h.SetPhase(inflight.PhaseVerify)
 	h.SetGraphsTotal(len(pool))
@@ -429,9 +420,6 @@ func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed 
 	now := rn.read()
 	res.VerifyTime = rn.each(todo, len(todo), 1, now) - now
 	slices.Sort(res.Answers)
-	if o != nil {
-		o.ObservePhase(obs.PhaseVerify, res.VerifyTime)
-	}
 	return res
 }
 

@@ -211,13 +211,13 @@ func TestCachedZipfDifferential(t *testing.T) {
 		if n := cachedLen(cached); n > capacity {
 			t.Errorf("capacity %d: cache holds %d entries", capacity, n)
 		}
-		if kinds[CacheExact] == 0 || kinds[""] == 0 {
+		if kinds[CacheExact] == 0 || kinds[CacheMiss] == 0 {
 			t.Errorf("capacity %d: outcomes %v, want exact hits and misses", capacity, kinds)
 		}
 		if capacity == 64 && kinds[CacheSubgraph] == 0 {
 			t.Errorf("capacity 64: outcomes %v, want subgraph hits too", kinds)
 		}
-		if kinds[CacheExact]+kinds[CacheSubgraph] != cached.Hits() || kinds[""] != cached.Misses() {
+		if kinds[CacheExact]+kinds[CacheSubgraph] != cached.Hits() || kinds[CacheMiss] != cached.Misses() {
 			t.Errorf("capacity %d: outcomes %v disagree with Hits/Misses %d/%d", capacity, kinds, cached.Hits(), cached.Misses())
 		}
 	}
@@ -240,7 +240,7 @@ func TestCachedFingerprintCollision(t *testing.T) {
 	}
 	cached := builtCached(t, db, 8)
 	opts := QueryOptions{Fingerprint: telemetry.Fingerprint(0xc0111de)}
-	for round, wantKind := range []string{"", CacheExact, CacheExact} {
+	for round, wantKind := range []string{CacheMiss, CacheExact, CacheExact} {
 		for _, c := range []struct {
 			name string
 			q    *graph.Graph
@@ -277,7 +277,7 @@ func TestCachedAppendAfterExactHit(t *testing.T) {
 		t.Fatal(err)
 	}
 	after := cached.Query(gen.Renumber(q, r), QueryOptions{})
-	if after.Cache != "" || !after.Contains(gid) {
+	if after.Cache != CacheMiss || !after.Contains(gid) {
 		t.Fatalf("repeat after append: outcome %q, answers %v, want a miss containing graph %d", after.Cache, after.Answers, gid)
 	}
 }
@@ -325,7 +325,7 @@ func TestCachedDropsStaleStore(t *testing.T) {
 	if n := cachedLen(cached); n != 0 {
 		t.Fatalf("stale answer set was stored (%d entries)", n)
 	}
-	if res := cached.Query(q, QueryOptions{}); res.Cache != "" || !res.Contains(gid) {
+	if res := cached.Query(q, QueryOptions{}); res.Cache != CacheMiss || !res.Contains(gid) {
 		t.Fatalf("query after the overtaking append: outcome %q, answers %v, want a miss containing graph %d", res.Cache, res.Answers, gid)
 	}
 }
@@ -378,18 +378,18 @@ func TestCachedLRUOneSlotPerQuery(t *testing.T) {
 	cached.Query(qb, QueryOptions{})
 	cached.Query(qa, QueryOptions{}) // qa is now the more recently used
 	// qc has been asked for as often as qb, the victim: qb keeps its slot.
-	if got := cached.Query(qc, QueryOptions{}); got.Cache != "" || cached.Rejected() != 1 {
+	if got := cached.Query(qc, QueryOptions{}); got.Cache != CacheMiss || cached.Rejected() != 1 {
 		t.Fatalf("first qc: outcome %q, %d rejected, want a miss and 1", got.Cache, cached.Rejected())
 	}
 	// The second ask puts qc ahead of qb, which it now evicts.
-	if got := cached.Query(qc, QueryOptions{}); got.Cache != "" || cached.Admitted() != 3 {
+	if got := cached.Query(qc, QueryOptions{}); got.Cache != CacheMiss || cached.Admitted() != 3 {
 		t.Fatalf("second qc: outcome %q, %d admitted, want a miss and 3", got.Cache, cached.Admitted())
 	}
 	for _, c := range []struct {
 		name string
 		q    *graph.Graph
 		want string
-	}{{"qc", qc, CacheExact}, {"qa", qa, CacheExact}, {"qb", qb, ""}} {
+	}{{"qc", qc, CacheExact}, {"qa", qa, CacheExact}, {"qb", qb, CacheMiss}} {
 		if got := cached.Query(c.q, QueryOptions{}); got.Cache != c.want {
 			t.Errorf("%s: outcome %q, want %q", c.name, got.Cache, c.want)
 		}
@@ -419,7 +419,7 @@ func TestCachedAdmission(t *testing.T) {
 			}
 		}
 		for i, q := range distinctEdges(100, 10*capacity) {
-			if got := cached.Query(q, QueryOptions{}); got.Cache != "" {
+			if got := cached.Query(q, QueryOptions{}); got.Cache != CacheMiss {
 				t.Fatalf("one-off %d: outcome %q, want a miss", i, got.Cache)
 			}
 			if got := cached.Query(hot[i%capacity], QueryOptions{}); got.Cache != CacheExact {
@@ -475,7 +475,7 @@ func TestCachedAdmission(t *testing.T) {
 			t.Fatalf("fixture: %d answers, want several", len(want))
 		}
 		got := cached.Query(q, QueryOptions{})
-		if got.Cache != "" || cached.Rejected() != 1 {
+		if got.Cache != CacheMiss || cached.Rejected() != 1 {
 			t.Fatalf("outcome %q with %d rejected, want a refused miss", got.Cache, cached.Rejected())
 		}
 		if !equalInts(got.Answers, want) {

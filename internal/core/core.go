@@ -95,13 +95,12 @@ type QueryOptions struct {
 	// the others ignore it. 0 selects the configuration's default (6 for
 	// Grapes, vcGrapes and CFQL-parallel, otherwise 1).
 	Workers int
-	// Observer, when non-nil, receives streaming telemetry as the query
-	// executes: phase spans (obs.PhaseFilter, obs.PhaseVerify — their
-	// totals match the returned Result's FilterTime and VerifyTime), one
-	// event per candidate-graph verification, and result-cache outcomes.
+	// Observer, when non-nil, receives one event per subgraph isomorphism
+	// test (obs.Observer.ObserveVerify), the per-SI-test stream; every
+	// other signal of the query is a field of the returned Result.
 	// Implementations must be safe for concurrent use: parallel engines
-	// emit from worker goroutines. nil disables instrumentation at
-	// near-zero cost (one branch per emission site).
+	// emit from worker goroutines. nil disables the stream at near-zero
+	// cost (one branch per test).
 	Observer obs.Observer
 	// Explain, when non-nil, collects a structured EXPLAIN report for the
 	// query: per-query-vertex candidate counts after each filter stage
@@ -114,25 +113,20 @@ type QueryOptions struct {
 	Explain *obs.Explain
 	// Fingerprint is the query's canonical shape hash (telemetry.Compute).
 	// Zero — the common case — means "compute it for me": every engine
-	// fingerprints the query at entry and reports it on the Result and via
-	// Observer.ObserveFingerprint. Callers that already computed it (the
-	// server's admission path does, so shed queries are attributed before
-	// they execute) pass it here to avoid recomputing; wrappers (Cached)
-	// pass it down so the inner engine agrees.
+	// fingerprints the query at entry and reports it on the Result.
+	// Callers that already computed it (the server's admission path does,
+	// so shed queries are attributed before they execute) pass it here to
+	// avoid recomputing; wrappers (Cached) pass it down so the inner
+	// engine agrees.
 	Fingerprint telemetry.Fingerprint
-	// Inflight, when non-nil, makes the query visible to live inspection:
-	// the engine registers a handle at entry (carrying the fingerprint and
-	// engine name), updates its progress counters as data graphs are
-	// processed, merges the handle's remote-cancellation channel into
-	// Cancel, and deregisters on return. nil disables tracking at no cost.
-	Inflight *inflight.Registry
-	// Handle, when non-nil, is a pre-registered live handle the engine
-	// must report progress on instead of registering its own — set by
-	// callers that register before Query (the server, which knows the
-	// admission verdict, and the sqquery -progress path) and by wrappers
-	// (Cached) so the inner engine reuses the outer handle. The owner of
-	// the handle deregisters it and merges its cancel channel; engines
-	// only tick its counters.
+	// Handle, when non-nil, makes the query visible to live inspection:
+	// the engine ticks its progress counters as data graphs are processed.
+	// The caller registers it (inflight.Registry.Register), merges its
+	// cancel channel into Cancel (Handle.MergeCancel) and deregisters it
+	// after Query returns; engines never register or deregister. Wrappers
+	// (Cached) pass it to the inner engine, and a cluster Coordinator
+	// registers its per-shard sub-handles in the handle's own registry.
+	// nil disables tracking at no cost.
 	Handle *inflight.Handle
 }
 
@@ -212,14 +206,63 @@ type Result struct {
 	Fingerprint telemetry.Fingerprint
 
 	// Cache says how a Cached engine used its result cache for this query:
-	// CacheExact, CacheSubgraph, or "" for a miss (and for every engine
-	// without a cache).
+	// CacheExact, CacheSubgraph or CacheMiss; "" means no cache was asked.
 	Cache string
+
+	// Workers is the effective worker-pool size of the per-graph loop,
+	// after clamping to runtime.GOMAXPROCS(0), so oversubscribed
+	// configurations are visible; 0 when the loop ran sequentially.
+	Workers int
 }
 
 // QueryTime returns the paper's "query time" metric: filtering plus
 // verification time.
 func (r *Result) QueryTime() time.Duration { return r.FilterTime + r.VerifyTime }
+
+// Panics counts the recovered panics the Result records: the panic-kind
+// GraphErrors (capped like the list) plus a query-level panic in Err.
+func (r *Result) Panics() int {
+	n := 0
+	for _, ge := range r.GraphErrors {
+		if ge.Kind == KindPanic {
+			n++
+		}
+	}
+	if r.Err != nil && r.Err.Kind == KindPanic {
+		n++
+	}
+	return n
+}
+
+// TraceSnapshot is the ?trace=1 view of the query: the Result's phase
+// times, cache outcome, worker count, panics and fingerprint, with the
+// verification events t recorded (t may be nil).
+func (r *Result) TraceSnapshot(t *obs.Trace) obs.TraceSnapshot {
+	events, dropped := t.Verifications()
+	s := obs.TraceSnapshot{
+		Phases: []obs.PhaseSpan{
+			{Name: obs.PhaseFilter, DurationUS: r.FilterTime.Microseconds()},
+			{Name: obs.PhaseVerify, DurationUS: r.VerifyTime.Microseconds()},
+		},
+		Verifications:        events,
+		VerificationsTotal:   len(events) + dropped,
+		VerificationsDropped: dropped,
+		Truncated:            dropped > 0,
+		Workers:              r.Workers,
+		Panics:               r.Panics(),
+	}
+	switch r.Cache {
+	case "":
+	case CacheMiss:
+		s.CacheMisses = 1
+	default:
+		s.CacheHits = 1
+	}
+	if r.Fingerprint != 0 {
+		s.Fingerprint = r.Fingerprint.String()
+	}
+	return s
+}
 
 // Contains reports whether graph id is in the answer set.
 func (r *Result) Contains(id int) bool {
@@ -238,8 +281,8 @@ func (r *Result) Contains(id int) bool {
 // clampWorkers bounds a requested worker count to [1, GOMAXPROCS]. Worker
 // goroutines here are CPU-bound (no blocking I/O), so pool sizes beyond the
 // scheduler's parallelism only add context switches — and, with per-worker
-// scratch arenas, memory. The effective count is what engines report via
-// Observer.ObserveWorkers.
+// scratch arenas, memory. The effective count is what engines report in
+// Result.Workers.
 func clampWorkers(n int) int {
 	if max := runtime.GOMAXPROCS(0); n > max {
 		return max
@@ -254,15 +297,12 @@ func clampWorkers(n int) int {
 // caller-provided hash when set (so wrappers and the server's admission
 // path agree with the engine), telemetry.Compute otherwise. The resolved
 // value is written back into opts (callees and wrapped engines inherit
-// it), announced to the Observer, and returned for the Result. Engines
+// it) and returned for the Result. Engines
 // call this first, before degenerate() — even an empty query gets a
 // fingerprint so shed/degenerate events aggregate.
 func fingerprintQuery(q *graph.Graph, opts *QueryOptions) telemetry.Fingerprint {
 	if opts.Fingerprint == 0 {
 		opts.Fingerprint = telemetry.Compute(q)
-	}
-	if opts.Observer != nil {
-		opts.Observer.ObserveFingerprint(uint64(opts.Fingerprint))
 	}
 	return opts.Fingerprint
 }

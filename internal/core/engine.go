@@ -7,7 +7,6 @@ import (
 	"subgraphquery/internal/index"
 	"subgraphquery/internal/inflight"
 	"subgraphquery/internal/matching"
-	"subgraphquery/internal/obs"
 )
 
 // engine is every configuration of Algorithm 1 (IFV), Algorithm 2 (vcFV)
@@ -245,10 +244,8 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 		return r
 	}
 	res = &Result{Fingerprint: fp}
-	o := opts.Observer
-	defer queryGuard(e.name, o, res)
-	h, untrack := trackInflight(e.name, &opts)
-	defer untrack()
+	defer queryGuard(e.name, res)
+	h := opts.Handle
 	opts.Explain.SetEngine(e.name)
 
 	rn := newRun(e.name, e.db, q, &opts, res, h, e.test)
@@ -269,16 +266,6 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 		probed := rn.read()
 		res.FilterTime = probed - now
 		now = probed
-		if o != nil {
-			if e.fused {
-				// Sub-span of the filter phase: the index probe alone, so
-				// traces can attribute filtering cost between the two
-				// levels.
-				o.ObservePhase(obs.PhaseIndexFilter, res.FilterTime)
-			} else {
-				o.ObservePhase(obs.PhaseFilter, res.FilterTime)
-			}
-		}
 		if exact {
 			// Verification-free answer (FG-Index): the posting list is
 			// A(q) already.
@@ -298,18 +285,12 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 		h.AddCandidates(n)
 	}
 	workers := e.poolSize(opts.Workers)
-	if o != nil && workers > 1 {
-		o.ObserveWorkers(workers)
+	if workers > 1 {
+		res.Workers = workers
 	}
 	end := rn.each(ids, n, workers, now)
 	if !e.fused {
 		res.VerifyTime = end - now
-	}
-	if o != nil {
-		if e.fused {
-			o.ObservePhase(obs.PhaseFilter, res.FilterTime)
-		}
-		o.ObservePhase(obs.PhaseVerify, res.VerifyTime)
 	}
 	return res
 }

@@ -9,8 +9,7 @@ import (
 )
 
 // TestFingerprintThreading: every engine stamps the canonical fingerprint
-// on its Result, reports it to the Observer, and honors a caller-provided
-// value instead of recomputing.
+// on its Result and honors a caller-provided value instead of recomputing.
 func TestFingerprintThreading(t *testing.T) {
 	r := rand.New(rand.NewSource(31))
 	db := randomDB(r, 20, 8, 3)
@@ -24,16 +23,9 @@ func TestFingerprintThreading(t *testing.T) {
 		if err := e.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: Build: %v", name, err)
 		}
-		o := newCountingObserver()
-		res := e.Query(q, QueryOptions{Observer: o})
+		res := e.Query(q, QueryOptions{})
 		if res.Fingerprint != want {
 			t.Errorf("%s: Result.Fingerprint = %s, want %s", name, res.Fingerprint, want)
-		}
-		o.mu.Lock()
-		observed := o.fingerprint
-		o.mu.Unlock()
-		if observed != uint64(want) {
-			t.Errorf("%s: ObserveFingerprint got %016x, want %s", name, observed, want)
 		}
 
 		// A preset fingerprint is echoed, not recomputed: engines trust the

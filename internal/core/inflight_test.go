@@ -45,51 +45,47 @@ func oddCycleQuery(n int) *graph.Graph {
 	return g
 }
 
-// TestInflightTrackingLifecycle: with QueryOptions.Inflight set, every
-// engine registers exactly one handle per query and deregisters it on
-// return — including the cache wrapper, whose inner engine must reuse the
-// outer handle instead of registering a second one.
+// TestInflightTrackingLifecycle: an engine handed a caller-registered
+// handle never registers one of its own and never deregisters the
+// caller's — including the cache wrapper on its miss and hit paths.
 func TestInflightTrackingLifecycle(t *testing.T) {
 	r := rand.New(rand.NewSource(21))
 	db := randomDB(r, 12, 8, 2)
 	q := walkQuery(r, db.Graph(0), 3)
 
-	engines := allEngines()
-	engines["CFQL+cache"] = NewCached(NewCFQL(), 8)
 	reg := inflight.NewRegistry(16)
 	var wantRegistered int64
+	query := func(name string, eng Engine) {
+		t.Helper()
+		h := reg.Register(inflight.RegisterOptions{Engine: name})
+		wantRegistered++
+		res := eng.Query(q, QueryOptions{Handle: h, Workers: 2})
+		if res.Err != nil {
+			t.Fatalf("%s: %v", name, res.Err)
+		}
+		if reg.Len() != 1 {
+			t.Fatalf("%s: %d handles live while the caller holds one, want 1", name, reg.Len())
+		}
+		registered, overflowed, _ := reg.Stats()
+		if registered != wantRegistered || overflowed != 0 {
+			t.Fatalf("%s: registered=%d overflowed=%d, want %d and 0 (engine registered a handle?)",
+				name, registered, overflowed, wantRegistered)
+		}
+		reg.Deregister(h)
+	}
+	engines := allEngines()
 	for name, eng := range engines {
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		res := eng.Query(q, QueryOptions{Inflight: reg, Workers: 2})
-		if res.Err != nil {
-			t.Fatalf("%s: %v", name, res.Err)
-		}
-		wantRegistered++
-		if reg.Len() != 0 {
-			t.Fatalf("%s: %d handles leaked after Query returned", name, reg.Len())
-		}
-		registered, overflowed, _ := reg.Stats()
-		if registered != wantRegistered || overflowed != 0 {
-			t.Fatalf("%s: registered=%d overflowed=%d, want %d and 0 (double registration?)",
-				name, registered, overflowed, wantRegistered)
-		}
+		query(name, eng)
 	}
 
-	// A cache hit answers from the pool without entering the inner engine;
-	// the wrapper's own handle must still cover that path.
-	cached := NewCached(NewCFQL(), 8)
-	if err := cached.Build(db, BuildOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	cached.Query(q, QueryOptions{Inflight: reg})
-	cached.Query(q, QueryOptions{Inflight: reg}) // exact-subgraph cache hit
+	// A cache hit answers from the pool without entering the inner engine.
+	cached := engines["CFQL+cache"].(*Cached)
+	query("CFQL+cache repeat", cached)
 	if cached.Hits() == 0 {
-		t.Fatal("second identical query did not hit the cache")
-	}
-	if reg.Len() != 0 {
-		t.Fatalf("%d handles leaked through the cache-hit path", reg.Len())
+		t.Fatal("repeated query did not hit the cache")
 	}
 }
 
@@ -113,8 +109,9 @@ func TestRemoteCancelHaltsParallelQuery(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		baseline := runtime.NumGoroutine()
+		h := reg.Register(inflight.RegisterOptions{Engine: eng.Name()})
 		done := make(chan *Result, 1)
-		go func() { done <- eng.Query(q, QueryOptions{Inflight: reg, Workers: 3}) }()
+		go func() { done <- eng.Query(q, QueryOptions{Handle: h, Cancel: h.MergeCancel(nil), Workers: 3}) }()
 
 		// Wait until the query is visibly live and has flushed enumeration
 		// progress — proof the handle's counters move while it runs.
@@ -150,6 +147,7 @@ func TestRemoteCancelHaltsParallelQuery(t *testing.T) {
 		case <-time.After(30 * time.Second):
 			t.Fatalf("%s: query did not halt after remote cancellation", name)
 		}
+		reg.Deregister(h)
 		if reg.Len() != 0 {
 			t.Fatalf("%s: %d handles leaked after cancelled query", name, reg.Len())
 		}
@@ -171,7 +169,7 @@ func TestCallerHandlePreempts(t *testing.T) {
 	if err := eng.Build(db, BuildOptions{}); err != nil {
 		t.Fatal(err)
 	}
-	res := eng.Query(q, QueryOptions{Inflight: reg, Handle: h})
+	res := eng.Query(q, QueryOptions{Handle: h})
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

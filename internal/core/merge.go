@@ -27,7 +27,7 @@ import (
 //   - FilterTime, VerifyTime: element-wise maxima — the shards ran in
 //     parallel, so the slowest shard's phase time is the critical path
 //     the caller actually waited for (summing would report N× the
-//     wall-clock on a balanced cluster);
+//     wall-clock on a balanced cluster); Workers: the maximum pool size;
 //   - TimedOut, Cancelled, Degraded: ORs — one shard hitting its budget
 //     makes the merged answer set a lower bound;
 //   - GraphErrors: concatenation, in part order, deliberately NOT capped
@@ -59,12 +59,9 @@ func MergeResults(parts []*Result) *Result {
 		merged.VerifySteps += p.VerifySteps
 		merged.Skipped += p.Skipped
 		merged.AuxMemory += p.AuxMemory
-		if p.FilterTime > merged.FilterTime {
-			merged.FilterTime = p.FilterTime
-		}
-		if p.VerifyTime > merged.VerifyTime {
-			merged.VerifyTime = p.VerifyTime
-		}
+		merged.FilterTime = max(merged.FilterTime, p.FilterTime)
+		merged.VerifyTime = max(merged.VerifyTime, p.VerifyTime)
+		merged.Workers = max(merged.Workers, p.Workers)
 		merged.TimedOut = merged.TimedOut || p.TimedOut
 		merged.Cancelled = merged.Cancelled || p.Cancelled
 		merged.Degraded = merged.Degraded || p.Degraded

@@ -16,6 +16,7 @@ func TestMergeResultsFieldSemantics(t *testing.T) {
 		VerifySteps: 100,
 		AuxMemory:   1 << 10,
 		Fingerprint: 7,
+		Workers:     2,
 	}
 	b := &Result{
 		Answers:     []int{1, 6},
@@ -45,9 +46,9 @@ func TestMergeResultsFieldSemantics(t *testing.T) {
 	if m.AuxMemory != 1<<10+1<<11 {
 		t.Errorf("aux memory %d, want sum %d", m.AuxMemory, 1<<10+1<<11)
 	}
-	if m.FilterTime != 10*time.Millisecond || m.VerifyTime != 8*time.Millisecond {
-		t.Errorf("phase times filter=%v verify=%v, want element-wise maxima 10ms/8ms",
-			m.FilterTime, m.VerifyTime)
+	if m.FilterTime != 10*time.Millisecond || m.VerifyTime != 8*time.Millisecond || m.Workers != 2 {
+		t.Errorf("phase times filter=%v verify=%v, workers %d, want element-wise maxima 10ms/8ms and 2",
+			m.FilterTime, m.VerifyTime, m.Workers)
 	}
 	if !m.TimedOut || m.Cancelled || m.Degraded {
 		t.Errorf("flags timed_out=%v cancelled=%v degraded=%v, want OR semantics (true,false,false)",

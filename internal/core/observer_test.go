@@ -2,80 +2,18 @@ package core
 
 import (
 	"math/rand"
-	"sync"
+	"slices"
 	"testing"
-	"time"
 
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/obs"
 )
 
-// countingObserver accumulates emitted telemetry for assertions. It is
-// mutex-guarded because parallel engines emit from worker goroutines.
-type countingObserver struct {
-	mu          sync.Mutex
-	phase       map[string]time.Duration
-	events      int
-	found       int
-	eventGraphs map[int]bool
-	hits, miss  int
-	workers     int
-	panics      int
-	fingerprint uint64
-}
-
-func newCountingObserver() *countingObserver {
-	return &countingObserver{phase: map[string]time.Duration{}, eventGraphs: map[int]bool{}}
-}
-
-func (c *countingObserver) ObservePhase(name string, d time.Duration) {
-	c.mu.Lock()
-	c.phase[name] += d
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) ObserveVerify(graphID int, steps uint64, d time.Duration, found bool) {
-	c.mu.Lock()
-	c.events++
-	if found {
-		c.found++
-	}
-	c.eventGraphs[graphID] = true
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) ObserveWorkers(n int) {
-	c.mu.Lock()
-	c.workers = n
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) ObserveFingerprint(fp uint64) {
-	c.mu.Lock()
-	c.fingerprint = fp
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) ObservePanic(int) {
-	c.mu.Lock()
-	c.panics++
-	c.mu.Unlock()
-}
-
-func (c *countingObserver) ObserveCache(hit bool) {
-	c.mu.Lock()
-	if hit {
-		c.hits++
-	} else {
-		c.miss++
-	}
-	c.mu.Unlock()
-}
-
-// TestObserverEmissions runs every engine with an observer attached and
-// checks the streamed telemetry against the Result it accompanies: phase
-// totals equal the Result's own FilterTime/VerifyTime, and answers are a
-// subset of the graphs whose verification events reported found.
+// TestObserverEmissions runs every engine with a Trace attached and checks
+// the per-SI-test stream and the Result's trace view against the Result:
+// one verification event per SI test, answers among the found events, the
+// phase spans equal to FilterTime and VerifyTime, the effective pool size
+// in Workers, and the fingerprint.
 func TestObserverEmissions(t *testing.T) {
 	r := rand.New(rand.NewSource(11))
 	db := randomDB(r, 30, 8, 3)
@@ -89,44 +27,62 @@ func TestObserverEmissions(t *testing.T) {
 			t.Fatalf("%s: Build: %v", name, err)
 		}
 		for qi, q := range queries {
-			o := newCountingObserver()
-			res := e.Query(q, QueryOptions{Observer: o, Workers: 3})
+			tr := obs.NewTrace()
+			res := e.Query(q, QueryOptions{Observer: tr, Workers: 3})
 			if res.TimedOut {
 				continue
 			}
-			o.mu.Lock()
-			filter, verify := o.phase[obs.PhaseFilter], o.phase[obs.PhaseVerify]
-			events, found := o.events, o.found
-			o.mu.Unlock()
+			events, _ := tr.Verifications()
+			found := map[int]bool{}
+			for _, ev := range events {
+				if ev.Found {
+					found[ev.Graph] = true
+				}
+			}
 
-			// Phase spans carry the engine's own measurements, so they
-			// must match the Result exactly — not approximately.
-			if filter != res.FilterTime {
-				t.Errorf("%s q%d: filter span %v != FilterTime %v", name, qi, filter, res.FilterTime)
-			}
-			if verify != res.VerifyTime {
-				t.Errorf("%s q%d: verify span %v != VerifyTime %v", name, qi, verify, res.VerifyTime)
-			}
 			// One verification event per SI test. Most engines test each
 			// candidate exactly once; the cached engine may skip candidates
 			// confirmed by a cached supergraph, and FG-Index answers exact
 			// queries straight from the index with no verification at all.
-			if events > res.Candidates {
-				t.Errorf("%s q%d: %d verify events > %d candidates", name, qi, events, res.Candidates)
+			if len(events) > res.Candidates {
+				t.Errorf("%s q%d: %d verify events > %d candidates", name, qi, len(events), res.Candidates)
 			}
 			skipsVerification := name == "CFQL+cache" || name == "FG-Index"
-			if !skipsVerification && events != res.Candidates {
-				t.Errorf("%s q%d: %d verify events, want %d candidates", name, qi, events, res.Candidates)
+			if !skipsVerification && len(events) != res.Candidates {
+				t.Errorf("%s q%d: %d verify events, want %d candidates", name, qi, len(events), res.Candidates)
 			}
-			if found > len(res.Answers) {
-				t.Errorf("%s q%d: %d found events > %d answers", name, qi, found, len(res.Answers))
+			if len(found) > len(res.Answers) {
+				t.Errorf("%s q%d: %d found events > %d answers", name, qi, len(found), len(res.Answers))
 			}
 			for _, id := range res.Answers {
-				o.mu.Lock()
-				seen := o.eventGraphs[id]
-				o.mu.Unlock()
-				if events == res.Candidates && !seen {
-					t.Errorf("%s q%d: answer %d has no verification event", name, qi, id)
+				if len(events) == res.Candidates && !found[id] {
+					t.Errorf("%s q%d: answer %d has no found verification event", name, qi, id)
+				}
+			}
+
+			// The trace view is the Result's own numbers: exactly one span
+			// per phase, equal to FilterTime and VerifyTime.
+			s := res.TraceSnapshot(tr)
+			want := []obs.PhaseSpan{
+				{Name: obs.PhaseFilter, DurationUS: res.FilterTime.Microseconds()},
+				{Name: obs.PhaseVerify, DurationUS: res.VerifyTime.Microseconds()},
+			}
+			if !slices.Equal(s.Phases, want) {
+				t.Errorf("%s q%d: phases %+v, want %+v", name, qi, s.Phases, want)
+			}
+			if s.VerificationsTotal != len(events) || s.Fingerprint != res.Fingerprint.String() {
+				t.Errorf("%s q%d: trace view %d events, fingerprint %q; want %d and %s",
+					name, qi, s.VerificationsTotal, s.Fingerprint, len(events), res.Fingerprint)
+			}
+			// Workers is the clamped pool size of a loop that ran on more
+			// than one worker, 0 for a sequential one.
+			if eng, ok := e.(*engine); ok && len(events) > 0 {
+				wantWorkers := eng.poolSize(3)
+				if wantWorkers == 1 {
+					wantWorkers = 0
+				}
+				if res.Workers != wantWorkers || s.Workers != wantWorkers {
+					t.Errorf("%s q%d: Workers %d (trace %d), want %d", name, qi, res.Workers, s.Workers, wantWorkers)
 				}
 			}
 		}
@@ -134,7 +90,8 @@ func TestObserverEmissions(t *testing.T) {
 }
 
 // TestObserverCacheEvents: the cached engine reports a miss on first
-// sight of a query and a hit on the repeat.
+// sight of a query and a hit on the repeat, on the Result and in its trace
+// view; an engine without a cache reports neither.
 func TestObserverCacheEvents(t *testing.T) {
 	r := rand.New(rand.NewSource(23))
 	db := randomDB(r, 20, 8, 3)
@@ -144,19 +101,24 @@ func TestObserverCacheEvents(t *testing.T) {
 	}
 	q := walkQuery(r, db.Graph(0), 3)
 
-	o1 := newCountingObserver()
-	first := e.Query(q, QueryOptions{Observer: o1})
-	if o1.miss != 1 || o1.hits != 0 {
-		t.Errorf("first query: %d misses %d hits, want 1 miss", o1.miss, o1.hits)
+	first := e.Query(q, QueryOptions{})
+	if s := first.TraceSnapshot(nil); first.Cache != CacheMiss || s.CacheMisses != 1 || s.CacheHits != 0 {
+		t.Errorf("first query: Cache %q, trace %d misses %d hits; want a miss", first.Cache, s.CacheMisses, s.CacheHits)
 	}
-
-	o2 := newCountingObserver()
-	second := e.Query(q, QueryOptions{Observer: o2})
-	if o2.hits != 1 || o2.miss != 0 {
-		t.Errorf("second query: %d hits %d misses, want 1 hit", o2.hits, o2.miss)
+	second := e.Query(q, QueryOptions{})
+	if s := second.TraceSnapshot(nil); second.Cache != CacheExact || s.CacheHits != 1 || s.CacheMisses != 0 {
+		t.Errorf("second query: Cache %q, trace %d hits %d misses; want an exact hit", second.Cache, s.CacheHits, s.CacheMisses)
 	}
 	if len(first.Answers) != len(second.Answers) {
 		t.Errorf("cached answers differ: %d vs %d", len(first.Answers), len(second.Answers))
+	}
+
+	bare := NewCFQL()
+	if err := bare.Build(db, BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	if res := bare.Query(q, QueryOptions{}); res.Cache != "" {
+		t.Errorf("engine without a cache reports Cache %q", res.Cache)
 	}
 }
 
@@ -185,7 +147,7 @@ func BenchmarkQueryNoObserver(b *testing.B) {
 
 func BenchmarkQueryWithObserver(b *testing.B) {
 	e, q := benchQuery(b)
-	o := newCountingObserver()
+	o := obs.NewTrace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		e.Query(q, QueryOptions{Observer: o})
@@ -201,7 +163,7 @@ func TestObserverNilIsNoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := walkQuery(r, db.Graph(1), 3)
-	with := e.Query(q, QueryOptions{Observer: newCountingObserver()})
+	with := e.Query(q, QueryOptions{Observer: obs.NewTrace()})
 	without := e.Query(q, QueryOptions{})
 	if len(with.Answers) != len(without.Answers) || with.Candidates != without.Candidates {
 		t.Errorf("observer changed results: %d/%d answers, %d/%d candidates",

@@ -21,8 +21,9 @@ import (
 //     worker never escapes a panic to the runtime (which would kill the
 //     whole process, not just the query — goroutine panics cannot be
 //     caught by the spawner).
-//   - Recovered panics increment obs.Panics, fire Observer.ObservePanic,
-//     and carry the stack of the panicking goroutine for diagnosis.
+//   - Recovered panics increment obs.Panics, are counted on the Result
+//     (Result.Panics), and carry the stack of the panicking goroutine for
+//     diagnosis.
 //
 // Correctness of skip-and-continue: the per-query scratch arena is reset
 // per data graph (Candidates.reset, epoch-stamped bitsets), so state a
@@ -116,34 +117,27 @@ func newBudgetError(engine string, gid int, limit int64) *QueryError {
 
 // graphGuard is deferred around the processing of one data graph: it
 // recovers a panic into *qe so the caller can skip the graph and keep the
-// query going. Counted in obs.Panics and reported to the observer (which
-// must tolerate calls from worker goroutines).
-func graphGuard(engine string, gid int, o obs.Observer, qe **QueryError) {
+// query going. Counted in obs.Panics.
+func graphGuard(engine string, gid int, qe **QueryError) {
 	v := recover()
 	if v == nil {
 		return
 	}
 	*qe = newPanicError(engine, gid, v)
 	obs.Panics.Inc()
-	if o != nil {
-		o.ObservePanic(gid)
-	}
 }
 
 // queryGuard is deferred at the top of every Engine.Query: it recovers a
 // panic that escaped the per-graph guards (or occurred outside any
 // per-graph section) into res.Err, so the caller receives a structured
 // partial result instead of an unwinding stack.
-func queryGuard(engine string, o obs.Observer, res *Result) {
+func queryGuard(engine string, res *Result) {
 	v := recover()
 	if v == nil {
 		return
 	}
 	res.Err = newPanicError(engine, -1, v)
 	obs.Panics.Inc()
-	if o != nil {
-		o.ObservePanic(-1)
-	}
 }
 
 // recordGraphError folds one skipped graph's error into res (callers in

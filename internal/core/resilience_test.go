@@ -60,8 +60,7 @@ func TestPanicIsolationSkipsGraph(t *testing.T) {
 
 	live := matching.ScratchLive()
 	panicsBefore := obs.Panics.Value()
-	o := newCountingObserver()
-	res := eng.Query(q, QueryOptions{Observer: o})
+	res := eng.Query(q, QueryOptions{})
 
 	if res.Err != nil {
 		t.Fatalf("query-level error for a per-graph panic: %v", res.Err)
@@ -94,8 +93,8 @@ func TestPanicIsolationSkipsGraph(t *testing.T) {
 	if got := obs.Panics.Value() - panicsBefore; got != 1 {
 		t.Errorf("obs.Panics delta = %d, want 1", got)
 	}
-	if o.panics != 1 {
-		t.Errorf("observer panics = %d, want 1", o.panics)
+	if got := res.Panics(); got != 1 {
+		t.Errorf("Result.Panics() = %d, want 1", got)
 	}
 	if got := matching.ScratchLive(); got != live {
 		t.Errorf("scratch arenas leaked across panic: live %d, was %d", got, live)
@@ -235,8 +234,8 @@ func TestCancelStopsQuery(t *testing.T) {
 		}
 		for why, opts := range stops {
 			for _, workers := range []int{1, 3} {
-				o, ex := newCountingObserver(), obs.NewExplain()
-				opts.Workers, opts.Observer, opts.Explain = workers, o, ex
+				tr, ex := obs.NewTrace(), obs.NewExplain()
+				opts.Workers, opts.Observer, opts.Explain = workers, tr, ex
 				res := eng.Query(q, opts)
 				if !res.TimedOut || res.Cancelled != (opts.Cancel != nil) {
 					t.Errorf("%s, %s, %d workers: TimedOut=%v Cancelled=%v, want true and %v",
@@ -248,9 +247,8 @@ func TestCancelStopsQuery(t *testing.T) {
 				if probes := ex.Snapshot().IndexProbes; len(probes) != 0 {
 					t.Errorf("%s, %s: probed the index for a stopped query: %+v", name, why, probes)
 				}
-				if _, probed := o.phase[obs.PhaseIndexFilter]; probed || o.events != 0 {
-					t.Errorf("%s, %s: index-probe span %v, %d verify events for a stopped query, want neither",
-						name, why, probed, o.events)
+				if events, _ := tr.Verifications(); len(events) != 0 {
+					t.Errorf("%s, %s: %d verify events for a stopped query, want none", name, why, len(events))
 				}
 				if pre := ex.Snapshot().Prefilter; pre != nil {
 					t.Errorf("%s, %s, %d workers: filtered %d graphs for a stopped query", name, why, workers, pre.Graphs)

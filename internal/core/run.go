@@ -186,7 +186,7 @@ func (rn *run) stop(now time.Duration) bool {
 // skipped, the query continues.
 func (rn *run) guarded(gid int, s *matching.Scratch, out *outcome) {
 	*out = outcome{at: out.at}
-	defer graphGuard(rn.name, gid, rn.opts.Observer, &out.qe)
+	defer graphGuard(rn.name, gid, &out.qe)
 	rn.test(rn, gid, s, out)
 }
 
@@ -263,9 +263,6 @@ func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration 
 				// just the query.
 				if v := recover(); v != nil {
 					obs.Panics.Inc()
-					if o := rn.opts.Observer; o != nil {
-						o.ObservePanic(-1)
-					}
 					mu.Lock()
 					if rn.res.Err == nil {
 						rn.res.Err = newPanicError(rn.name, -1, v)

@@ -82,7 +82,8 @@ type Handle struct {
 	doneOnce   sync.Once
 	done       chan struct{} // closed on deregistration
 
-	slot int // registry slot, -1 when the registry was full (untracked)
+	reg  *Registry // the registry the handle was registered in
+	slot int       // registry slot, -1 when the registry was full (untracked)
 }
 
 // ID returns the handle's registry-unique id (0 on nil).
@@ -91,6 +92,15 @@ func (h *Handle) ID() uint64 {
 		return 0
 	}
 	return h.id
+}
+
+// Registry returns the registry the handle was registered in (nil on a nil
+// handle), where a caller fanning the query out registers its sub-handles.
+func (h *Handle) Registry() *Registry {
+	if h == nil {
+		return nil
+	}
+	return h.reg
 }
 
 // SetPhase records the stage the query just entered: one atomic store.
@@ -274,6 +284,7 @@ func (r *Registry) Register(opts RegisterOptions) *Handle {
 		start:       time.Now(),
 		cancelCh:    make(chan struct{}),
 		done:        make(chan struct{}),
+		reg:         r,
 		slot:        -1,
 	}
 	r.registered.Add(1)

@@ -1,7 +1,7 @@
 // Package obs is the observability substrate of the query system: atomic
 // counters and gauges, lock-free log-spaced latency histograms, a process
 // registry that snapshots to JSON, and a per-query Trace that records
-// phase spans and per-candidate verification events.
+// the per-candidate verification events.
 //
 // The package is standard-library only and designed for hot paths: every
 // mutation is a sync/atomic operation (no locks on the recording side of
@@ -11,10 +11,10 @@
 //
 // The paper this system reproduces is a measurement study: §IV-A defines
 // per-phase metrics (filtering time, verification time, |C(q)|, per-SI-test
-// cost) that every engine must report. The engine Result carries post-hoc
-// totals; this package makes the same quantities *streamable* — counted,
-// bucketed into distributions, and traceable per query — which is what
-// exposes the straggler queries that per-set means hide.
+// cost) that every engine must report. The engine Result is the query's
+// record and carries all of them but one: the per-SI-test sample, which
+// the Observer streams so it can be bucketed into distributions and traced
+// per query — what exposes the straggler tests that per-set means hide.
 package obs
 
 import (
@@ -134,110 +134,30 @@ func (r *Registry) Snapshot() Snapshot {
 	return s
 }
 
-// Observer receives streaming telemetry from a query as it executes.
-// Engines emit three kinds of events:
-//
-//   - ObservePhase at the end of each processing phase, with the phase's
-//     total duration (PhaseFilter and PhaseVerify always sum to the
-//     Result's QueryTime; sub-phases like PhaseIndexFilter are
-//     informational refinements and must not be double-counted);
-//   - ObserveVerify once per candidate data graph tested, with the graph
-//     id, search steps, duration and outcome — the paper's per-SI-test
-//     cost (eq. 3), one event per sample;
-//   - ObserveCache once per result-cache probe (hit or miss);
-//   - ObserveWorkers once per query by the parallel engines, with the
-//     effective worker-pool size after clamping to runtime.GOMAXPROCS(0) —
-//     so oversubscribed configurations are visible in traces;
-//   - ObservePanic once per panic recovered at a resilience boundary, with
-//     the data graph id whose processing panicked (-1 when the panic was
-//     not attributable to one graph). The engine has already converted the
-//     panic into a structured error by the time this fires;
-//   - ObserveFingerprint once per query at engine entry, with the query's
-//     canonical shape hash (telemetry.Fingerprint, passed as a raw uint64
-//     so this package stays dependency-free). It is the join key between a
-//     trace, the slow log, /debug/top and the wide-event export.
+// Observer receives the one query signal the Result cannot carry: the
+// per-SI-test stream. ObserveVerify fires once per candidate data graph
+// tested, with the graph id, search steps, duration and outcome — the
+// paper's per-SI-test cost (eq. 3), one event per sample. Everything else
+// a query reports (phase times, cache outcome, worker count, panics,
+// fingerprint) is a field of its Result.
 //
 // Implementations must be safe for concurrent use: parallel engines emit
-// ObserveVerify and ObservePanic from worker goroutines.
+// from worker goroutines.
 type Observer interface {
-	ObservePhase(name string, d time.Duration)
 	ObserveVerify(graphID int, steps uint64, d time.Duration, found bool)
-	ObserveCache(hit bool)
-	ObserveWorkers(n int)
-	ObservePanic(graphID int)
-	ObserveFingerprint(fp uint64)
 }
 
 // Panics counts every panic recovered at a query-engine resilience
-// boundary process-wide, regardless of whether the query carried an
-// Observer. Exposed by the server's /metrics and checked by the chaos
-// suite.
+// boundary or a server handler, process-wide, regardless of whether the
+// query carried an Observer. The server's /metrics copies it into
+// panics_recovered_total at scrape time; the chaos suite checks it.
 var Panics Counter
 
-// Phase names emitted by the engines.
+// Phase names of a TraceSnapshot's spans.
 const (
 	// PhaseFilter is the filtering step (§IV-A filtering time). For IvcFV
 	// engines it covers both filtering levels, per the paper's metric.
 	PhaseFilter = "filter"
 	// PhaseVerify is the verification step (§IV-A verification time).
 	PhaseVerify = "verify"
-	// PhaseIndexFilter is the index-probe portion of an IvcFV engine's
-	// filtering, a sub-span of PhaseFilter.
-	PhaseIndexFilter = "filter.index"
 )
-
-// Tee fans events out to every non-nil observer. A single observer is
-// returned unwrapped; Tee(nil values only) returns nil.
-func Tee(observers ...Observer) Observer {
-	var kept multiObserver
-	for _, o := range observers {
-		if o != nil {
-			kept = append(kept, o)
-		}
-	}
-	switch len(kept) {
-	case 0:
-		return nil
-	case 1:
-		return kept[0]
-	}
-	return kept
-}
-
-type multiObserver []Observer
-
-func (m multiObserver) ObservePhase(name string, d time.Duration) {
-	for _, o := range m {
-		o.ObservePhase(name, d)
-	}
-}
-
-func (m multiObserver) ObserveVerify(graphID int, steps uint64, d time.Duration, found bool) {
-	for _, o := range m {
-		o.ObserveVerify(graphID, steps, d, found)
-	}
-}
-
-func (m multiObserver) ObserveCache(hit bool) {
-	for _, o := range m {
-		o.ObserveCache(hit)
-	}
-}
-
-func (m multiObserver) ObserveWorkers(n int) {
-	for _, o := range m {
-		o.ObserveWorkers(n)
-	}
-}
-
-func (m multiObserver) ObservePanic(graphID int) {
-	for _, o := range m {
-		o.ObservePanic(graphID)
-	}
-}
-
-func (m multiObserver) ObserveFingerprint(fp uint64) {
-	for _, o := range m {
-		o.ObserveFingerprint(fp)
-	}
-}

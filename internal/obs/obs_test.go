@@ -119,48 +119,32 @@ func TestTraceNopZeroAlloc(t *testing.T) {
 	var tr *Trace
 	var o Observer = tr
 	allocs := testing.AllocsPerRun(1000, func() {
-		tr.ObservePhase(PhaseFilter, time.Millisecond)
 		tr.ObserveVerify(3, 17, time.Millisecond, true)
-		tr.ObserveCache(true)
-		o.ObservePhase(PhaseVerify, time.Millisecond)
 		o.ObserveVerify(4, 9, time.Millisecond, false)
-		o.ObserveCache(false)
 	})
 	if allocs != 0 {
 		t.Errorf("nil-trace path allocates %.1f per run, want 0", allocs)
 	}
-	if snap := tr.Snapshot(); len(snap.Phases) != 0 || len(snap.Verifications) != 0 {
-		t.Error("nil trace snapshot not empty")
+	if events, dropped := tr.Verifications(); len(events) != 0 || dropped != 0 {
+		t.Error("nil trace holds verifications")
 	}
 }
 
 func TestTraceRecords(t *testing.T) {
 	tr := NewTrace()
-	tr.ObserveCache(false)
-	tr.ObservePhase(PhaseFilter, 5*time.Millisecond)
 	tr.ObserveVerify(2, 100, 3*time.Millisecond, true)
 	tr.ObserveVerify(7, 40, time.Millisecond, false)
-	tr.ObservePhase(PhaseVerify, 4*time.Millisecond)
 
-	s := tr.Snapshot()
-	if len(s.Phases) != 2 {
-		t.Fatalf("phases = %d, want 2", len(s.Phases))
+	events, dropped := tr.Verifications()
+	if len(events) != 2 || dropped != 0 {
+		t.Fatalf("verifications = %d (%d dropped), want 2", len(events), dropped)
 	}
-	if want := (PhaseSpan{Name: PhaseFilter, DurationUS: 5000}); s.Phases[0] != want {
-		t.Errorf("filter span = %+v, want %+v", s.Phases[0], want)
-	}
-	if want := (PhaseSpan{Name: PhaseVerify, DurationUS: 4000}); s.Phases[1] != want {
-		t.Errorf("verify span = %+v, want %+v", s.Phases[1], want)
-	}
-	if len(s.Verifications) != 2 {
-		t.Fatalf("verifications = %d, want 2", len(s.Verifications))
-	}
-	ev := s.Verifications[0]
+	ev := events[0]
 	if ev.Graph != 2 || ev.Steps != 100 || ev.DurationUS != 3000 || !ev.Found {
 		t.Errorf("event = %+v", ev)
 	}
-	if s.CacheMisses != 1 || s.CacheHits != 0 {
-		t.Errorf("cache events = %d/%d", s.CacheHits, s.CacheMisses)
+	if ev := events[1]; ev.Graph != 7 || ev.Found {
+		t.Errorf("event = %+v", ev)
 	}
 }
 
@@ -169,12 +153,12 @@ func TestTraceEventCap(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tr.ObserveVerify(i, 1, time.Microsecond, false)
 	}
-	s := tr.Snapshot()
-	if len(s.Verifications) != 4 {
-		t.Errorf("kept %d events, want 4", len(s.Verifications))
+	events, dropped := tr.Verifications()
+	if len(events) != 4 {
+		t.Errorf("kept %d events, want 4", len(events))
 	}
-	if s.VerificationsDropped != 6 {
-		t.Errorf("dropped = %d, want 6", s.VerificationsDropped)
+	if dropped != 6 {
+		t.Errorf("dropped = %d, want 6", dropped)
 	}
 }
 
@@ -208,62 +192,5 @@ func TestRegistrySnapshotJSON(t *testing.T) {
 	if len(back.Counters) != 1 || len(back.Gauges) != 1 || len(back.Histograms) != 1 {
 		t.Errorf("snapshot holds %d counters, %d gauges, %d histograms, want one each",
 			len(back.Counters), len(back.Gauges), len(back.Histograms))
-	}
-}
-
-// recordingObserver counts events for Tee tests.
-type recordingObserver struct {
-	mu                             sync.Mutex
-	phases, verifies, hits, panics int
-}
-
-func (r *recordingObserver) ObservePhase(string, time.Duration) {
-	r.mu.Lock()
-	r.phases++
-	r.mu.Unlock()
-}
-
-func (r *recordingObserver) ObserveVerify(int, uint64, time.Duration, bool) {
-	r.mu.Lock()
-	r.verifies++
-	r.mu.Unlock()
-}
-
-func (r *recordingObserver) ObserveCache(bool) {
-	r.mu.Lock()
-	r.hits++
-	r.mu.Unlock()
-}
-
-func (r *recordingObserver) ObserveWorkers(int) {}
-
-func (r *recordingObserver) ObserveFingerprint(uint64) {}
-
-func (r *recordingObserver) ObservePanic(int) {
-	r.mu.Lock()
-	r.panics++
-	r.mu.Unlock()
-}
-
-func TestTee(t *testing.T) {
-	if Tee() != nil {
-		t.Error("Tee() should be nil")
-	}
-	if Tee(nil, nil) != nil {
-		t.Error("Tee(nil, nil) should be nil")
-	}
-	a := &recordingObserver{}
-	if got := Tee(nil, a); got != Observer(a) {
-		t.Error("single observer should be returned unwrapped")
-	}
-	b := &recordingObserver{}
-	o := Tee(a, b)
-	o.ObservePhase(PhaseFilter, time.Millisecond)
-	o.ObserveVerify(1, 1, time.Millisecond, true)
-	o.ObserveCache(true)
-	for i, r := range []*recordingObserver{a, b} {
-		if r.phases != 1 || r.verifies != 1 || r.hits != 1 {
-			t.Errorf("observer %d: %d/%d/%d", i, r.phases, r.verifies, r.hits)
-		}
 	}
 }

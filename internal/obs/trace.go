@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"fmt"
 	"sync"
 	"time"
 )
@@ -11,23 +10,18 @@ import (
 // huge candidate set cannot balloon its own trace.
 const DefaultMaxTraceEvents = 1024
 
-// Trace records one query's telemetry: phase spans, per-candidate
-// verification events and cache outcomes. It implements Observer.
+// Trace records one query's per-candidate verification events. It
+// implements Observer; the rest of a ?trace=1 view comes from the query's
+// Result (core's Result.TraceSnapshot joins the two).
 //
 // All methods are safe on a nil *Trace — they become no-ops that allocate
 // nothing — so callers can unconditionally thread a possibly-nil trace
 // through QueryOptions. Non-nil traces are safe for concurrent use.
 type Trace struct {
-	mu          sync.Mutex
-	spans       []PhaseSpan
-	events      []VerifyEvent
-	dropped     int
-	cacheHits   int
-	cacheMisses int
-	workers     int
-	panics      int
-	fingerprint uint64
-	maxEvents   int
+	mu        sync.Mutex
+	events    []VerifyEvent
+	dropped   int
+	maxEvents int
 }
 
 // NewTrace returns an empty trace retaining at most DefaultMaxTraceEvents
@@ -49,16 +43,6 @@ type VerifyEvent struct {
 	Found      bool   `json:"found"`
 }
 
-// ObservePhase implements Observer.
-func (t *Trace) ObservePhase(name string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, PhaseSpan{Name: name, DurationUS: d.Microseconds()})
-	t.mu.Unlock()
-}
-
 // ObserveVerify implements Observer.
 func (t *Trace) ObserveVerify(graphID int, steps uint64, d time.Duration, found bool) {
 	if t == nil {
@@ -75,61 +59,22 @@ func (t *Trace) ObserveVerify(graphID int, steps uint64, d time.Duration, found 
 	t.mu.Unlock()
 }
 
-// ObserveCache implements Observer.
-func (t *Trace) ObserveCache(hit bool) {
+// Verifications copies the retained events and returns them with the
+// count of events dropped past the cap (nil and 0 on a nil trace).
+func (t *Trace) Verifications() (events []VerifyEvent, dropped int) {
 	if t == nil {
-		return
+		return nil, 0
 	}
 	t.mu.Lock()
-	if hit {
-		t.cacheHits++
-	} else {
-		t.cacheMisses++
-	}
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	return append([]VerifyEvent(nil), t.events...), t.dropped
 }
 
-// ObserveWorkers implements Observer: it records the effective worker-pool
-// size a parallel engine settled on after clamping.
-func (t *Trace) ObserveWorkers(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.workers = n
-	t.mu.Unlock()
-}
-
-// ObservePanic implements Observer: it counts panics recovered at the
-// engine's resilience boundaries while this query executed.
-func (t *Trace) ObservePanic(int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.panics++
-	t.mu.Unlock()
-}
-
-// ObserveFingerprint implements Observer: it stores the query's canonical
-// shape hash so the trace can be joined against /debug/top and the
-// wide-event export.
-func (t *Trace) ObserveFingerprint(fp uint64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.fingerprint = fp
-	t.mu.Unlock()
-}
-
-// TraceSnapshot is the JSON-marshalable view of a Trace, inlined into the
-// /query response under ?trace=1.
+// TraceSnapshot is the JSON-marshalable ?trace=1 view of one query,
+// inlined into the /query response.
 type TraceSnapshot struct {
-	// Phases lists completed phase spans in emission order. The "filter"
-	// and "verify" spans sum to the query time; dotted names (e.g.
-	// "filter.index") are sub-spans of their prefix and already included
-	// in it.
+	// Phases lists the "filter" and "verify" spans, which sum to the
+	// query time.
 	Phases []PhaseSpan `json:"phases"`
 	// Verifications lists one event per candidate graph tested, capped at
 	// the trace's event limit.
@@ -141,9 +86,11 @@ type TraceSnapshot struct {
 	// a truncated trace cannot be misread as complete.
 	VerificationsDropped int `json:"verifications_dropped"`
 	// Truncated is the explicit flag for VerificationsDropped > 0.
-	Truncated   bool `json:"truncated,omitempty"`
-	CacheHits   int  `json:"cache_hits"`
-	CacheMisses int  `json:"cache_misses"`
+	Truncated bool `json:"truncated,omitempty"`
+	// CacheHits and CacheMisses count the query's result-cache probes:
+	// one of them is 1 behind a cache, both are 0 without one.
+	CacheHits   int `json:"cache_hits"`
+	CacheMisses int `json:"cache_misses"`
 	// Workers is the effective worker-pool size of a parallel engine
 	// (after clamping to GOMAXPROCS); 0 for sequential engines.
 	Workers int `json:"workers,omitempty"`
@@ -155,28 +102,4 @@ type TraceSnapshot struct {
 	// join key against /debug/top and the wide-event export. Empty when the
 	// engine did not fingerprint the query.
 	Fingerprint string `json:"fingerprint,omitempty"`
-}
-
-// Snapshot copies the trace's current contents.
-func (t *Trace) Snapshot() TraceSnapshot {
-	if t == nil {
-		return TraceSnapshot{}
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := TraceSnapshot{
-		Phases:               append([]PhaseSpan(nil), t.spans...),
-		Verifications:        append([]VerifyEvent(nil), t.events...),
-		VerificationsTotal:   len(t.events) + t.dropped,
-		VerificationsDropped: t.dropped,
-		Truncated:            t.dropped > 0,
-		CacheHits:            t.cacheHits,
-		CacheMisses:          t.cacheMisses,
-		Workers:              t.workers,
-		Panics:               t.panics,
-	}
-	if t.fingerprint != 0 {
-		s.Fingerprint = fmt.Sprintf("%016x", t.fingerprint)
-	}
-	return s
 }

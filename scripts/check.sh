@@ -27,6 +27,10 @@ echo "== go vet ./... (and ./benchmark by name: the frozen surface must keep com
 go vet ./...
 go vet ./benchmark
 
+echo "== go vet -tags sqchaos / -tags sqdebug ./... (the build-tagged files nothing above compiles)"
+go vet -tags sqchaos ./...
+go vet -tags sqdebug ./...
+
 echo "== go build ./..."
 go build ./...
 

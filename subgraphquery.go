@@ -89,16 +89,18 @@ const (
 	ErrKindShard = core.KindShard
 )
 
-// Re-exported observability types (see internal/obs): set
-// QueryOptions.Observer to stream phase spans, per-candidate verification
-// events and cache outcomes while a query runs.
+// Re-exported observability types (see internal/obs): the Result carries a
+// query's phase times, cache outcome, worker count, panics and fingerprint;
+// set QueryOptions.Observer to stream the one signal it cannot carry, one
+// event per subgraph isomorphism test.
 type (
-	// Observer receives streaming query telemetry.
+	// Observer receives the per-SI-test stream.
 	Observer = obs.Observer
-	// Trace records one query's telemetry; it implements Observer and a
-	// nil *Trace is a free no-op.
+	// Trace records one query's verification events; it implements
+	// Observer and a nil *Trace is a free no-op.
 	Trace = obs.Trace
-	// TraceSnapshot is the JSON-marshalable view of a Trace.
+	// TraceSnapshot is the ?trace=1 view of a query, built by
+	// Result.TraceSnapshot from the Result and its Trace.
 	TraceSnapshot = obs.TraceSnapshot
 	// Explain collects a structured EXPLAIN report from the filtering and
 	// index internals; set QueryOptions.Explain to enable. A nil *Explain
@@ -112,7 +114,8 @@ type (
 	// Query entry and report it on Result.Fingerprint.
 	Fingerprint = telemetry.Fingerprint
 	// InflightRegistry tracks live queries for inspection and remote
-	// cancellation; set QueryOptions.Inflight to enable.
+	// cancellation; register a handle and set QueryOptions.Handle to
+	// enable.
 	InflightRegistry = inflight.Registry
 	// InflightHandle is one live query's registry entry with atomic
 	// progress counters. A nil *InflightHandle is a free no-op.
