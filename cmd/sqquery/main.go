@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -127,9 +128,10 @@ func run(opts runOptions) error {
 	var cands, answers, timeouts int
 	for i := 0; i < queryDB.Len(); i++ {
 		q := queryDB.Graph(i)
+		ctx, cancel := context.WithTimeout(context.Background(), opts.Budget)
 		qopts := core.QueryOptions{
-			Deadline: time.Now().Add(opts.Budget),
-			Workers:  opts.Workers,
+			Context: ctx,
+			Workers: opts.Workers,
 		}
 		var ex *obs.Explain
 		if opts.Explain {
@@ -149,6 +151,7 @@ func run(opts runOptions) error {
 		res := engine.Query(q, qopts)
 		stopProgress()
 		reg.Deregister(qopts.Handle)
+		cancel()
 		filter += res.FilterTime
 		verify += res.VerifyTime
 		cands += res.Candidates

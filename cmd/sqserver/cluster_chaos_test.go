@@ -45,10 +45,9 @@ func TestChaosClusterShardKillStorm(t *testing.T) {
 		// Fail over quickly: a killed shard must exhaust its retry budget
 		// well inside the request budget so the storm sees degraded 200s,
 		// not a wall of 408s.
-		MaxAttempts: 3,
-		RetryBase:   500 * time.Microsecond,
-		RetryCap:    2 * time.Millisecond,
-		HedgeAfter:  0, // adaptive p99
+		RetryBase:  500 * time.Microsecond,
+		RetryCap:   2 * time.Millisecond,
+		HedgeAfter: 0, // adaptive p99
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -415,38 +415,37 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		rec.Verdict = telemetry.VerdictOK
 	}
 
-	// The per-request timeout rides on the request context, so one Done
-	// channel carries both client disconnects and the budget to the
-	// engine's cooperative cancellation checks.
-	ctx := r.Context()
-	opts := sq.QueryOptions{
-		MemoryBudget: s.cfg.memBudget,
-		Fingerprint:  rec.Fingerprint,
-		Observer:     s.observer,
-	}
+	// The query's one context: a child of the request context (client
+	// disconnect) carrying the budget as its deadline. Its CancelFunc goes
+	// to the live registry, so remote cancellation (POST
+	// /debug/inflight/{id}/cancel) and the shutdown sweep end the same
+	// context; the engine tells a cancellation from a budget expiry by
+	// ctx.Err(). The handle carries identity and progress counters for GET
+	// /debug/inflight. A coordinator engine registers one sub-handle per
+	// shard attempt in the same registry, so /debug/inflight shows the
+	// fan-out live and cancellation reaches hedged losers.
+	var ctx context.Context
+	var cancel context.CancelFunc
 	if s.cfg.budget > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.budget)
-		defer cancel()
-		opts.Deadline = time.Now().Add(s.cfg.budget)
+		ctx, cancel = context.WithTimeout(r.Context(), s.cfg.budget)
+	} else {
+		ctx, cancel = context.WithCancel(r.Context())
 	}
-
-	// Register the query in the live registry before execution: the handle
-	// carries identity and progress counters for GET /debug/inflight, and
-	// merging its cancel channel with the request context means remote
-	// cancellation (POST /debug/inflight/{id}/cancel), client disconnect
-	// and the budget all stop the engine through one channel. A coordinator
-	// engine registers one sub-handle per shard attempt in the same
-	// registry, so /debug/inflight shows the fan-out live and cancellation
-	// reaches hedged losers.
+	defer cancel()
 	h := s.live.Register(inflight.RegisterOptions{
 		Engine:      rec.Engine,
 		Fingerprint: uint64(rec.Fingerprint),
 		Verdict:     rec.Verdict,
+		Cancel:      cancel,
 	})
 	defer s.live.Deregister(h)
-	opts.Handle = h
-	opts.Cancel = h.MergeCancel(ctx.Done())
+	opts := sq.QueryOptions{
+		Context:      ctx,
+		MemoryBudget: s.cfg.memBudget,
+		Fingerprint:  rec.Fingerprint,
+		Observer:     s.observer,
+		Handle:       h,
+	}
 
 	// The verbose views exist only for the request that asks for them.
 	if r.URL.RawQuery != "" {

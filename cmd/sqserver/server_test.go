@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -709,6 +710,58 @@ func TestSlowLogDisabled(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusNotFound {
 		t.Errorf("status %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestBudgetExpiryIsATimeout: a query that outlives -budget is a timeout,
+// never a cancellation. A 7-clique over single-label random graphs of 400
+// vertices cannot finish in 20 ms, so every answer must say timed_out and
+// none cancelled, however the expiry reaches the engine first (its own
+// clock reading or the context's Done channel).
+func TestBudgetExpiryIsATimeout(t *testing.T) {
+	db, err := sq.GenerateSynthetic(sq.SyntheticConfig{
+		NumGraphs: 20, NumVertices: 400, NumLabels: 1, Degree: 8, Seed: 7,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(db, sq.NewCFQLEngine(), serverConfig{slowThreshold: -1, budget: 20 * time.Millisecond}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	const k = 7
+	var clique strings.Builder
+	fmt.Fprintf(&clique, "t 0 %d %d\n", k, k*(k-1)/2)
+	for i := 0; i < k; i++ {
+		fmt.Fprintf(&clique, "v %d 0\n", i)
+	}
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			fmt.Fprintf(&clique, "e %d %d\n", i, j)
+		}
+	}
+	bad := 0
+	for i := 0; i < 20; i++ {
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(clique.String()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out queryResponse
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d, decode error %v", i, resp.StatusCode, err)
+		}
+		if !out.TimedOut || out.Cancelled {
+			bad++
+			t.Errorf("query %d: timed_out=%v cancelled=%v, want true and false", i, out.TimedOut, out.Cancelled)
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 20 budget expiries misreported", bad)
 	}
 }
 

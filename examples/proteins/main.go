@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +57,9 @@ func main() {
 		var filter, verify, perSI time.Duration
 		var cands, timeouts, withCands int
 		for _, q := range qs {
-			res := e.Query(q, sq.QueryOptions{Deadline: time.Now().Add(*budget)})
+			ctx, cancel := context.WithTimeout(context.Background(), *budget)
+			res := e.Query(q, sq.QueryOptions{Context: ctx})
+			cancel()
 			filter += res.FilterTime
 			verify += res.VerifyTime
 			cands += res.Candidates

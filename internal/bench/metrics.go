@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"time"
 
 	"subgraphquery/internal/core"
@@ -67,11 +68,13 @@ func RunQuerySet(e core.Engine, queries []*graph.Graph, cfg Config) SetMetrics {
 	shapes := telemetry.NewProfile(0)
 
 	for _, q := range queries {
+		ctx, cancel := context.WithTimeout(context.Background(), cfg.QueryBudget)
 		res := e.Query(q, core.QueryOptions{
-			Deadline:           time.Now().Add(cfg.QueryBudget),
+			Context:            ctx,
 			Workers:            cfg.Workers,
 			StepBudgetPerGraph: cfg.stepBudget,
 		})
+		cancel()
 		m.Queries++
 		if res.TimedOut {
 			m.TimedOut++

@@ -13,8 +13,8 @@
 //   - bounded retries with decorrelated-jitter exponential backoff on
 //     transient transport errors, rotating replicas between rounds;
 //   - hedged duplicate requests against replica shards after a
-//     p99-based delay — first response wins, the loser is cancelled
-//     through its inflight handle;
+//     p99-based delay — first response wins, the loser's context is
+//     cancelled;
 //   - graceful degradation: a shard that stays unreachable through the
 //     retry budget yields a partial Result with a KindShard QueryError
 //     naming the lost partition and Degraded set, instead of failing
@@ -22,13 +22,13 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand/v2"
 	"sync"
 	"time"
 
-	"subgraphquery/internal/budget"
 	"subgraphquery/internal/core"
 	"subgraphquery/internal/graph"
 	"subgraphquery/internal/inflight"
@@ -36,12 +36,18 @@ import (
 	"subgraphquery/internal/telemetry"
 )
 
-// Robustness defaults; every knob has a Config override.
+// Robustness settings. The retry and hedge timings have Config
+// overrides; the round count and the merge reserve do not.
 const (
-	defaultMaxAttempts  = 3
-	defaultRetryBase    = 2 * time.Millisecond
-	defaultRetryCap     = 200 * time.Millisecond
-	defaultMergeReserve = 2 * time.Millisecond
+	// maxAttempts bounds query rounds per shard, the first included. A
+	// round may add one hedged attempt on top.
+	maxAttempts = 3
+	// mergeReserve is withheld from each shard's deadline so the
+	// coordinator can merge under the caller's budget.
+	mergeReserve = 2 * time.Millisecond
+
+	defaultRetryBase = 2 * time.Millisecond
+	defaultRetryCap  = 200 * time.Millisecond
 
 	// Adaptive hedging: before hedgeWarmup successful attempts the
 	// per-shard latency histogram is too thin to trust, so a fixed cold
@@ -70,9 +76,6 @@ type Config struct {
 	// ShardConcurrency bounds simultaneous Query calls per shard replica
 	// (its admission semaphore); <= 0 = unlimited.
 	ShardConcurrency int
-	// MaxAttempts bounds query rounds per shard, the first included
-	// (default 3). A round may add one hedged attempt on top.
-	MaxAttempts int
 	// RetryBase and RetryCap shape the decorrelated-jitter backoff
 	// between rounds: sleep ~ Uniform(base, 3*prev), capped
 	// (defaults 2ms / 200ms).
@@ -81,10 +84,6 @@ type Config struct {
 	// HedgeAfter fixes the hedge delay; 0 selects the adaptive per-shard
 	// p99 delay, negative disables hedging.
 	HedgeAfter time.Duration
-	// MergeReserve is withheld from each shard's deadline so the
-	// coordinator can merge under the caller's budget (default 2ms;
-	// negative = 0).
-	MergeReserve time.Duration
 }
 
 // Coordinator fans queries out to the cluster's shards and merges the
@@ -263,13 +262,19 @@ func (c *Coordinator) Query(q *graph.Graph, opts core.QueryOptions) *core.Result
 
 	// Per-shard options: the shard deadline withholds the merge reserve
 	// from the caller's budget.
-	sub := opts
-	if !opts.Deadline.IsZero() {
-		if d := opts.Deadline.Add(-c.mergeReserve()); d.After(time.Now()) {
-			sub.Deadline = d
+	ctx := opts.Context
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if dl, ok := ctx.Deadline(); ok {
+		if d := dl.Add(-mergeReserve); d.After(time.Now()) {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithDeadline(ctx, d)
+			defer cancel()
 		}
 	}
-	parentCancel := opts.Cancel
+	sub := opts
+	sub.Context = ctx
 
 	n := c.transport.NumShards()
 	parts := make([]*core.Result, n)
@@ -292,7 +297,7 @@ func (c *Coordinator) Query(q *graph.Graph, opts core.QueryOptions) *core.Result
 					errs[s] = fmt.Errorf("coordinator panic: %v", v)
 				}
 			}()
-			parts[s], errs[s] = c.queryShard(s, q, sub, parentCancel)
+			parts[s], errs[s] = c.queryShard(s, q, sub)
 		}(s)
 	}
 	wg.Wait()
@@ -326,22 +331,23 @@ func (c *Coordinator) Query(q *graph.Graph, opts core.QueryOptions) *core.Result
 }
 
 // queryShard runs the bounded-retry loop for one shard: up to
-// MaxAttempts rounds, decorrelated-jitter backoff between them, replica
-// rotation across rounds. A non-nil result means the shard answered
-// (possibly a partial under its deadline); nil + error means the shard
-// is lost for this query.
-func (c *Coordinator) queryShard(shard int, q *graph.Graph, opts core.QueryOptions, parentCancel <-chan struct{}) (*core.Result, error) {
+// maxAttempts rounds, decorrelated-jitter backoff between them, replica
+// rotation across rounds. opts.Context is never nil here. A non-nil
+// result means the shard answered (possibly a partial under its
+// deadline); nil + error means the shard is lost for this query.
+func (c *Coordinator) queryShard(shard int, q *graph.Graph, opts core.QueryOptions) (*core.Result, error) {
+	ctx := opts.Context
 	reps := c.transport.Replicas(shard)
 	var lastErr error
 	prev := c.retryBase()
-	for attempt := 0; attempt < c.maxAttempts(); attempt++ {
+	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if attempt > 0 {
 			c.stats.retries.Add(1)
-			if !c.backoff(&prev, opts.Deadline, parentCancel) {
+			if !c.backoff(ctx, &prev) {
 				break
 			}
 		}
-		res, err := c.round(shard, attempt%reps, reps, q, opts, parentCancel)
+		res, err := c.round(shard, attempt%reps, reps, q, opts)
 		if err == nil && res.Err == nil {
 			return res, nil
 		}
@@ -350,7 +356,7 @@ func (c *Coordinator) queryShard(shard int, q *graph.Graph, opts core.QueryOptio
 		} else {
 			lastErr = res.Err
 		}
-		if budget.Cancelled(parentCancel) {
+		if ctx.Err() != nil {
 			break
 		}
 	}
@@ -360,20 +366,18 @@ func (c *Coordinator) queryShard(shard int, q *graph.Graph, opts core.QueryOptio
 	return nil, lastErr
 }
 
-// attemptCtl is one in-flight attempt's cancellation surface: stop is
-// the coordinator-side cancel (hedge loser, parent teardown), h the
-// registry handle remote cancellation arrives on, done closes when the
-// attempt's goroutine finishes (releasing the fan-in goroutine).
+// attemptCtl is one in-flight attempt's cancellation surface: stop
+// cancels the attempt's context, h is its registry sub-handle (nil
+// without a registry), which remote cancellation arrives on.
 type attemptCtl struct {
-	h        *inflight.Handle
-	stop     chan struct{}
-	stopOnce sync.Once
-	done     chan struct{}
+	h    *inflight.Handle
+	stop context.CancelFunc
 }
 
+// cancel stops a hedge loser; its sub-handle reads cancelled.
 func (a *attemptCtl) cancel() {
-	a.stopOnce.Do(func() { close(a.stop) })
 	a.h.Cancel()
+	a.stop()
 }
 
 type reply struct {
@@ -389,21 +393,22 @@ type reply struct {
 // response wins and the other attempt is cancelled; transport errors
 // and engine-boundary failures both wait for the slower attempt before
 // reporting the round failed.
-func (c *Coordinator) round(shard, primary, reps int, q *graph.Graph, opts core.QueryOptions, parentCancel <-chan struct{}) (*core.Result, error) {
+func (c *Coordinator) round(shard, primary, reps int, q *graph.Graph, opts core.QueryOptions) (*core.Result, error) {
 	ch := make(chan reply, 2)
 	reg := opts.Handle.Registry()
 	launch := func(replica int, hedged bool) *attemptCtl {
-		ctl := &attemptCtl{stop: make(chan struct{}), done: make(chan struct{})}
+		sub := opts
+		ctl := &attemptCtl{}
+		sub.Context, ctl.stop = context.WithCancel(opts.Context)
 		ctl.h = reg.Register(inflight.RegisterOptions{
 			Engine:      fmt.Sprintf("%s#s%d", c.name, shard),
 			Fingerprint: uint64(opts.Fingerprint),
 			Verdict:     "shard",
+			Cancel:      ctl.stop,
 		})
-		sub := opts
 		sub.Handle = ctl.h
-		sub.Cancel = fanInCancel(ctl.done, parentCancel, ctl.stop, ctl.h.CancelChan())
 		go func() {
-			defer close(ctl.done)
+			defer ctl.stop()
 			defer reg.Deregister(ctl.h)
 			start := time.Now()
 			res, err := c.attempt(shard, replica, q, sub)
@@ -445,7 +450,7 @@ func (c *Coordinator) round(shard, primary, reps int, q *graph.Graph, opts core.
 			}
 		case <-hedgeC:
 			hedgeC = nil
-			if outstanding == 1 && !budget.Cancelled(parentCancel) {
+			if outstanding == 1 && opts.Context.Err() == nil {
 				c.stats.hedges.Add(1)
 				ctls = append(ctls, launch((primary+1)%reps, true))
 				outstanding++
@@ -473,9 +478,9 @@ func (c *Coordinator) attempt(shard, replica int, q *graph.Graph, sub core.Query
 
 // backoff sleeps the decorrelated-jitter interval — uniform in
 // [base, 3*prev], capped — before the next round. It reports false when
-// the retry should be abandoned instead: the caller cancelled, or the
-// deadline leaves no room for another attempt.
-func (c *Coordinator) backoff(prev *time.Duration, deadline time.Time, cancel <-chan struct{}) bool {
+// the retry should be abandoned instead: ctx is done, or its deadline
+// leaves no room for another attempt.
+func (c *Coordinator) backoff(ctx context.Context, prev *time.Duration) bool {
 	base, ceil := c.retryBase(), c.retryCap()
 	hi := 3 * *prev
 	if hi < base {
@@ -489,7 +494,7 @@ func (c *Coordinator) backoff(prev *time.Duration, deadline time.Time, cancel <-
 		d = ceil
 	}
 	*prev = d
-	if !deadline.IsZero() {
+	if deadline, ok := ctx.Deadline(); ok {
 		remain := time.Until(deadline)
 		if remain <= base {
 			return false
@@ -503,7 +508,7 @@ func (c *Coordinator) backoff(prev *time.Duration, deadline time.Time, cancel <-
 	select {
 	case <-t.C:
 		return true
-	case <-cancel:
+	case <-ctx.Done():
 		return false
 	}
 }
@@ -531,13 +536,6 @@ func (c *Coordinator) hedgeDelay(shard int) time.Duration {
 	return d
 }
 
-func (c *Coordinator) maxAttempts() int {
-	if c.cfg.MaxAttempts > 0 {
-		return c.cfg.MaxAttempts
-	}
-	return defaultMaxAttempts
-}
-
 func (c *Coordinator) retryBase() time.Duration {
 	if c.cfg.RetryBase > 0 {
 		return c.cfg.RetryBase
@@ -550,52 +548,4 @@ func (c *Coordinator) retryCap() time.Duration {
 		return c.cfg.RetryCap
 	}
 	return defaultRetryCap
-}
-
-func (c *Coordinator) mergeReserve() time.Duration {
-	switch {
-	case c.cfg.MergeReserve > 0:
-		return c.cfg.MergeReserve
-	case c.cfg.MergeReserve < 0:
-		return 0
-	}
-	return defaultMergeReserve
-}
-
-// fanInCancel merges up to three cancellation sources into one channel.
-// nil sources are dropped; with one live source it is returned directly
-// (no goroutine). The merge goroutine exits when any source fires or
-// when done closes (the attempt finished — nothing left to cancel).
-func fanInCancel(done <-chan struct{}, a, b, c <-chan struct{}) <-chan struct{} {
-	live := make([]<-chan struct{}, 0, 3)
-	for _, src := range []<-chan struct{}{a, b, c} {
-		if src != nil {
-			live = append(live, src)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	merged := make(chan struct{})
-	go func() {
-		defer close(merged)
-		if len(live) == 2 {
-			select {
-			case <-live[0]:
-			case <-live[1]:
-			case <-done:
-			}
-			return
-		}
-		select {
-		case <-live[0]:
-		case <-live[1]:
-		case <-live[2]:
-		case <-done:
-		}
-	}()
-	return merged
 }

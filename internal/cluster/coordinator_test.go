@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -39,11 +40,10 @@ var testQuery = graph.MustFromEdges([]graph.Label{0, 1}, []graph.Edge{{U: 0, V: 
 // milliseconds; hedging off unless a test turns it on.
 func fastCfg() Config {
 	return Config{
-		BaseName:    "stub",
-		MaxAttempts: 3,
-		RetryBase:   200 * time.Microsecond,
-		RetryCap:    time.Millisecond,
-		HedgeAfter:  -1,
+		BaseName:   "stub",
+		RetryBase:  200 * time.Microsecond,
+		RetryCap:   time.Millisecond,
+		HedgeAfter: -1,
 	}
 }
 
@@ -105,7 +105,7 @@ func TestCoordinatorDegradesPermanentlyLostShard(t *testing.T) {
 		t.Errorf("answers %v, want the surviving shard's [1]", res.Answers)
 	}
 	if got := stub.calls[1].Load(); got != 3 {
-		t.Errorf("lost shard saw %d attempts, want MaxAttempts=3", got)
+		t.Errorf("lost shard saw %d attempts, want maxAttempts=3", got)
 	}
 	if s := c.Stats(); s.ShardsLost != 1 || s.DegradedQueries != 1 {
 		t.Errorf("stats lost=%d degraded=%d, want 1/1", s.ShardsLost, s.DegradedQueries)
@@ -149,13 +149,14 @@ func TestCoordinatorSurvivesTransportPanic(t *testing.T) {
 }
 
 func TestCoordinatorHedgeWinsAndLoserIsCancelled(t *testing.T) {
-	var slowSawCancel atomic.Bool
+	var slowSawCancel, loserHandleCancelled atomic.Bool
 	stub := newStub(1, 2, func(shard, replica int, attempt int64, opts core.QueryOptions) (*core.Result, error) {
 		if replica == 0 {
 			// Primary: stuck until cancelled.
 			select {
-			case <-opts.Cancel:
+			case <-opts.Context.Done():
 				slowSawCancel.Store(true)
+				loserHandleCancelled.Store(opts.Handle.Snapshot(time.Now()).Cancelled)
 				return &core.Result{TimedOut: true, Cancelled: true}, nil
 			case <-time.After(5 * time.Second):
 				return nil, errors.New("test hung: loser never cancelled")
@@ -186,6 +187,9 @@ func TestCoordinatorHedgeWinsAndLoserIsCancelled(t *testing.T) {
 	if !slowSawCancel.Load() {
 		t.Fatal("loser deregistered without seeing its cancellation")
 	}
+	if !loserHandleCancelled.Load() {
+		t.Error("the loser's sub-handle did not read cancelled when its context ended")
+	}
 }
 
 // queryTracked runs q the way the server does: under a live handle
@@ -215,24 +219,92 @@ func awaitDrained(t *testing.T, reg *inflight.Registry) {
 
 func TestCoordinatorCancelPropagatesToShards(t *testing.T) {
 	stub := newStub(2, 1, func(shard, replica int, attempt int64, opts core.QueryOptions) (*core.Result, error) {
-		<-opts.Cancel
+		<-opts.Context.Done()
 		return &core.Result{TimedOut: true, Cancelled: true}, nil
 	})
 	c, err := NewWithTransport(fastCfg(), stub, [][]int{{0}, {1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	go func() {
 		time.Sleep(5 * time.Millisecond)
-		close(cancel)
+		cancel()
 	}()
-	res := c.Query(testQuery, core.QueryOptions{Cancel: cancel})
+	res := c.Query(testQuery, core.QueryOptions{Context: ctx})
 	if !res.Cancelled || !res.TimedOut {
 		t.Fatalf("cancelled=%v timedOut=%v, want cooperative cancellation", res.Cancelled, res.TimedOut)
 	}
 	if res.Degraded || res.Err != nil {
 		t.Errorf("a cancelled query is not a degraded one: degraded=%v err=%v", res.Degraded, res.Err)
+	}
+}
+
+// A parent deadline with no cancel reaches every shard attempt as a
+// deadline, not a cancellation: shards that classify their stop the way
+// engines do (Result.NoteStop) merge into a timed-out, uncancelled,
+// undegraded Result.
+func TestCoordinatorParentDeadlineIsATimeout(t *testing.T) {
+	stub := newStub(2, 1, func(shard, replica int, attempt int64, opts core.QueryOptions) (*core.Result, error) {
+		<-opts.Context.Done()
+		res := &core.Result{}
+		res.NoteStop(opts.Context)
+		return res, nil
+	})
+	c, err := NewWithTransport(fastCfg(), stub, [][]int{{0}, {1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	defer cancel()
+	res := c.Query(testQuery, core.QueryOptions{Context: ctx})
+	if !res.TimedOut || res.Cancelled || res.Degraded || res.Err != nil {
+		t.Fatalf("timedOut=%v cancelled=%v degraded=%v err=%v, want a plain timeout",
+			res.TimedOut, res.Cancelled, res.Degraded, res.Err)
+	}
+}
+
+// TestCoordinatorStopsOnContext is the engine table's two stop cases
+// (core's TestCancelStopsQuery) on a 2-shard coordinator over real
+// engines: a cancelled context sets Cancelled and TimedOut, an expired
+// deadline TimedOut alone, and neither degrades the result.
+func TestCoordinatorStopsOnContext(t *testing.T) {
+	db, err := gen.Synthetic(gen.SyntheticConfig{
+		NumGraphs: 20, NumVertices: 12, NumLabels: 3, Degree: 3, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries, err := gen.QuerySet(db, gen.QuerySetConfig{Count: 1, Edges: 3, Method: gen.QueryRandomWalk, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := New(Config{Shards: 2, Factory: core.NewCFQL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Build(db, core.BuildOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, release := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer release()
+	for why, tc := range map[string]struct {
+		ctx           context.Context
+		wantCancelled bool
+	}{
+		"cancelled context": {cancelled, true},
+		"expired context":   {expired, false},
+	} {
+		res := c.Query(queries[0], core.QueryOptions{Context: tc.ctx})
+		if !res.TimedOut || res.Cancelled != tc.wantCancelled || res.Degraded || res.Err != nil {
+			t.Errorf("%s: TimedOut=%v Cancelled=%v Degraded=%v Err=%v, want true, %v, false, nil",
+				why, res.TimedOut, res.Cancelled, res.Degraded, res.Err, tc.wantCancelled)
+		}
+		if len(res.Answers) != 0 {
+			t.Errorf("%s: answered %v for a query stopped before it started", why, res.Answers)
+		}
 	}
 }
 

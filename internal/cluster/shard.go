@@ -56,16 +56,22 @@ func (s *Shard) IndexMemory() int64 { return s.engine.IndexMemory() }
 
 // Query runs the query on the shard's engine under its admission
 // semaphore and rewrites the result into global graph ids. The semaphore
-// wait respects the caller's cancel channel: a cancelled waiter returns
-// a Cancelled result without ever entering the engine, so hedged losers
-// queued behind a busy shard release immediately.
+// wait respects the query's context: a waiter whose context ends returns
+// a stopped result (Result.NoteStop) without ever entering the engine, so
+// hedged losers queued behind a busy shard release immediately.
 func (s *Shard) Query(q *graph.Graph, opts core.QueryOptions) *core.Result {
 	if s.sem != nil {
+		var done <-chan struct{}
+		if opts.Context != nil {
+			done = opts.Context.Done()
+		}
 		select {
 		case s.sem <- struct{}{}:
 			defer func() { <-s.sem }()
-		case <-opts.Cancel:
-			return &core.Result{TimedOut: true, Cancelled: true}
+		case <-done:
+			res := &core.Result{}
+			res.NoteStop(opts.Context)
+			return res
 		}
 	}
 	res := s.engine.Query(q, opts)

@@ -29,7 +29,9 @@ var ErrShardUnavailable = errors.New("cluster: shard unavailable")
 type Transport interface {
 	// Query runs q against the given replica of the given shard,
 	// blocking until the engine returns, the attempt fails, or
-	// opts.Cancel fires.
+	// opts.Context ends. A transport across a wire sends the context's
+	// deadline with the request and cancels the remote query when the
+	// context is cancelled.
 	Query(shard, replica int, q *graph.Graph, opts core.QueryOptions) (*core.Result, error)
 	// NumShards returns the cluster width.
 	NumShards() int

@@ -416,7 +416,7 @@ func (e *Cached) verifyPool(q *graph.Graph, db *graph.Database, pool, confirmed 
 		h.GraphDone()
 		h.AddAnswers(1)
 	}
-	rn := newRun(e.name, db, q, &opts, res, h, cfqlFirst)
+	rn := newRun(e.name, db, q, opts, res, h, cfqlFirst)
 	now := rn.read()
 	res.VerifyTime = rn.each(todo, len(todo), 1, now) - now
 	slices.Sort(res.Answers)

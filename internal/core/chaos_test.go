@@ -3,6 +3,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -182,11 +183,11 @@ func TestChaosCancelUnderLatency(t *testing.T) {
 			Points:      map[string]bool{fault.PointFilter: true},
 			Seed:        2,
 		})
-		cancel := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *Result, 1)
-		go func() { done <- eng.Query(q, QueryOptions{Cancel: cancel, Workers: 3}) }()
+		go func() { done <- eng.Query(q, QueryOptions{Context: ctx, Workers: 3}) }()
 		time.Sleep(5 * time.Millisecond) // several graphs deep, many to go
-		close(cancel)
+		cancel()
 		select {
 		case res := <-done:
 			if !res.Cancelled || !res.TimedOut {

@@ -16,6 +16,7 @@
 package core
 
 import (
+	"context"
 	"runtime"
 	"time"
 
@@ -59,10 +60,6 @@ type Updatable interface {
 type BuildOptions struct {
 	// Deadline aborts index construction (paper: 24 hours).
 	Deadline time.Time
-	// Cancel aborts construction cooperatively when closed
-	// (context-compatible: pass ctx.Done()); Build then returns the same
-	// budget error as an exceeded Deadline. nil disables the check.
-	Cancel <-chan struct{}
 	// MaxFeatures is a deterministic enumeration budget (see index pkg).
 	MaxFeatures int64
 	// Workers parallelizes index construction where supported (path tries).
@@ -71,14 +68,14 @@ type BuildOptions struct {
 
 // QueryOptions bounds query processing.
 type QueryOptions struct {
-	// Deadline aborts the query (paper: 10 minutes per query). Queries that
-	// exceed it report TimedOut and a partial answer set.
-	Deadline time.Time
-	// Cancel aborts the query cooperatively when closed
-	// (context-compatible: pass ctx.Done()). A cancelled query returns
-	// promptly with Cancelled and TimedOut set and a partial answer set.
-	// nil disables the check at no cost.
-	Cancel <-chan struct{}
+	// Context is the query's one stop signal. Its deadline is the query
+	// budget (paper: 10 minutes per query): a query past it returns
+	// TimedOut and a partial answer set. Cancelling it (remote
+	// cancellation, a client gone, a hedge lost) stops the query promptly
+	// with Cancelled and TimedOut set and a partial answer set. nil means
+	// no deadline and no cancellation, at no cost. The engine reads the
+	// context once, at entry, and never retains it past the call.
+	Context context.Context
 	// MemoryBudget bounds the live byte footprint of the per-graph
 	// candidate structure a vcFV/IvcFV engine builds
 	// (Candidates.MemoryFootprint). A data graph whose structure outgrows
@@ -121,9 +118,10 @@ type QueryOptions struct {
 	Fingerprint telemetry.Fingerprint
 	// Handle, when non-nil, makes the query visible to live inspection:
 	// the engine ticks its progress counters as data graphs are processed.
-	// The caller registers it (inflight.Registry.Register), merges its
-	// cancel channel into Cancel (Handle.MergeCancel) and deregisters it
-	// after Query returns; engines never register or deregister. Wrappers
+	// The caller registers it (inflight.Registry.Register) with the
+	// CancelFunc of Context, so remote cancellation ends the query, and
+	// deregisters it after Query returns; engines never register or
+	// deregister. Wrappers
 	// (Cached) pass it to the inner engine, and a cluster Coordinator
 	// registers its per-shard sub-handles in the handle's own registry.
 	// nil disables tracking at no cost.
@@ -162,13 +160,15 @@ type Result struct {
 	// (candidate vertex sets) for vcFV/IvcFV engines; 0 for pure IFV.
 	AuxMemory int64
 
-	// TimedOut reports that the query hit its Deadline (or a per-graph
-	// step budget); Answers is then a lower bound.
+	// TimedOut reports that the query stopped before it finished: its
+	// Context's deadline passed, the Context was cancelled, or a per-graph
+	// step budget ran out. Answers is then a lower bound.
 	TimedOut bool
 
-	// Cancelled refines TimedOut: the query stopped because
-	// QueryOptions.Cancel closed, not because time ran out. Always set
-	// together with TimedOut (the answer set is a lower bound either way).
+	// Cancelled refines TimedOut: the query stopped because its Context
+	// was cancelled, not because time ran out. Always set together with
+	// TimedOut (the answer set is a lower bound either way); a deadline
+	// never sets it.
 	Cancelled bool
 
 	// Skipped counts data graphs abandoned mid-processing — a recovered

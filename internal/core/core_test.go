@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -289,7 +290,9 @@ func TestQueryDeadline(t *testing.T) {
 		if err := e.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s build: %v", name, err)
 		}
-		res := e.Query(q, QueryOptions{Deadline: time.Now().Add(-time.Second)})
+		ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+		res := e.Query(q, QueryOptions{Context: ctx})
+		cancel()
 		if !res.TimedOut {
 			// Engines whose filtering empties the candidate set may finish
 			// legitimately; only flag when work was actually done.

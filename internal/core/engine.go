@@ -181,7 +181,6 @@ func (e *engine) Build(db *graph.Database, opts BuildOptions) error {
 	}
 	err := e.idx.Build(db, index.BuildOptions{
 		Deadline:    opts.Deadline,
-		Cancel:      opts.Cancel,
 		MaxFeatures: opts.MaxFeatures,
 		Workers:     workers,
 	})
@@ -248,7 +247,7 @@ func (e *engine) Query(q *graph.Graph, opts QueryOptions) (res *Result) {
 	h := opts.Handle
 	opts.Explain.SetEngine(e.name)
 
-	rn := newRun(e.name, e.db, q, &opts, res, h, e.test)
+	rn := newRun(e.name, e.db, q, opts, res, h, e.test)
 	now := rn.read()
 	var ids []int // nil: every data graph
 	n := e.db.Len()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -91,8 +92,8 @@ func TestInflightTrackingLifecycle(t *testing.T) {
 
 // TestRemoteCancelHaltsParallelQuery is the tentpole's acceptance test at
 // the engine level: a query that would otherwise run (effectively)
-// forever is stopped by Registry.Cancel — delivered through the handle's
-// merged cancel channel — returns a cancelled result, and the worker pool
+// forever is stopped by Registry.Cancel — delivered through the CancelFunc
+// of the query's context — returns a cancelled result, and the worker pool
 // quiesces. The odd-cycle-vs-bipartite wall makes the outcome
 // deterministic: the query cannot finish naturally, so the cancellation
 // is always what ends it.
@@ -109,9 +110,10 @@ func TestRemoteCancelHaltsParallelQuery(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 		baseline := runtime.NumGoroutine()
-		h := reg.Register(inflight.RegisterOptions{Engine: eng.Name()})
+		ctx, cancel := context.WithCancel(context.Background())
+		h := reg.Register(inflight.RegisterOptions{Engine: eng.Name(), Cancel: cancel})
 		done := make(chan *Result, 1)
-		go func() { done <- eng.Query(q, QueryOptions{Handle: h, Cancel: h.MergeCancel(nil), Workers: 3}) }()
+		go func() { done <- eng.Query(q, QueryOptions{Context: ctx, Handle: h, Workers: 3}) }()
 
 		// Wait until the query is visibly live and has flushed enumeration
 		// progress — proof the handle's counters move while it runs.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"time"
@@ -59,7 +60,9 @@ func TestParallelCFQLDeadline(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := walkQuery(r, db.Graph(0), 3)
-	res := e.Query(q, QueryOptions{Deadline: time.Now().Add(-time.Second)})
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancel()
+	res := e.Query(q, QueryOptions{Context: ctx})
 	if !res.TimedOut {
 		t.Error("expired deadline should mark TimedOut")
 	}

@@ -1,10 +1,11 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 
-	"subgraphquery/internal/budget"
 	"subgraphquery/internal/obs"
 )
 
@@ -149,11 +150,13 @@ func recordGraphError(res *Result, qe *QueryError) {
 	}
 }
 
-// noteAbort records a filter/enumeration abort: cancellation refines the
-// timeout the same way run.stop does.
-func noteAbort(opts *QueryOptions, res *Result) {
-	res.TimedOut = true
-	if budget.Cancelled(opts.Cancel) {
-		res.Cancelled = true
+// NoteStop records on r that its query stopped early — the loop's stop
+// check, or a filter or enumeration abort — classified by ctx.Err(): a
+// cancelled ctx sets Cancelled and TimedOut; a passed deadline, a step
+// budget or a nil ctx sets TimedOut alone.
+func (r *Result) NoteStop(ctx context.Context) {
+	r.TimedOut = true
+	if ctx != nil && errors.Is(ctx.Err(), context.Canceled) {
+		r.Cancelled = true
 	}
 }

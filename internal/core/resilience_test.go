@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -208,9 +209,10 @@ func TestMemoryBudgetSkipsGraph(t *testing.T) {
 	}
 }
 
-// TestCancelStopsQuery: a Cancel channel closed before Query, or a Deadline
-// already passed, halts every engine before it does any work — TimedOut
-// set, Cancelled set for the closed channel and clear for the deadline, no
+// TestCancelStopsQuery: a context cancelled before Query, or one whose
+// deadline already passed, halts every engine before it does any work —
+// TimedOut set, Cancelled set for the cancellation and clear for the
+// deadline, no
 // answers, no index probe (FG-Index's verification-free path must not
 // answer an abandoned query, and no other index is worth paying for), no
 // subgraph isomorphism test — and parallel worker pools wind down without
@@ -220,11 +222,16 @@ func TestCancelStopsQuery(t *testing.T) {
 	db := randomDB(r, 20, 9, 2)
 	q := walkQuery(r, db.Graph(0), 3)
 
-	cancelled := make(chan struct{})
-	close(cancelled)
-	stops := map[string]QueryOptions{
-		"closed Cancel":   {Cancel: cancelled},
-		"passed Deadline": {Deadline: time.Now().Add(-time.Second)},
+	cancelled, cancel := context.WithCancel(context.Background())
+	cancel()
+	expired, release := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer release()
+	stops := map[string]struct {
+		ctx           context.Context
+		wantCancelled bool
+	}{
+		"cancelled context": {cancelled, true},
+		"expired context":   {expired, false},
 	}
 
 	baseline := runtime.NumGoroutine()
@@ -232,14 +239,13 @@ func TestCancelStopsQuery(t *testing.T) {
 		if err := eng.Build(db, BuildOptions{}); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for why, opts := range stops {
+		for why, stop := range stops {
 			for _, workers := range []int{1, 3} {
 				tr, ex := obs.NewTrace(), obs.NewExplain()
-				opts.Workers, opts.Observer, opts.Explain = workers, tr, ex
-				res := eng.Query(q, opts)
-				if !res.TimedOut || res.Cancelled != (opts.Cancel != nil) {
+				res := eng.Query(q, QueryOptions{Context: stop.ctx, Workers: workers, Observer: tr, Explain: ex})
+				if !res.TimedOut || res.Cancelled != stop.wantCancelled {
 					t.Errorf("%s, %s, %d workers: TimedOut=%v Cancelled=%v, want true and %v",
-						name, why, workers, res.TimedOut, res.Cancelled, opts.Cancel != nil)
+						name, why, workers, res.TimedOut, res.Cancelled, stop.wantCancelled)
 				}
 				if len(res.Answers) != 0 {
 					t.Errorf("%s, %s: answered %v for a query stopped before it started", name, why, res.Answers)
@@ -267,7 +273,7 @@ func TestCancelMidFlight(t *testing.T) {
 	db := randomDB(r, 6, 9, 2)
 	q := walkQuery(r, db.Graph(0), 3)
 
-	cancel := make(chan struct{})
+	ctx, cancel := context.WithCancel(context.Background())
 	started := make(chan struct{}, db.Len()+1)
 	filter := func(q, g *graph.Graph, opts matching.FilterOptions) *matching.Candidates {
 		started <- struct{}{}
@@ -284,9 +290,9 @@ func TestCancelMidFlight(t *testing.T) {
 	}
 
 	done := make(chan *Result, 1)
-	go func() { done <- eng.Query(q, QueryOptions{Cancel: cancel}) }()
+	go func() { done <- eng.Query(q, QueryOptions{Context: ctx}) }()
 	<-started // the query is mid-filter on the first graph
-	close(cancel)
+	cancel()
 	select {
 	case res := <-done:
 		if !res.Cancelled || !res.TimedOut {
@@ -299,7 +305,7 @@ func TestCancelMidFlight(t *testing.T) {
 }
 
 // TestCancelParallelWorkersMidFlight drives every configuration that pools with a
-// Cancel raised while every worker is busy and the producer is blocked
+// cancellation raised while every worker is busy and the producer is blocked
 // handing out the next graph: the query returns promptly with
 // Cancelled/TimedOut accounting, and no goroutine or arena survives the
 // pool. The configuration keeps its own index, probe and pool settings;
@@ -331,14 +337,14 @@ func TestCancelParallelWorkersMidFlight(t *testing.T) {
 		started := make(chan struct{}, db.Len())
 		eng.test = func(rn *run, gid int, s *matching.Scratch, out *outcome) {
 			started <- struct{}{}
-			<-rn.opts.Cancel
-			out.r.Aborted = true // a cooperative matcher observing its Cancel
+			<-rn.done
+			out.r.Aborted = true // a cooperative matcher observing its context
 		}
 
 		goroutines, arenas := runtime.NumGoroutine(), matching.ScratchLive()
-		cancel := make(chan struct{})
+		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *Result, 1)
-		go func() { done <- eng.Query(q, QueryOptions{Cancel: cancel, Workers: workers}) }()
+		go func() { done <- eng.Query(q, QueryOptions{Context: ctx, Workers: workers}) }()
 		for i := 0; i < pool; i++ {
 			select {
 			case <-started: // one more worker holds a graph
@@ -346,7 +352,7 @@ func TestCancelParallelWorkersMidFlight(t *testing.T) {
 				t.Fatalf("%s: only %d of %d workers took a graph", name, i, pool)
 			}
 		}
-		close(cancel)
+		cancel()
 		select {
 		case res := <-done:
 			if !res.Cancelled || !res.TimedOut {

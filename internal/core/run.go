@@ -23,7 +23,7 @@ type run struct {
 	name string // engine name, for errors
 	db   *graph.Database
 	q    *graph.Graph
-	opts *QueryOptions
+	opts QueryOptions // a copy, so the caller's options stay on its stack
 	res  *Result
 	h    *inflight.Handle
 	test graphTest
@@ -32,6 +32,10 @@ type run struct {
 	// one reading both times a phase and answers "past the deadline?".
 	base  time.Time
 	limit time.Duration
+	// The context's Done channel and deadline, read once in newRun: the
+	// matching layer polls them raw, once per data graph and per stride.
+	done     <-chan struct{}
+	deadline time.Time
 	// stopped: the query takes no more graphs. Set by stop, and by fold
 	// when a graph's filter aborted — the whole query stops, not just that
 	// graph.
@@ -42,11 +46,14 @@ type run struct {
 // test swaps it to count them.
 var since = time.Since
 
-func newRun(name string, db *graph.Database, q *graph.Graph, opts *QueryOptions, res *Result, h *inflight.Handle, test graphTest) *run {
+func newRun(name string, db *graph.Database, q *graph.Graph, opts QueryOptions, res *Result, h *inflight.Handle, test graphTest) *run {
 	rn := &run{name: name, db: db, q: q, opts: opts, res: res, h: h, test: test,
 		base: time.Now(), limit: math.MaxInt64}
-	if !opts.Deadline.IsZero() {
-		rn.limit = opts.Deadline.Sub(rn.base)
+	if ctx := opts.Context; ctx != nil {
+		rn.done = ctx.Done()
+		if d, ok := ctx.Deadline(); ok {
+			rn.deadline, rn.limit = d, d.Sub(rn.base)
+		}
 	}
 	return rn
 }
@@ -85,11 +92,11 @@ type outcome struct {
 // and the in-flight handle through.
 func fusedTest(m matching.Matcher) graphTest {
 	return func(rn *run, gid int, s *matching.Scratch, out *outcome) {
-		q, g, opts := rn.q, rn.db.Graph(gid), rn.opts
+		q, g, opts := rn.q, rn.db.Graph(gid), &rn.opts
 		t0 := out.at
 		cand := m.Filter(q, g, matching.FilterOptions{
-			Deadline:     opts.Deadline,
-			Cancel:       opts.Cancel,
+			Deadline:     rn.deadline,
+			Cancel:       rn.done,
 			MemoryBudget: opts.MemoryBudget,
 			Explain:      opts.Explain,
 			Scratch:      s,
@@ -120,8 +127,8 @@ func fusedTest(m matching.Matcher) graphTest {
 		s.ObserveOrder(opts.Explain, ord, cand)
 		r, err := matching.Enumerate(q, g, cand, ord, matching.Options{
 			Limit:      1,
-			Deadline:   opts.Deadline,
-			Cancel:     opts.Cancel,
+			Deadline:   rn.deadline,
+			Cancel:     rn.done,
 			StepBudget: opts.StepBudgetPerGraph,
 			Scratch:    s,
 			Progress:   rn.h.StepCounter(),
@@ -146,11 +153,11 @@ func fusedTest(m matching.Matcher) graphTest {
 // that is already a candidate.
 func matcherTest(findFirst func(q, g *graph.Graph, opts matching.Options) matching.Result) graphTest {
 	return func(rn *run, gid int, s *matching.Scratch, out *outcome) {
-		opts := rn.opts
+		opts := &rn.opts
 		t0 := out.at
 		out.r = findFirst(rn.q, rn.db.Graph(gid), matching.Options{
-			Deadline:   opts.Deadline,
-			Cancel:     opts.Cancel,
+			Deadline:   rn.deadline,
+			Cancel:     rn.done,
 			StepBudget: opts.StepBudgetPerGraph,
 			Scratch:    s,
 			Progress:   rn.h.StepCounter(),
@@ -164,16 +171,13 @@ func matcherTest(findFirst func(q, g *graph.Graph, opts matching.Options) matchi
 
 // stop reports whether the query must not take on more work at clock
 // reading now, recording why on the Result: a filter abort already stopped
-// it, Cancel closed (Cancelled, and TimedOut — the answer set is a lower
-// bound either way), or now is past the deadline (TimedOut alone).
+// it, or the context is done or now is past its deadline (Result.NoteStop
+// tells a cancellation from a timeout).
 func (rn *run) stop(now time.Duration) bool {
 	switch {
 	case rn.stopped:
-	case budget.Cancelled(rn.opts.Cancel):
-		rn.res.Cancelled = true
-		rn.res.TimedOut = true
-	case now > rn.limit:
-		rn.res.TimedOut = true
+	case now > rn.limit || budget.Cancelled(rn.done):
+		rn.res.NoteStop(rn.opts.Context)
 	default:
 		return false
 	}
@@ -208,13 +212,13 @@ func (rn *run) fold(gid int, out *outcome) {
 		return
 	}
 	if out.aborted {
-		noteAbort(rn.opts, res)
+		res.NoteStop(rn.opts.Context)
 		rn.stopped = true
 		return
 	}
 	res.VerifySteps += out.r.Steps
 	if out.r.Aborted {
-		noteAbort(rn.opts, res)
+		res.NoteStop(rn.opts.Context)
 	}
 	if out.r.Found() {
 		res.Answers = append(res.Answers, gid)
@@ -301,11 +305,12 @@ func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration 
 		}
 		select {
 		case jobs <- at(i):
-		case <-rn.opts.Cancel:
+		case <-rn.done:
 			// Cancelled while every worker is busy: stop feeding the pool
 			// instead of blocking on the send forever. The stop check of
-			// the next iteration records the cancellation; a nil Cancel
-			// never fires, so the select degenerates to the plain send.
+			// the next iteration records the cancellation; without a
+			// context done is nil and never fires, so the select
+			// degenerates to the plain send.
 		}
 	}
 	close(jobs)

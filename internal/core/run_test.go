@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -105,8 +106,8 @@ func TestEnginesAgreeAcrossWorkers(t *testing.T) {
 
 // TestFilterAbortStopsQuery: a filter that reports Aborted (its sets prove
 // nothing about the graph) stops the whole query with TimedOut set, on the
-// caller's goroutine and on a pool alike — no deadline or Cancel is
-// involved, so nothing else would stop it.
+// caller's goroutine and on a pool alike — no context is involved, so
+// nothing else would stop it.
 func TestFilterAbortStopsQuery(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	db := randomDB(r, 100, 9, 2)
@@ -208,8 +209,8 @@ func TestQueryAllocsDoNotGrowWithDatabase(t *testing.T) {
 // chains the readings, so a sequential fused query over N graphs of which P
 // pass the filter takes at most N + P + 2 readings — one at the start, one
 // after an index probe, one per filter, one per verification — whether or
-// not it carries a Deadline, and FilterTime + VerifyTime is exactly the
-// last reading minus the first.
+// not its context carries a deadline, and FilterTime + VerifyTime is
+// exactly the last reading minus the first.
 func TestClockBudget(t *testing.T) {
 	db := genDB(t, 40, 3)
 	queries := genQueries(t, db, 30)
@@ -222,15 +223,17 @@ func TestClockBudget(t *testing.T) {
 		return next
 	}
 
+	hour, cancel := context.WithTimeout(context.Background(), time.Hour)
+	defer cancel()
 	for _, e := range []Engine{NewCFQL(), NewCFL(), NewGraphQL(), NewVcGGSX()} {
 		if err := e.Build(db, BuildOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
-			for _, deadline := range []time.Time{{}, time.Now().Add(time.Hour)} {
+			for _, ctx := range []context.Context{nil, hour} {
 				readings = readings[:0]
 				ex := obs.NewExplain()
-				res := e.Query(q, QueryOptions{Deadline: deadline, Explain: ex})
+				res := e.Query(q, QueryOptions{Context: ctx, Explain: ex})
 				if res.TimedOut || res.Candidates == 0 {
 					t.Fatalf("%s q%d: TimedOut=%v with %d candidates; queries are drawn from the database",
 						e.Name(), qi, res.TimedOut, res.Candidates)
@@ -241,11 +244,11 @@ func TestClockBudget(t *testing.T) {
 				}
 				if budget := n + res.Candidates + 2; len(readings) > budget {
 					t.Errorf("%s q%d (deadline %v): %d clock readings for %d graphs and %d candidates, want at most %d",
-						e.Name(), qi, !deadline.IsZero(), len(readings), n, res.Candidates, budget)
+						e.Name(), qi, ctx != nil, len(readings), n, res.Candidates, budget)
 				}
 				if got, want := res.FilterTime+res.VerifyTime, readings[len(readings)-1]-readings[0]; got != want {
 					t.Errorf("%s q%d (deadline %v): FilterTime + VerifyTime = %v, last reading - first = %v",
-						e.Name(), qi, !deadline.IsZero(), got, want)
+						e.Name(), qi, ctx != nil, got, want)
 				}
 			}
 		}

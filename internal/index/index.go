@@ -66,11 +66,6 @@ type BuildOptions struct {
 	// zero means no deadline.
 	Deadline time.Time
 
-	// Cancel aborts construction cooperatively when closed
-	// (context-compatible: pass ctx.Done()); Build then returns ErrBudget
-	// like an exceeded Deadline. nil disables the check at no cost.
-	Cancel <-chan struct{}
-
 	// MaxFeatures aborts construction after this many enumerated feature
 	// instances, a deterministic out-of-time proxy for tests: path
 	// occurrences, distinct subtrees (each is visited once), cycles,
@@ -86,11 +81,10 @@ type BuildOptions struct {
 // exhausted; the harness reports the corresponding experiment cell as OOT.
 var ErrBudget = errors.New("index: construction budget exhausted")
 
-// checkpoint returns the deadline/cancellation poller a Build loop ticks
-// once per enumerated feature instance, at the shared feature-mining
-// stride.
+// checkpoint returns the deadline poller a Build loop ticks once per
+// enumerated feature instance, at the shared feature-mining stride.
 func (o *BuildOptions) checkpoint() budget.Checkpoint {
-	return budget.Checkpoint{Deadline: o.Deadline, Cancel: o.Cancel, Stride: budget.FeatureStride}
+	return budget.Checkpoint{Deadline: o.Deadline, Stride: budget.FeatureStride}
 }
 
 // ExactFilter is implemented by indexes that can sometimes answer a query

@@ -4,9 +4,9 @@
 // time) plus atomic progress counters (current phase, graphs processed /
 // total, candidates, enumeration steps, auxiliary bytes) — so an
 // operator can see what is running *right now*, not just what already
-// finished. On top of the registry sit remote cancellation (close the
-// handle's channel, which the engines' cooperative cancellation polls
-// through internal/budget) and the stuck-query watchdog (watchdog.go).
+// finished. On top of the registry sit remote cancellation (call the
+// CancelFunc of the query's context, which the engines' cooperative
+// cancellation polls) and the stuck-query watchdog (watchdog.go).
 //
 // The paper's enumeration phase is exponential in the worst case; a
 // pathological query is otherwise invisible until it times out or trips
@@ -23,7 +23,7 @@
 package inflight
 
 import (
-	"sync"
+	"context"
 	"sync/atomic"
 	"time"
 )
@@ -77,13 +77,9 @@ type Handle struct {
 	cancelled atomic.Bool
 	flagged   atomic.Bool // watchdog captured this query's stack already
 
-	cancelOnce sync.Once
-	cancelCh   chan struct{}
-	doneOnce   sync.Once
-	done       chan struct{} // closed on deregistration
-
-	reg  *Registry // the registry the handle was registered in
-	slot int       // registry slot, -1 when the registry was full (untracked)
+	stop context.CancelFunc // ends the query's context; nil = nothing to end
+	reg  *Registry          // the registry the handle was registered in
+	slot int                // registry slot, -1 when the registry was full (untracked)
 }
 
 // ID returns the handle's registry-unique id (0 on nil).
@@ -168,59 +164,19 @@ func (h *Handle) StepCounter() *atomic.Uint64 {
 	return &h.steps
 }
 
-// Cancel requests cooperative cancellation: the first call closes the
-// handle's cancel channel (merged into the engine's Cancel option at
-// registration) and reports true; later calls and nil handles report
-// false. The query observes the closure at its next budget checkpoint and
+// Cancel requests cooperative cancellation: the first call marks the
+// handle cancelled, cancels the query's context (RegisterOptions.Cancel)
+// and reports true; later calls and nil handles report false. The query
+// observes the cancelled context at its next budget checkpoint and
 // returns with Cancelled set.
 func (h *Handle) Cancel() bool {
-	if h == nil {
+	if h == nil || !h.cancelled.CompareAndSwap(false, true) {
 		return false
 	}
-	first := false
-	h.cancelOnce.Do(func() {
-		h.cancelled.Store(true)
-		close(h.cancelCh)
-		first = true
-	})
-	return first
-}
-
-// CancelChan returns the channel closed by Cancel (nil on a nil handle,
-// which budget.Cancelled treats as "never cancelled").
-func (h *Handle) CancelChan() <-chan struct{} {
-	if h == nil {
-		return nil
+	if h.stop != nil {
+		h.stop()
 	}
-	return h.cancelCh
-}
-
-// MergeCancel returns a channel that closes when either the caller's
-// cancel channel closes or Cancel is invoked on the handle — the channel
-// an engine should poll so remote cancellation and the caller's own
-// deadline/disconnect both stop the query. With no caller channel the
-// handle's own channel is returned directly (no goroutine); otherwise a
-// merge goroutine runs until one source fires or the handle is
-// deregistered.
-func (h *Handle) MergeCancel(caller <-chan struct{}) <-chan struct{} {
-	if h == nil {
-		return caller
-	}
-	if caller == nil {
-		return h.cancelCh
-	}
-	merged := make(chan struct{})
-	go func() {
-		select {
-		case <-caller:
-		case <-h.cancelCh:
-		case <-h.done:
-			// Query finished; nothing left to cancel. Close anyway so the
-			// channel never leaks a reader.
-		}
-		close(merged)
-	}()
-	return merged
+	return true
 }
 
 // flag marks the handle as watchdog-flagged; true on the first call only,
@@ -267,11 +223,15 @@ type RegisterOptions struct {
 	// Verdict is the admission outcome ("ok" when admission control
 	// admitted the query; empty when admission was disabled).
 	Verdict string
+	// Cancel is the CancelFunc of the context the query runs on:
+	// Handle.Cancel calls it to stop the query, Deregister to release the
+	// context. nil when nothing can be stopped through the handle.
+	Cancel context.CancelFunc
 }
 
 // Register creates and publishes a live handle. Safe on a nil registry
-// (returns nil, the disabled tracker). The caller must Deregister the
-// handle when the query returns.
+// (returns nil, the disabled tracker; the query's context is the caller's
+// alone). The caller must Deregister the handle when the query returns.
 func (r *Registry) Register(opts RegisterOptions) *Handle {
 	if r == nil {
 		return nil
@@ -282,8 +242,7 @@ func (r *Registry) Register(opts RegisterOptions) *Handle {
 		engine:      opts.Engine,
 		verdict:     opts.Verdict,
 		start:       time.Now(),
-		cancelCh:    make(chan struct{}),
-		done:        make(chan struct{}),
+		stop:        opts.Cancel,
 		reg:         r,
 		slot:        -1,
 	}
@@ -302,13 +261,16 @@ func (r *Registry) Register(opts RegisterOptions) *Handle {
 	return h
 }
 
-// Deregister retracts the handle from the registry and releases its merge
-// goroutine (if any). Safe on nil receiver and nil handle; idempotent.
+// Deregister retracts the handle from the registry and releases the
+// query's context (RegisterOptions.Cancel) without marking the handle
+// cancelled. Safe on nil receiver and nil handle; idempotent.
 func (r *Registry) Deregister(h *Handle) {
 	if h == nil {
 		return
 	}
-	h.doneOnce.Do(func() { close(h.done) })
+	if h.stop != nil {
+		h.stop()
+	}
 	if r != nil && h.slot >= 0 {
 		r.slots[h.slot].CompareAndSwap(h, nil)
 	}

@@ -2,6 +2,7 @@ package inflight
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -28,13 +29,6 @@ func TestNilHandleIsSafe(t *testing.T) {
 	}
 	if h.Snapshot(time.Now()).Cancelled || h.Snapshot(time.Now()).Flagged {
 		t.Fatal("nil handle flags should be false")
-	}
-	if h.CancelChan() != nil {
-		t.Fatal("nil handle CancelChan should be nil")
-	}
-	caller := make(chan struct{})
-	if got := h.MergeCancel(caller); got != (<-chan struct{})(caller) {
-		t.Fatal("nil handle MergeCancel should return the caller channel unchanged")
 	}
 	snap := h.Snapshot(time.Now())
 	if snap.ID != 0 {
@@ -144,17 +138,16 @@ func TestRegistryOverflowStillRuns(t *testing.T) {
 
 func TestCancelByID(t *testing.T) {
 	r := NewRegistry(8)
-	h := r.Register(RegisterOptions{Engine: "parallel"})
+	ctx, cancel := context.WithCancel(context.Background())
+	h := r.Register(RegisterOptions{Engine: "parallel", Cancel: cancel})
 	if r.Cancel(h.ID() + 999) {
 		t.Fatal("cancelling an unknown id should report false")
 	}
 	if !r.Cancel(h.ID()) {
 		t.Fatal("first Cancel should report true")
 	}
-	select {
-	case <-h.CancelChan():
-	default:
-		t.Fatal("cancel channel should be closed")
+	if err := ctx.Err(); err != context.Canceled {
+		t.Fatalf("query context err = %v, want context.Canceled", err)
 	}
 	if !h.Snapshot(time.Now()).Cancelled {
 		t.Fatal("Cancelled should be true")
@@ -192,54 +185,74 @@ func TestCancelAll(t *testing.T) {
 	}
 }
 
-func TestMergeCancel(t *testing.T) {
-	r := NewRegistry(4)
+// TestRegisteredContext pins the registration contract: the handle holds
+// the CancelFunc of the query's context, Cancel ends that context as a
+// cancellation, Deregister releases it without counting one, and the
+// context stays the caller's when there is no registry.
+func TestRegisteredContext(t *testing.T) {
+	register := func(r *Registry, parent context.Context) (*Handle, context.Context) {
+		ctx, cancel := context.WithCancel(parent)
+		return r.Register(RegisterOptions{Engine: "q", Cancel: cancel}), ctx
+	}
+	cancels := func(r *Registry) int64 {
+		_, _, n := r.Stats()
+		return n
+	}
 
-	t.Run("nil caller returns handle channel", func(t *testing.T) {
-		h := r.Register(RegisterOptions{})
+	t.Run("remote cancel ends it", func(t *testing.T) {
+		r := NewRegistry(4)
+		h, ctx := register(r, context.Background())
 		defer r.Deregister(h)
-		merged := h.MergeCancel(nil)
-		h.Cancel()
-		select {
-		case <-merged:
-		case <-time.After(time.Second):
-			t.Fatal("merged channel did not close on Cancel")
+		if !r.Cancel(h.ID()) {
+			t.Fatal("Cancel found no live query")
+		}
+		<-ctx.Done()
+		if err := ctx.Err(); err != context.Canceled {
+			t.Fatalf("err = %v, want context.Canceled", err)
+		}
+		if n := cancels(r); n != 1 || !h.Snapshot(time.Now()).Cancelled {
+			t.Fatalf("cancels = %d, handle cancelled = %v; want 1 and true", n, h.Snapshot(time.Now()).Cancelled)
 		}
 	})
 
-	t.Run("caller close propagates", func(t *testing.T) {
-		h := r.Register(RegisterOptions{})
+	t.Run("parent cancel ends it", func(t *testing.T) {
+		r := NewRegistry(4)
+		parent, cancelParent := context.WithCancel(context.Background())
+		h, ctx := register(r, parent)
 		defer r.Deregister(h)
-		caller := make(chan struct{})
-		merged := h.MergeCancel(caller)
-		close(caller)
-		select {
-		case <-merged:
-		case <-time.After(time.Second):
-			t.Fatal("merged channel did not close on caller close")
+		cancelParent()
+		<-ctx.Done()
+		if n := cancels(r); n != 0 || h.Snapshot(time.Now()).Cancelled {
+			t.Fatalf("cancels = %d, handle cancelled = %v after a parent cancel; want 0 and false",
+				n, h.Snapshot(time.Now()).Cancelled)
 		}
 	})
 
-	t.Run("handle cancel propagates", func(t *testing.T) {
-		h := r.Register(RegisterOptions{})
-		defer r.Deregister(h)
-		merged := h.MergeCancel(make(chan struct{}))
-		h.Cancel()
-		select {
-		case <-merged:
-		case <-time.After(time.Second):
-			t.Fatal("merged channel did not close on handle Cancel")
-		}
-	})
-
-	t.Run("deregister releases the merge goroutine", func(t *testing.T) {
-		h := r.Register(RegisterOptions{})
-		merged := h.MergeCancel(make(chan struct{}))
+	t.Run("deregister releases it", func(t *testing.T) {
+		r := NewRegistry(4)
+		h, ctx := register(r, context.Background())
 		r.Deregister(h)
-		select {
-		case <-merged:
-		case <-time.After(time.Second):
-			t.Fatal("merged channel did not close on Deregister")
+		if ctx.Err() == nil {
+			t.Fatal("context still live after Deregister")
+		}
+		if n := cancels(r); n != 0 || h.Snapshot(time.Now()).Cancelled {
+			t.Fatalf("cancels = %d, handle cancelled = %v after Deregister; want 0 and false",
+				n, h.Snapshot(time.Now()).Cancelled)
+		}
+	})
+
+	t.Run("nil registry leaves the caller context", func(t *testing.T) {
+		var r *Registry
+		h, ctx := register(r, context.Background())
+		if h != nil {
+			t.Fatal("nil registry returned a handle")
+		}
+		h.Cancel()
+		r.Cancel(1)
+		r.CancelAll()
+		r.Deregister(h)
+		if ctx.Err() != nil {
+			t.Fatalf("caller's context ended through a nil registry: %v", ctx.Err())
 		}
 	})
 }
@@ -383,8 +396,7 @@ func TestHandleHotMethodsZeroAlloc(t *testing.T) {
 	}); avg != 0 {
 		t.Fatalf("nil handle methods allocate %.1f/op, want 0", avg)
 	}
-	// Register allocates the handle and its channels, nothing per slot its
-	// claim loop scans: with one free slot left it costs what it costs empty.
+	// Register allocates the handle, nothing per slot its claim loop scans: with one free slot left it costs what it costs empty.
 	register := func(r *Registry) float64 {
 		return testing.AllocsPerRun(1000, func() { r.Deregister(r.Register(RegisterOptions{})) })
 	}

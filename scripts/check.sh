@@ -54,13 +54,16 @@ echo "== live-inspection storm + stuck-query watchdog (inflight registry, race)"
 go test -race -count=1 -run 'Watchdog' ./internal/inflight ./cmd/sqserver
 go test -tags sqchaos -race -count=1 -run 'TestInflightStormUnderChaos' ./cmd/sqserver
 
+echo "== cancellation paths under race, ten times (query contexts: registry cancel, hedge losers, budgets, deadlines)"
+go test -race -count=10 -run 'Cancel|Hedge|Budget|Deadline|Register' ./internal/inflight ./internal/cluster ./internal/core
+
 echo "== scatter-gather tier: shard-kill chaos storm (race)"
 make test-cluster
 
 echo "== result-cache bench smoke (one Zipf block through bare and cached CFQL)"
 go test -run '^$' -bench 'CachedZipf' -benchtime 1x .
 
-echo "== budgeted-query bench smoke (bare CFQL with and without a Deadline, equal answers)"
+echo "== budgeted-query bench smoke (bare CFQL with and without a deadline context, equal answers)"
 go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 
 echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"

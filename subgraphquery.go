@@ -114,8 +114,9 @@ type (
 	// Query entry and report it on Result.Fingerprint.
 	Fingerprint = telemetry.Fingerprint
 	// InflightRegistry tracks live queries for inspection and remote
-	// cancellation; register a handle and set QueryOptions.Handle to
-	// enable.
+	// cancellation: register a handle with the CancelFunc of the query's
+	// context (inflight.RegisterOptions.Cancel), set QueryOptions.Handle and
+	// QueryOptions.Context, and deregister it when Query returns.
 	InflightRegistry = inflight.Registry
 	// InflightHandle is one live query's registry entry with atomic
 	// progress counters. A nil *InflightHandle is a free no-op.
