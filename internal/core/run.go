@@ -143,7 +143,7 @@ func fusedTest(m matching.Matcher) graphTest {
 		if o := opts.Observer; o != nil {
 			o.ObserveVerify(gid, r.Steps, out.verify, r.Found())
 		}
-		opts.Explain.ObserveEnumerate(r.Jumps, r.Redos, r.WordIsects, r.ProbeIsects, r.MergeIsects)
+		opts.Explain.ObserveEnumerate(r.Jumps, r.Redos, r.Pruned, r.WordIsects, r.ProbeIsects, r.MergeIsects)
 		out.r = r
 	}
 }

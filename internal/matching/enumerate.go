@@ -34,10 +34,20 @@ import (
 // enumeration exhaustive. Result.Jumps counts backjumps that skipped at
 // least one position; Result.Redos counts all dead-end backtracks.
 //
-// The order must be connected: each vertex after the first needs at least
-// one earlier neighbor in q (both GraphQL's join-based order and CFL's
-// path-based order guarantee this). Enumerate returns an error for
-// disconnected orders rather than silently enumerating a cartesian product.
+// Once a search has spent lookAheadAfter steps it also looks ahead
+// (forward checking): a candidate v of u that leaves some later query
+// neighbour of u — two or more positions on — without a free candidate
+// adjacent to v and to the images of that neighbour's earlier neighbours is
+// skipped without a step, and blames those images' positions and the
+// owners of the used vertices in the way (deadAhead). Result.Pruned counts
+// the skipped candidates.
+//
+// The order must be a connected permutation of q's vertices: each vertex
+// after the first needs at least one earlier neighbor in q (both GraphQL's
+// join-based order and CFL's path-based order guarantee this). Enumerate
+// returns an error for an order that repeats a vertex, names one outside q
+// or is disconnected, rather than silently leaving a vertex unmapped or
+// enumerating a cartesian product.
 //
 // With a non-nil opts.Scratch all search state (mapping, used-set,
 // backward-neighbor, conflict-set and intersection buffers) comes from the
@@ -62,6 +72,7 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 		order:    order,
 		opts:     opts,
 		budget:   newBudget(&opts),
+		s:        s,
 		mapping:  s.mapping,
 		ownerPos: s.ownerPos,
 		backward: s.backward.Take(n),
@@ -92,12 +103,13 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 	// pivot whose data-side neighborhood will seed the candidates.
 	s.pos = scratch.Grow(s.pos, n)
 	pos := s.pos
-	for i, u := range order {
-		pos[u] = i
-	}
 	e.pos = pos
 	seen := growBools(&s.seen, n)
 	for i, u := range order {
+		if int(u) >= n || seen[u] {
+			return Result{}, fmt.Errorf("matching: order is not a permutation at position %d (vertex %d)", i, u)
+		}
+		pos[u] = i
 		for _, w := range q.Neighbors(u) {
 			if seen[w] {
 				e.backward[i] = append(e.backward[i], w)
@@ -133,7 +145,7 @@ func Enumerate(q, g *graph.Graph, cand *Candidates, order []graph.VertexID, opts
 	}
 	return Result{
 		Embeddings: e.found, Steps: e.budget.steps, Aborted: e.budget.aborted, Stopped: e.stopped,
-		Jumps: e.jumps, Redos: e.redos,
+		Jumps: e.jumps, Redos: e.redos, Pruned: e.pruned,
 		WordIsects: e.wordIsects, ProbeIsects: e.probeIsects, MergeIsects: e.mergeIsects,
 	}, nil
 }
@@ -154,11 +166,19 @@ type enumerator struct {
 	nbr, phi, confWords []uint64 // g.NeighborWords(), Φ(u), per-depth conflict sets
 	usedWord            uint64
 
+	// The look-ahead's forward table, built on first use (see aheadAt).
+	s          *Scratch
+	ahead      []aheadEntry // position d's are ahead[aheadStart[d]:aheadStart[d+1]]
+	aheadStart []int32
+	aheadPrev  []graph.VertexID
+	built      bool
+
 	mapping     []graph.VertexID
 	used        *scratch.Bits
 	found       uint64
 	jumps       uint64 // backjumps skipping at least one position
 	redos       uint64 // dead-end backtracks (conflict-analyzed)
+	pruned      uint64 // candidates the look-ahead skipped
 	wordIsects  uint64 // intersections on single words
 	probeIsects uint64 // intersections via domain-row probing
 	mergeIsects uint64 // intersections via sorted merge
@@ -200,7 +220,15 @@ func (e *enumerator) search(depth int) int {
 	if depth == 0 {
 		// The root has no earlier positions to conflict with: child jumps
 		// to position 0 simply continue this loop with the next candidate.
+		e.conf[0].Reset(len(e.order)) // look-ahead blame at the root goes nowhere
+		ahead := e.aheadAt(0)
 		for _, v := range e.cand.Sets[u] {
+			if ahead == nil {
+				ahead = e.aheadAt(0) // the trigger can fire within a node
+			}
+			if len(ahead) > 0 && e.deadAhead(0, v, ahead) {
+				continue
+			}
 			e.mapping[u] = v
 			e.used.Set(uint32(v))
 			e.ownerPos[v] = 0
@@ -239,6 +267,7 @@ func (e *enumerator) search(depth int) int {
 		buf = graph.IntersectSorted(e.isect[depth][:0], e.cand.Sets[u], nbrs)
 	}
 	e.isect[depth] = buf
+	ahead := e.aheadAt(depth)
 	for _, v := range buf {
 		if e.used.Get(uint32(v)) {
 			conf.Set(uint32(e.ownerPos[v]))
@@ -253,6 +282,12 @@ func (e *enumerator) search(depth int) int {
 			}
 		}
 		if !ok {
+			continue
+		}
+		if ahead == nil {
+			ahead = e.aheadAt(depth)
+		}
+		if len(ahead) > 0 && e.deadAhead(depth, v, ahead) {
 			continue
 		}
 		e.mapping[u] = v
@@ -291,6 +326,125 @@ func (e *enumerator) search(depth int) int {
 		e.jumps++
 	}
 	return target
+}
+
+// lookAheadAfter is the step count from which a search looks ahead; before
+// it no forward table is built and no candidate is checked. Most of the
+// ~500 searches of an AIDS query end within a few dozen steps, and the
+// table and the scans cost them more than they prune. Swept in process
+// (CFQL over the benchmark's inputs, thread CPU time, the fastest of three
+// runs per query, every value in turn per query; 2 vCPUs), against no
+// look-ahead: syn-enum 3.07 ms/query over 27.2 M steps → 2.63 at 0 (13.4 M
+// steps), 2.59 at 16, 2.72 at 64 (14.1 M), 2.65 at 256, 2.69 at 1 024, 2.81
+// at 4 096; AIDS 2.02 → 2.09 at 0 and level from 16; PDBS-like 0.0167 →
+// 0.0181 at 0 and level from 16; PPI- and PCM-like level within noise.
+// AIDS's Enumerate calls alone (the fastest of five each): 388 ns/call
+// never, 572 at 0, 407 at 16, 394 at 64, 391 at 256.
+const lookAheadAfter = 64
+
+// aheadEntry is one row of the look-ahead's forward table: u is a later
+// query neighbour of the vertex at some position d, aheadPrev[lo:hi] are
+// u's neighbours placed before d, and blame holds their positions as a word
+// (the word path's form; meaningless past 64 positions).
+type aheadEntry struct {
+	u      graph.VertexID
+	lo, hi int32
+	blame  uint64
+}
+
+// aheadAt returns the forward entries of position d once the search has
+// spent lookAheadAfter steps, building the forward table the first time,
+// and nil before: a search that never looks ahead never pays for it.
+func (e *enumerator) aheadAt(d int) []aheadEntry {
+	if e.budget.steps < lookAheadAfter {
+		return nil
+	}
+	if !e.built {
+		e.buildAhead()
+	}
+	return e.ahead[e.aheadStart[d]:e.aheadStart[d+1]]
+}
+
+// buildAhead fills the Scratch's forward table for e's order: for each
+// position d, one entry per neighbour of order[d] placed at d+2 or later,
+// in q's adjacency order.
+func (e *enumerator) buildAhead() {
+	s, n := e.s, len(e.order)
+	s.aheadStart = scratch.Grow(s.aheadStart, n+1)
+	s.ahead, s.aheadPrev = s.ahead[:0], s.aheadPrev[:0]
+	for d, u := range e.order {
+		s.aheadStart[d] = int32(len(s.ahead))
+		for _, later := range e.q.Neighbors(u) {
+			if e.pos[later] <= d+1 {
+				continue // the next position checks itself (see deadAhead)
+			}
+			a := aheadEntry{u: later, lo: int32(len(s.aheadPrev))}
+			for _, w := range e.q.Neighbors(later) {
+				if e.pos[w] < d {
+					s.aheadPrev = append(s.aheadPrev, w)
+					a.blame |= bit(e.pos[w])
+				}
+			}
+			a.hi = int32(len(s.aheadPrev))
+			s.ahead = append(s.ahead, a)
+		}
+	}
+	s.aheadStart[n] = int32(len(s.ahead))
+	e.ahead, e.aheadStart, e.aheadPrev, e.built = s.ahead, s.aheadStart, s.aheadPrev, true
+}
+
+// deadAhead is the forward check of candidate v at depth: it reports
+// whether mapping v there leaves some later
+// neighbour u of order[depth] without a free candidate — a member of Φ(u) ∩
+// N(v) ∩ N(M(w)) for each of u's neighbours w placed before depth, not yet
+// used. For the first such u it blames, in the depth's conflict set, the
+// positions of those w and the owners of the used vertices the pool held:
+// the only earlier choices the verdict depends on. A neighbour at the next
+// position has no entry: the child's own pool is that very set, so checking
+// it here would pay the child's scan twice for every live candidate to save
+// one step per dead one.
+func (e *enumerator) deadAhead(depth int, v graph.VertexID, ahead []aheadEntry) bool {
+	for _, a := range ahead {
+		prev := e.aheadPrev[a.lo:a.hi]
+		row := e.cand.Domain().Row(int(a.u))
+		nbrs := e.g.NeighborsWithLabel(v, e.q.Label(a.u))
+		free := false
+		for _, x := range nbrs {
+			if !e.used.Get(uint32(x)) && e.joins(row, prev, x) {
+				free = true
+				break
+			}
+		}
+		if free {
+			continue
+		}
+		conf := &e.conf[depth]
+		for _, w := range prev {
+			conf.Set(uint32(e.pos[w]))
+		}
+		for _, x := range nbrs {
+			if e.joins(row, prev, x) { // and used, as none is free
+				conf.Set(uint32(e.ownerPos[x]))
+			}
+		}
+		e.pruned++
+		return true
+	}
+	return false
+}
+
+// joins reports whether x is in row and adjacent to the image of every w
+// in prev.
+func (e *enumerator) joins(row *scratch.Bits, prev []graph.VertexID, x graph.VertexID) bool {
+	if !row.Get(uint32(x)) {
+		return false
+	}
+	for _, w := range prev {
+		if !e.g.HasEdge(e.mapping[w], x) {
+			return false
+		}
+	}
+	return true
 }
 
 // VerifyOrder checks that order is a valid connected permutation of the

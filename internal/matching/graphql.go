@@ -1,6 +1,7 @@
 package matching
 
 import (
+	"math/bits"
 	"sort"
 
 	"subgraphquery/internal/fault"
@@ -196,28 +197,66 @@ func GraphQLOrder(q *graph.Graph, cand *Candidates) []graph.VertexID {
 
 // GraphQLOrderScratch is GraphQLOrder running on an arena: the returned
 // order is owned by s and valid until its next ordering call. A nil s
-// allocates a private arena (identical to GraphQLOrder).
+// allocates a private arena (identical to GraphQLOrder). A query of at most
+// domain.WordVertices vertices orders on its neighbourhood words.
 func GraphQLOrderScratch(q *graph.Graph, cand *Candidates, s *Scratch) []graph.VertexID {
 	fault.Inject(fault.PointOrder)
 	if s == nil {
 		s = NewScratch()
 	}
+	if len(q.NeighborWords()) == 0 {
+		return graphQLOrderLists(q, cand, s)
+	}
+	s.orderBuf = graphQLOrderWords(q, cand, s.orderBuf[:0])
+	return s.orderBuf
+}
+
+// joinBefore is GraphQL's preference between two query vertices: fewer
+// candidates, then higher degree, then lower id.
+func joinBefore(q *graph.Graph, cand *Candidates, a, b graph.VertexID) bool {
+	ca, cb := cand.Count(a), cand.Count(b)
+	if ca != cb {
+		return ca < cb
+	}
+	da, db := q.Degree(a), q.Degree(b)
+	if da != db {
+		return da > db
+	}
+	return a < b
+}
+
+// graphQLOrderWords appends the join order to order, keeping the ordered
+// prefix and its un-ordered neighbours (the frontier) as words, so that a
+// step scans the frontier's members and nothing else.
+func graphQLOrderWords(q *graph.Graph, cand *Candidates, order []graph.VertexID) []graph.VertexID {
+	words := q.NeighborWords()
+	var in, frontier uint64
+	pick := ^uint64(0) >> (64 - len(words)) // the first vertex is the best of all
+	for len(order) < len(words) {
+		next := graph.VertexID(bits.TrailingZeros64(pick))
+		for f := pick & (pick - 1); f != 0; f &= f - 1 {
+			if u := graph.VertexID(bits.TrailingZeros64(f)); joinBefore(q, cand, u, next) {
+				next = u
+			}
+		}
+		order = append(order, next)
+		in |= 1 << next
+		frontier = (frontier | words[next]) &^ in
+		if pick = frontier; pick == 0 { // disconnected query; fall back to the lowest free vertex
+			pick = ^in & (in + 1)
+		}
+	}
+	return order
+}
+
+// graphQLOrderLists is the join order with the ordered set and the frontier
+// as flags, each step scanning every query vertex: the path of a query too
+// wide for a word.
+func graphQLOrderLists(q *graph.Graph, cand *Candidates, s *Scratch) []graph.VertexID {
 	n := q.NumVertices()
 	order := s.orderBuf[:0]
 	in := growBools(&s.orderIn, n)
 	frontier := growBools(&s.frontier, n) // un-ordered neighbors of the prefix
-
-	better := func(a, b graph.VertexID) bool {
-		ca, cb := cand.Count(a), cand.Count(b)
-		if ca != cb {
-			return ca < cb
-		}
-		da, db := q.Degree(a), q.Degree(b)
-		if da != db {
-			return da > db
-		}
-		return a < b
-	}
 
 	pick := func(frontierOnly bool) graph.VertexID {
 		best := graph.VertexID(0)
@@ -227,7 +266,7 @@ func GraphQLOrderScratch(q *graph.Graph, cand *Candidates, s *Scratch) []graph.V
 			if in[u] || (frontierOnly && !frontier[u]) {
 				continue
 			}
-			if !have || better(uu, best) {
+			if !have || joinBefore(q, cand, uu, best) {
 				best = uu
 				have = true
 			}

@@ -169,6 +169,10 @@ type Result struct {
 	Jumps uint64
 	Redos uint64
 
+	// Pruned counts candidates the look-ahead skipped: mapping one would
+	// have left a later query neighbour with no free candidate.
+	Pruned uint64
+
 	// WordIsects, ProbeIsects and MergeIsects count candidate-set ∩
 	// neighborhood intersections by representation: single words, or what
 	// the density switch chose, bit-row probing vs sorted-slice merging.

@@ -101,6 +101,13 @@ type Scratch struct {
 	backward scratch.Rows[graph.VertexID]
 	isect    scratch.Rows[graph.VertexID]
 
+	// The look-ahead's forward table (aheadEntry): position d's entries are
+	// ahead[aheadStart[d]:aheadStart[d+1]], their earlier neighbours slices
+	// of aheadPrev.
+	ahead      []aheadEntry
+	aheadStart []int32
+	aheadPrev  []graph.VertexID
+
 	// CFL order: the query's 2-core and its peeling work space, the BFS
 	// tree (treePaths) and its root-to-leaf paths, one flat vertex buffer
 	// that the paths slice.

@@ -197,6 +197,40 @@ func TestEnumerateZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestLookAheadZeroAlloc: searches long enough to look ahead — syn-like
+// queries enumerated under a step budget, on words and on the same graphs
+// padded onto the lists — build the forward table and skip candidates
+// without allocating once the arena is warm.
+func TestLookAheadZeroAlloc(t *testing.T) {
+	skipIfDebugInvariants(t)
+	c := smallCorpora(t)["syn-like"]
+	graphs := []*graph.Graph{c.db.Graph(0), c.db.Graph(1), padded(t, c.db.Graph(0), 65), padded(t, c.db.Graph(1), 65)}
+	s := NewScratch()
+	var pruned [2]uint64 // words, lists
+	body := func() {
+		for _, q := range c.queries {
+			for i, g := range graphs {
+				cand := CFLFilter(q, g, FilterOptions{Scratch: s})
+				if cand.AnyEmpty() {
+					continue
+				}
+				r, err := Enumerate(q, g, cand, GraphQLOrderScratch(q, cand, s), Options{StepBudget: 5000, Scratch: s})
+				if err != nil {
+					t.Fatal(err)
+				}
+				pruned[i/2] += r.Pruned
+			}
+		}
+	}
+	body() // warm-up
+	if pruned[0] == 0 || pruned[1] == 0 {
+		t.Fatalf("the look-ahead skipped %d candidates on words and %d on lists; want both above 0", pruned[0], pruned[1])
+	}
+	if allocs := testing.AllocsPerRun(5, body); allocs != 0 {
+		t.Fatalf("searches that look ahead allocated %v times per run, want 0", allocs)
+	}
+}
+
 // BenchmarkScratchPipeline measures the per-graph loop body of the vcFV
 // engines — filter, order, enumerate-first — with a pooled arena versus
 // the allocate-per-call path. The allocs/op column is the contract: 0 for

@@ -128,8 +128,15 @@ func (e *enumerator) searchWords(depth int) int {
 	}
 	e.confWords[depth] = conf
 	foundBefore := e.found
+	ahead := e.aheadAt(depth)
 	for ; pool != 0; pool &= pool - 1 {
 		v := graph.VertexID(bits.TrailingZeros64(pool))
+		if ahead == nil {
+			ahead = e.aheadAt(depth) // the trigger can fire within a node
+		}
+		if len(ahead) > 0 && e.deadAheadWords(depth, v, ahead) {
+			continue
+		}
 		e.mapping[u] = v
 		e.usedWord |= bit(v)
 		e.ownerPos[v] = int32(depth)
@@ -157,4 +164,28 @@ func (e *enumerator) searchWords(depth int) int {
 		e.jumps++
 	}
 	return target
+}
+
+// deadAheadWords is deadAhead on words: an entry's pool for v is Φ(u) ∧
+// N(v) ∧ the neighbourhoods of the images of u's earlier neighbours, dead
+// when the used word covers it.
+func (e *enumerator) deadAheadWords(depth int, v graph.VertexID, ahead []aheadEntry) bool {
+	nv := e.nbr[v]
+	for _, a := range ahead {
+		pool := e.phi[a.u] & nv
+		for _, w := range e.aheadPrev[a.lo:a.hi] {
+			pool &= e.nbr[e.mapping[w]]
+		}
+		if pool&^e.usedWord != 0 {
+			continue
+		}
+		conf := a.blame
+		for ; pool != 0; pool &= pool - 1 {
+			conf |= bit(e.ownerPos[bits.TrailingZeros64(pool)])
+		}
+		e.confWords[depth] |= conf
+		e.pruned++
+		return true
+	}
+	return false
 }

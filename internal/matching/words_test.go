@@ -358,7 +358,7 @@ func TestWordPathZeroAlloc(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ex.ObserveEnumerate(r.Jumps, r.Redos, r.WordIsects, r.ProbeIsects, r.MergeIsects)
+				ex.ObserveEnumerate(r.Jumps, r.Redos, r.Pruned, r.WordIsects, r.ProbeIsects, r.MergeIsects)
 			}
 		}
 	}
@@ -385,16 +385,43 @@ func TestWordPathStops(t *testing.T) {
 	}
 }
 
+// pdbsCorpus returns a dozen PDBS-like chains of 112-187 vertices, on the
+// list path by size, with random-walk queries of 8 and 16 edges.
+func pdbsCorpus(t testing.TB) corpus {
+	t.Helper()
+	db, err := gen.Real(gen.PDBS, 0.02, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []*graph.Graph
+	for _, edges := range []int{8, 16} {
+		qs, err := gen.QuerySet(db, gen.QuerySetConfig{Count: 5, Edges: edges, Method: gen.QueryRandomWalk, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries = append(queries, qs...)
+	}
+	return corpus{db, queries}
+}
+
 // BenchmarkSmallGraphKernels names the layer a change to the small-graph
 // kernels moved: the CFL filter (ns/graph over every query × graph pair)
-// and the first-match search (ns/step over the pairs that pass the filter,
+// and the first-match search (over the pairs that pass the filter,
 // candidates and order prepared outside the timer), each on the word path
 // and — the same graphs padded to 65 vertices — on the list path, over
-// syn-enum-like and AIDS-like inputs.
+// syn-enum-like and AIDS-like inputs, plus the search on PDBS-like graphs,
+// list path by size. A search row reports steps/graph beside ns/step and
+// ns/graph: a change that prunes takes fewer, costlier steps, and ns/step
+// alone would read it as a regression.
 func BenchmarkSmallGraphKernels(b *testing.B) {
-	for _, name := range []string{"syn-like", "AIDS-like"} {
-		c := smallCorpora(b)[name]
-		for _, path := range []string{"word", "padded-list"} {
+	for _, name := range []string{"syn-like", "AIDS-like", "PDBS-like"} {
+		c, paths := corpus{}, []string{"word", "padded-list"}
+		if name == "PDBS-like" {
+			c, paths = pdbsCorpus(b), []string{"list"}
+		} else {
+			c = smallCorpora(b)[name]
+		}
+		for _, path := range paths {
 			graphs := make([]*graph.Graph, c.db.Len())
 			for gid := range graphs {
 				graphs[gid] = c.db.Graph(gid)
@@ -402,18 +429,20 @@ func BenchmarkSmallGraphKernels(b *testing.B) {
 					graphs[gid] = padded(b, graphs[gid], domain.WordVertices+1)
 				}
 			}
-			b.Run(fmt.Sprintf("Filter/%s/%s", path, name), func(b *testing.B) {
-				s := NewScratch()
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					for _, q := range c.queries {
-						for _, g := range graphs {
-							CFLFilter(q, g, FilterOptions{Scratch: s})
+			if path != "list" {
+				b.Run(fmt.Sprintf("Filter/%s/%s", path, name), func(b *testing.B) {
+					s := NewScratch()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for _, q := range c.queries {
+							for _, g := range graphs {
+								CFLFilter(q, g, FilterOptions{Scratch: s})
+							}
 						}
 					}
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.queries)*len(graphs)), "ns/graph")
-			})
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.queries)*len(graphs)), "ns/graph")
+				})
+			}
 			b.Run(fmt.Sprintf("Search/%s/%s", path, name), func(b *testing.B) {
 				// One arena per passing pair keeps its candidates alive.
 				type pair struct {
@@ -445,6 +474,7 @@ func BenchmarkSmallGraphKernels(b *testing.B) {
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(steps), "ns/step")
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(pairs)), "ns/graph")
+				b.ReportMetric(float64(steps)/float64(b.N*len(pairs)), "steps/graph")
 			})
 		}
 	}

@@ -39,12 +39,13 @@ type Explain struct {
 	domainBitsVerts  int64
 	domainChainVerts int64
 
-	enumCalls uint64
-	enumJumps uint64
-	enumRedos uint64
-	enumWord  uint64
-	enumProbe uint64
-	enumMerge uint64
+	enumCalls  uint64
+	enumJumps  uint64
+	enumRedos  uint64
+	enumPruned uint64
+	enumWord   uint64
+	enumProbe  uint64
+	enumMerge  uint64
 
 	probes        []IndexProbe
 	probesDropped int
@@ -169,9 +170,10 @@ func (e *Explain) ObserveDomainRep(wordVerts, bitsVerts, chainVerts int) {
 
 // ObserveEnumerate accumulates one enumeration's backtracking and
 // intersection statistics: conflict-directed backjumps taken, dead-end
-// backtracks analyzed, and intersections done on single words, by
-// domain-row probing and by sorted merge.
-func (e *Explain) ObserveEnumerate(jumps, redos, word, probe, merge uint64) {
+// backtracks analyzed, candidates the look-ahead skipped, and
+// intersections done on single words, by domain-row probing and by sorted
+// merge.
+func (e *Explain) ObserveEnumerate(jumps, redos, pruned, word, probe, merge uint64) {
 	if e == nil {
 		return
 	}
@@ -179,6 +181,7 @@ func (e *Explain) ObserveEnumerate(jumps, redos, word, probe, merge uint64) {
 	e.enumCalls++
 	e.enumJumps += jumps
 	e.enumRedos += redos
+	e.enumPruned += pruned
 	e.enumWord += word
 	e.enumProbe += probe
 	e.enumMerge += merge
@@ -366,6 +369,8 @@ type EnumerateStats struct {
 	// order position; Redos counts all analyzed dead-end backtracks.
 	Jumps uint64 `json:"jumps"`
 	Redos uint64 `json:"redos"`
+	// Pruned counts candidates the look-ahead skipped.
+	Pruned uint64 `json:"pruned"`
 	// WordIntersections, ProbeIntersections and MergeIntersections count
 	// candidate-set ∩ neighborhood steps by chosen representation.
 	WordIntersections  uint64 `json:"word_intersections"`
@@ -463,6 +468,7 @@ func (e *Explain) Snapshot() ExplainSnapshot {
 			Enumerations:       e.enumCalls,
 			Jumps:              e.enumJumps,
 			Redos:              e.enumRedos,
+			Pruned:             e.enumPruned,
 			WordIntersections:  e.enumWord,
 			ProbeIntersections: e.enumProbe,
 			MergeIntersections: e.enumMerge,
@@ -563,8 +569,8 @@ func (s ExplainSnapshot) WriteText(w io.Writer) {
 			s.DomainRep.WordVertices, s.DomainRep.BitsVertices, s.DomainRep.ChainVertices)
 	}
 	if s.Enumerate != nil {
-		fmt.Fprintf(w, "  enumeration: %d runs, %d backjumps of %d dead ends, %d word / %d probe / %d merge intersections\n",
-			s.Enumerate.Enumerations, s.Enumerate.Jumps, s.Enumerate.Redos,
+		fmt.Fprintf(w, "  enumeration: %d runs, %d backjumps of %d dead ends, %d look-ahead skips, %d word / %d probe / %d merge intersections\n",
+			s.Enumerate.Enumerations, s.Enumerate.Jumps, s.Enumerate.Redos, s.Enumerate.Pruned,
 			s.Enumerate.WordIntersections, s.Enumerate.ProbeIntersections, s.Enumerate.MergeIntersections)
 	}
 	if s.RefineRounds != nil {

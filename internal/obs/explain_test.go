@@ -12,7 +12,7 @@ func TestExplainNilIsSafe(t *testing.T) {
 	ex.ObserveStageDense(StageCFLTopDown, []int{1}, 50)
 	ex.ObservePrefilter(true)
 	ex.ObserveDomainRep(1, 2, 3)
-	ex.ObserveEnumerate(1, 2, 3, 4, 5)
+	ex.ObserveEnumerate(1, 2, 3, 4, 5, 6)
 	ex.ObserveRefineRounds(3)
 	ex.ObserveRejections(7)
 	ex.ObserveIndexProbe(IndexProbe{Index: "Grapes"})
@@ -36,7 +36,7 @@ func TestExplainNilAllocFree(t *testing.T) {
 		ex.ObserveStage(StageCFLTopDown, counts)
 		ex.ObservePrefilter(false)
 		ex.ObserveDomainRep(1, 1, 1)
-		ex.ObserveEnumerate(1, 1, 1, 1, 1)
+		ex.ObserveEnumerate(1, 1, 1, 1, 1, 1)
 		ex.ObserveRefineRounds(2)
 		ex.ObserveRejections(9)
 		ex.ObserveIndexProbe(probe)
@@ -85,8 +85,8 @@ func TestExplainDensityPrefilterDomainEnumerate(t *testing.T) {
 	ex.ObserveDomainRep(0, 0, 0) // no-op: nothing generated
 	ex.ObserveDomainRep(0, 0, 2)
 	ex.ObserveDomainRep(6, 0, 0) // a graph of at most 64 vertices
-	ex.ObserveEnumerate(2, 5, 0, 7, 11)
-	ex.ObserveEnumerate(0, 0, 13, 1, 0)
+	ex.ObserveEnumerate(2, 5, 4, 0, 7, 11)
+	ex.ObserveEnumerate(0, 0, 6, 13, 1, 0)
 
 	s := ex.Snapshot()
 	if s.Prefilter == nil || s.Prefilter.Graphs != 3 || s.Prefilter.Pruned != 1 {
@@ -104,9 +104,9 @@ func TestExplainDensityPrefilterDomainEnumerate(t *testing.T) {
 		t.Fatalf("domain rep = %+v, want words=6 bits=3 chains=3", s.DomainRep)
 	}
 	e := s.Enumerate
-	if e == nil || e.Enumerations != 2 || e.Jumps != 2 || e.Redos != 5 ||
+	if e == nil || e.Enumerations != 2 || e.Jumps != 2 || e.Redos != 5 || e.Pruned != 10 ||
 		e.WordIntersections != 13 || e.ProbeIntersections != 8 || e.MergeIntersections != 11 {
-		t.Fatalf("enumerate = %+v, want 2 runs jumps=2 redos=5 word=13 probe=8 merge=11", e)
+		t.Fatalf("enumerate = %+v, want 2 runs jumps=2 redos=5 pruned=10 word=13 probe=8 merge=11", e)
 	}
 
 	// Counts-only stages report no density.
@@ -124,7 +124,7 @@ func TestExplainWriteTextNewSections(t *testing.T) {
 	ex.ObservePrefilter(false)
 	ex.ObserveStageDense(StageCFLTopDown, []int{25, 75}, 1000)
 	ex.ObserveDomainRep(7, 4, 2)
-	ex.ObserveEnumerate(3, 9, 55, 100, 40)
+	ex.ObserveEnumerate(3, 9, 6, 55, 100, 40)
 
 	var b strings.Builder
 	ex.Snapshot().WriteText(&b)
@@ -134,7 +134,7 @@ func TestExplainWriteTextNewSections(t *testing.T) {
 		"density",
 		"0.0500", // (25+75)/2 / 1000
 		"domain representation: 7 query vertices on words, 4 on bit rows, 2 on chains",
-		"enumeration: 1 runs, 3 backjumps of 9 dead ends, 55 word / 100 probe / 40 merge intersections",
+		"enumeration: 1 runs, 3 backjumps of 9 dead ends, 6 look-ahead skips, 55 word / 100 probe / 40 merge intersections",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("WriteText output missing %q:\n%s", want, out)

@@ -88,4 +88,7 @@ go run ./benchmark -workload aids-index-append -trace 1 -seconds 2
 echo "== the same on the cached workload (the only one that runs the result cache)"
 go run ./benchmark -workload aids-default-hot -trace 1 -seconds 2
 
+echo "== the same on the enumeration workload (its premise: enumeration >= 50 % of the layers' time; replay and engine take equal steps)"
+go run ./benchmark -workload syn-enum -trace 1 -seconds 2
+
 echo "ok"
