@@ -165,7 +165,7 @@ func run(opts runOptions) error {
 				status = " TIMEOUT"
 			}
 			// The fingerprint lets a slow line here be matched against
-			// /debug/top, sqtop and BENCH_*.json shape breakdowns.
+			// /debug/top, the wide-event export and BENCH_*.json shape breakdowns.
 			fmt.Fprintf(out, "query %3d: fp=%s |C|=%d |A|=%d filter=%v verify=%v%s\n",
 				i, res.Fingerprint, res.Candidates, len(res.Answers),
 				res.FilterTime.Round(time.Microsecond), res.VerifyTime.Round(time.Microsecond), status)

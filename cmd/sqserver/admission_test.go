@@ -225,6 +225,9 @@ func admissionServer(t *testing.T, maxQueue int, wait time.Duration) *server {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fixed Retry-After keeps the header assertions exact; the jitter
+	// band is pinned by TestAdmissionVerdicts/retry-after-jitter-band.
+	srv.adm.jitter = 0
 	return srv
 }
 

@@ -40,7 +40,7 @@ func BenchmarkServe(b *testing.B) {
 	// What main passes when no flag is given, less the cache.
 	defaults := serverConfig{
 		slowThreshold: 100 * time.Millisecond,
-		maxInflight:   4, maxQueue: 64, queueWait: time.Second, retryJitter: 2,
+		maxInflight:   4, maxQueue: 64, queueWait: time.Second,
 		exportSample: 0.01,
 	}
 	bare, withCache := defaults, defaults

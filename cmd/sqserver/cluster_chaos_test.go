@@ -60,7 +60,6 @@ func TestChaosClusterShardKillStorm(t *testing.T) {
 		maxInflight:   4,
 		maxQueue:      8,
 		queueWait:     100 * time.Millisecond,
-		retryJitter:   2,
 	}, nil)
 	if err != nil {
 		t.Fatal(err)

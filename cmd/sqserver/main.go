@@ -28,7 +28,7 @@
 //	GET  /debug/inflight the queries executing right now, oldest first,
 //	               each with phase, graphs done/total, candidates, answers,
 //	               enumeration steps and memory high-water mark;
-//	               ?format=text renders the table `sqwatch` shows
+//	               ?format=text renders an aligned table
 //	POST /debug/inflight/{id}/cancel  deliver cooperative cancellation to
 //	               one live query; its own client gets a cancelled result
 //	GET  /healthz  readiness probe: 200 "ok", or 503 "shedding" while
@@ -38,26 +38,27 @@
 // of it: fingerprinted into the heavy-hitter profile behind /debug/top and,
 // with -export, streamed as one wide event to an NDJSON file or HTTP
 // collector, tail-sampled (anything but a clean, complete answer is always
-// exported, healthy queries at -export-sample; `sqtop` renders either).
+// exported, healthy queries at -export-sample). DESIGN.md §Live inspection
+// has the curl, watch and jq recipes that read these views.
 //
 // Admission control bounds executing queries (-max-inflight) with a bounded
 // wait queue (-max-queue, -queue-wait) and sheds the excess with 429 +
-// Retry-After, widened by 0..-retry-jitter seconds so a shed herd does not
-// return in one spike. Budgets (-budget, -mem-budget) cancel cooperatively
+// Retry-After, widened by 0..2 seconds so a shed herd does not return in
+// one spike. Budgets (-budget, -mem-budget) cancel cooperatively
 // inside the engines; an engine panic becomes a structured error response.
 //
 // With -shards N the engine runs behind a scatter-gather coordinator over N
 // rendezvous-hash partitions (-shard-replicas): per-shard failures are
-// retried, hedged against replicas after an adaptive p99 delay
-// (-hedge-after), and finally degraded into a partial result with
+// retried, hedged against replicas after an adaptive p99 delay, and
+// finally degraded into a partial result with
 // "degraded":true and KindShard graph errors naming the lost partition.
 //
 // Every executing query holds a handle in the in-flight registry
-// (/debug/inflight, `sqwatch`). A watchdog scans it every -watchdog-interval
+// (/debug/inflight). A watchdog scans it every -watchdog-interval
 // and flags queries older than 5 × the rolling p99 latency (never before
 // -watchdog-floor): one stack dump in the log, one always-exported wide
-// event, one /debug/events entry. SIGINT/SIGTERM drains: up to -drain-wait
-// for in-flight queries, then they are cancelled through the registry and
+// event, one /debug/events entry. SIGINT/SIGTERM drains: up to 30s for
+// in-flight queries, then they are cancelled through the registry and
 // unwind with cancelled results. -debug-addr serves net/http/pprof on its
 // own listener, off the public address on purpose.
 //
@@ -65,13 +66,12 @@
 //
 //	sqserver -db db.graph [-addr :8080] [-engine CFQL] [-cache 64]
 //	         [-shards 4] [-shard-replicas 2]
-//	         [-shard-concurrency 0] [-hedge-after 0]
 //	         [-budget 10m] [-mem-budget 268435456]
-//	         [-max-inflight 16] [-max-queue 64] [-queue-wait 1s] [-retry-jitter 2]
+//	         [-max-inflight 16] [-max-queue 64] [-queue-wait 1s]
 //	         [-slowlog-threshold 100ms]
 //	         [-export events.ndjson] [-export-sample 0.01]
 //	         [-watchdog-interval 2s] [-watchdog-floor 5s]
-//	         [-drain-wait 30s] [-debug-addr :6060] [-log-json]
+//	         [-debug-addr :6060]
 package main
 
 import (
@@ -102,12 +102,6 @@ func main() {
 		"partition the database across N engine shards behind a scatter-gather coordinator (0 = single engine)")
 	shardReplicas := flag.Int("shard-replicas", 1,
 		"replicas per shard; hedged duplicate requests need >= 2")
-	shardConcurrency := flag.Int("shard-concurrency", 0,
-		"max concurrent queries executing inside one shard (0 = unbounded)")
-	hedgeAfter := flag.Duration("hedge-after", 0,
-		"hedged-request delay (0 = adaptive per-shard p99, negative disables hedging)")
-	retryJitter := flag.Int("retry-jitter", 2,
-		"widen the 429 Retry-After hint by a uniform 0..N seconds (0 = deterministic)")
 	budget := flag.Duration("budget", 0, "per-query budget (0 = none)")
 	memBudget := flag.Int64("mem-budget", 0,
 		"per-query candidate-structure memory budget in bytes (0 = none)")
@@ -127,17 +121,10 @@ func main() {
 		"stuck-query watchdog scan period (0 selects 2s, negative disables); a query is stuck past 5x the rolling p99")
 	wdFloor := flag.Duration("watchdog-floor", 0,
 		"minimum age before the watchdog flags any query (0 selects 5s)")
-	drainWait := flag.Duration("drain-wait", 30*time.Second,
-		"graceful-shutdown drain deadline; queries still running after it are cancelled")
 	debugAddr := flag.String("debug-addr", "", "pprof debug listen address (empty disables)")
-	logJSON := flag.Bool("log-json", false, "emit logs as JSON instead of text")
 	flag.Parse()
 
-	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	}
-	logger := slog.New(handler)
+	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	f, err := os.Open(*dbPath)
 	if err != nil {
@@ -160,11 +147,9 @@ func main() {
 		// The coordinator owns one engine instance per shard replica; the
 		// factory re-resolves the already-validated engine name.
 		coord, cerr := cluster.New(cluster.Config{
-			Shards:           *shards,
-			Replicas:         *shardReplicas,
-			BaseName:         engine.Name(),
-			ShardConcurrency: *shardConcurrency,
-			HedgeAfter:       *hedgeAfter,
+			Shards:   *shards,
+			Replicas: *shardReplicas,
+			BaseName: engine.Name(),
 			Factory: func() core.Engine {
 				e, ferr := bench.NewEngine(*engineName)
 				if ferr != nil {
@@ -193,7 +178,6 @@ func main() {
 		maxInflight:      inflight,
 		maxQueue:         *maxQueue,
 		queueWait:        *queueWait,
-		retryJitter:      *retryJitter,
 		slowThreshold:    *slowThreshold,
 		exportDest:       *exportDest,
 		exportSample:     *exportSample,
@@ -240,10 +224,14 @@ func main() {
 	case <-ctx.Done():
 		stop()
 		logger.Info("shutting down, draining in-flight queries")
-		shutdown(hs, srv, *drainWait, 5*time.Second, logger)
+		shutdown(hs, srv, drainWait, 5*time.Second, logger)
 		logger.Info("bye")
 	}
 }
+
+// drainWait is how long shutdown lets in-flight queries finish on their
+// own before cancelling them.
+const drainWait = 30 * time.Second
 
 // shutdown drains the server gracefully, in stages: Shutdown waits up to
 // the drain deadline for in-flight requests to finish on their own; any
@@ -274,14 +262,19 @@ func shutdown(hs *http.Server, srv *server, drain, grace time.Duration, logger *
 // serveDebug exposes net/http/pprof on its own mux and address, so
 // profiling never rides on the public listener.
 func serveDebug(addr string, logger *slog.Logger) {
+	logger.Info("debug server listening", "addr", addr)
+	if err := http.ListenAndServe(addr, debugMux()); err != nil {
+		logger.Error("debug server failed", "err", err)
+	}
+}
+
+// debugMux routes the net/http/pprof handlers.
+func debugMux() *http.ServeMux {
 	m := http.NewServeMux()
 	m.HandleFunc("/debug/pprof/", pprof.Index)
 	m.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	m.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	m.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	m.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	logger.Info("debug server listening", "addr", addr)
-	if err := http.ListenAndServe(addr, m); err != nil {
-		logger.Error("debug server failed", "err", err)
-	}
+	return m
 }

@@ -113,9 +113,6 @@ type serverConfig struct {
 	maxInflight int
 	maxQueue    int
 	queueWait   time.Duration
-	// retryJitter widens the Retry-After hint on shed responses by a
-	// uniform 0..retryJitter seconds, de-synchronizing client retries.
-	retryJitter int
 	// exportDest is the wide-event NDJSON destination, a file path or an
 	// http(s):// URL (empty disables export); exportSample is the fraction
 	// of healthy queries exported (anomalous ones always are).
@@ -140,6 +137,9 @@ const (
 	eventsRingSize = 128
 	// defaultTopK is the row count of GET /debug/top without ?k=N.
 	defaultTopK = 20
+	// retryJitterSecs widens the Retry-After hint on shed responses by a
+	// uniform 0..retryJitterSecs seconds, de-synchronizing client retries.
+	retryJitterSecs = 2
 	// maxBodyBytes bounds a POST /query or POST /graphs body; one graph in
 	// the text format is a few KiB.
 	maxBodyBytes = 1 << 20
@@ -171,7 +171,7 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 		log:      logger,
 		start:    time.Now(),
 		reg:      obs.NewRegistry(),
-		adm:      newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, cfg.retryJitter),
+		adm:      newAdmission(cfg.maxInflight, cfg.maxQueue, cfg.queueWait, retryJitterSecs),
 		cluster:  coord,
 		cache:    cache,
 		profile:  telemetry.NewProfile(0),
@@ -503,8 +503,8 @@ func (s *server) bounce(w http.ResponseWriter, rec *queryRecord, av admitVerdict
 
 // handleTop serves the workload profile: the top-K query shapes by count,
 // each with its space-saving error bound, failure tallies and latency
-// quantiles. ?k=N overrides the row count; ?format=text renders the
-// aligned table sqtop shows.
+// quantiles. ?k=N overrides the row count; ?format=text renders an
+// aligned table.
 func (s *server) handleTop(w http.ResponseWriter, r *http.Request) {
 	k := defaultTopK
 	if v := r.URL.Query().Get("k"); v != "" {
@@ -535,7 +535,7 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 
 // handleInflight lists the queries executing right now, oldest first —
 // the answer to "what is this server doing at this moment". JSON by
-// default; ?format=text renders the aligned table sqwatch shows.
+// default; ?format=text renders an aligned table.
 func (s *server) handleInflight(w http.ResponseWriter, r *http.Request) {
 	snaps := s.live.Snapshot()
 	if r.URL.Query().Get("format") == "text" {
@@ -553,8 +553,9 @@ func (s *server) handleInflight(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleInflightCancel delivers cooperative cancellation to one live
-// query by handle id: the engine observes the closed channel at its next
-// budget checkpoint and returns a cancelled result to its own client.
+// query by handle id: it cancels the query's context, which the engine
+// observes at its next budget checkpoint, and the query returns a
+// cancelled result to its own client.
 // 404 when the id is not live (already finished, or never existed).
 func (s *server) handleInflightCancel(w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseUint(r.PathValue("id"), 10, 64)
@@ -710,9 +711,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		"counters":   snap.Counters,
 		"gauges":     snap.Gauges,
 		"histograms": snap.Histograms,
-		// The workload's top shapes, inlined so one scrape answers "what is
-		// running and is it healthy" (full detail at /debug/top).
-		"workload_top": s.profile.Snapshot(5).Top,
 	})
 }
 

@@ -821,3 +821,18 @@ func TestHealthz(t *testing.T) {
 		t.Errorf("healthz status %d", resp.StatusCode)
 	}
 }
+
+// TestDebugMuxServesPprof: the -debug-addr listener serves the pprof
+// handlers, and the public handler does not.
+func TestDebugMuxServesPprof(t *testing.T) {
+	w := httptest.NewRecorder()
+	debugMux().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
+	if w.Code != http.StatusOK || w.Body.Len() == 0 {
+		t.Fatalf("/debug/pprof/cmdline on the debug mux: status %d, %d bytes", w.Code, w.Body.Len())
+	}
+	w = httptest.NewRecorder()
+	testServer(t).handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/debug/pprof/cmdline", nil))
+	if w.Code != http.StatusNotFound {
+		t.Fatalf("/debug/pprof/cmdline on the public handler: status %d, want 404", w.Code)
+	}
+}

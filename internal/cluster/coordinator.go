@@ -73,9 +73,6 @@ type Config struct {
 	// BaseName overrides the engine name used in Name() ("<base>-x<N>");
 	// default is the name of a Factory-built instance.
 	BaseName string
-	// ShardConcurrency bounds simultaneous Query calls per shard replica
-	// (its admission semaphore); <= 0 = unlimited.
-	ShardConcurrency int
 	// RetryBase and RetryCap shape the decorrelated-jitter backoff
 	// between rounds: sleep ~ Uniform(base, 3*prev), capped
 	// (defaults 2ms / 200ms).
@@ -197,7 +194,7 @@ func (c *Coordinator) Build(db *graph.Database, opts core.BuildOptions) error {
 	for s := range replicas {
 		replicas[s] = make([]*Shard, c.cfg.Replicas)
 		for r := range replicas[s] {
-			sh, err := NewShard(s, c.cfg.Factory(), db, partitions[s], c.cfg.ShardConcurrency, opts)
+			sh, err := NewShard(s, c.cfg.Factory(), db, partitions[s], opts)
 			if err != nil {
 				return fmt.Errorf("cluster: build shard %d replica %d: %w", s, r, err)
 			}

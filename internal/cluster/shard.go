@@ -10,23 +10,18 @@ import (
 // Shard hosts one partition of the database behind its own engine
 // instance. The engine sees a compact sub-database (local ids 0..k-1);
 // the shard owns the mapping back to global graph ids and rewrites every
-// id-bearing Result field before the coordinator merges. Each shard also
-// carries its own admission semaphore so a storm of fan-outs cannot
-// oversubscribe one shard's engine while the others idle — per-shard
-// concurrency is the unit the serving tier reasons about.
+// id-bearing Result field before the coordinator merges.
 type Shard struct {
 	id      int
 	engine  core.Engine
-	globals []int         // ascending global graph ids; globals[local] = global
-	sem     chan struct{} // admission tokens; nil = unlimited
+	globals []int // ascending global graph ids; globals[local] = global
 }
 
 // NewShard builds the shard's sub-database from the partition's global
 // ids (must be ascending, as groupByShard produces) and hands it to the
-// engine's Build. concurrency bounds simultaneous Query calls on this
-// shard (<= 0 means unlimited).
+// engine's Build.
 func NewShard(id int, eng core.Engine, db *graph.Database, globals []int,
-	concurrency int, opts core.BuildOptions) (*Shard, error) {
+	opts core.BuildOptions) (*Shard, error) {
 	sub := make([]*graph.Graph, len(globals))
 	for local, global := range globals {
 		sub[local] = db.Graph(global)
@@ -34,11 +29,7 @@ func NewShard(id int, eng core.Engine, db *graph.Database, globals []int,
 	if err := eng.Build(graph.NewDatabase(sub), opts); err != nil {
 		return nil, err
 	}
-	s := &Shard{id: id, engine: eng, globals: globals}
-	if concurrency > 0 {
-		s.sem = make(chan struct{}, concurrency)
-	}
-	return s, nil
+	return &Shard{id: id, engine: eng, globals: globals}, nil
 }
 
 // ID returns the shard's index in the cluster.
@@ -54,26 +45,9 @@ func (s *Shard) Len() int { return len(s.globals) }
 // IndexMemory returns the shard engine's index footprint.
 func (s *Shard) IndexMemory() int64 { return s.engine.IndexMemory() }
 
-// Query runs the query on the shard's engine under its admission
-// semaphore and rewrites the result into global graph ids. The semaphore
-// wait respects the query's context: a waiter whose context ends returns
-// a stopped result (Result.NoteStop) without ever entering the engine, so
-// hedged losers queued behind a busy shard release immediately.
+// Query runs the query on the shard's engine and rewrites the result into
+// global graph ids.
 func (s *Shard) Query(q *graph.Graph, opts core.QueryOptions) *core.Result {
-	if s.sem != nil {
-		var done <-chan struct{}
-		if opts.Context != nil {
-			done = opts.Context.Done()
-		}
-		select {
-		case s.sem <- struct{}{}:
-			defer func() { <-s.sem }()
-		case <-done:
-			res := &core.Result{}
-			res.NoteStop(opts.Context)
-			return res
-		}
-	}
 	res := s.engine.Query(q, opts)
 	s.rewrite(res)
 	return res

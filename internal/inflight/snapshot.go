@@ -8,7 +8,7 @@ import (
 )
 
 // HandleSnapshot is a point-in-time, JSON-marshalable view of one live
-// query — the row GET /debug/inflight returns and sqwatch renders.
+// query — the row GET /debug/inflight returns.
 type HandleSnapshot struct {
 	// ID is the registry-unique handle id, the argument of
 	// POST /debug/inflight/{id}/cancel.
@@ -96,7 +96,7 @@ func (r *Registry) visit(fn func(h *Handle)) {
 }
 
 // WriteTable renders snapshots as the aligned text table behind
-// GET /debug/inflight?format=text and the sqwatch display.
+// GET /debug/inflight?format=text.
 func WriteTable(w io.Writer, snaps []HandleSnapshot) {
 	fmt.Fprintf(w, "%-5s %-16s %-14s %-13s %9s %13s %6s %5s %12s %10s %s\n",
 		"ID", "FINGERPRINT", "ENGINE", "PHASE", "AGE", "GRAPHS", "CAND", "ANS", "STEPS", "AUX", "FLAGS")

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"math/bits"
 	"sync/atomic"
 	"time"
@@ -79,10 +80,13 @@ func (h *Histogram) Mean() time.Duration {
 	return time.Duration(uint64(h.sum.Load()) / n)
 }
 
-// Quantile estimates the p-quantile (p in [0,1]) by linear interpolation
-// within the containing bucket — the standard bucketed-histogram estimate,
-// accurate to the bucket's resolution (a factor of 2 here). Returns 0 when
-// the histogram is empty.
+// Quantile estimates the p-quantile (p in [0,1]) as the observation of
+// nearest rank r = ⌈p·n⌉, placed by linear interpolation within its bucket:
+// the k-th of the bucket's c observations sits at (k − ½)/c of the way
+// from its lower to its upper bound. The estimate is accurate to the
+// bucket's resolution (a factor of 2 here), and the slowest observation
+// counts once p·n passes n−1, so p99 of fewer than 100 samples is the
+// maximum's bucket. Returns 0 when the histogram is empty.
 func (h *Histogram) Quantile(p float64) time.Duration {
 	p = min(max(p, 0), 1)
 	// Load a consistent-enough view: counts may advance during the walk;
@@ -96,7 +100,8 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 	if total == 0 {
 		return 0
 	}
-	target := min(max(uint64(p*float64(total)), 1), total)
+	// The epsilon keeps a product like 0.7·10 = 7.000000000000001 at rank 7.
+	target := min(max(uint64(math.Ceil(p*float64(total)-1e-9)), 1), total)
 	var cum uint64
 	for i, c := range counts {
 		if c == 0 {
@@ -108,7 +113,7 @@ func (h *Histogram) Quantile(p float64) time.Duration {
 				lo = BucketBound(i - 1)
 			}
 			hi := BucketBound(i)
-			frac := float64(target-cum) / float64(c)
+			frac := (float64(target-cum) - 0.5) / float64(c)
 			return lo + time.Duration(frac*float64(hi-lo))
 		}
 		cum += c

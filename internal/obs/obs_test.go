@@ -79,6 +79,55 @@ func TestHistogramRecordAndQuantiles(t *testing.T) {
 	}
 }
 
+// TestHistogramQuantileSmallSamples: with few samples the quantile is the
+// sample of nearest rank ⌈p·n⌉, so the median of three is the middle one
+// and p99 of fewer than 100 is the slowest; and a rank sits inside its
+// bucket, never on the bucket's upper bound.
+func TestHistogramQuantileSmallSamples(t *testing.T) {
+	h := NewHistogram()
+	for _, us := range []time.Duration{3, 100, 900} {
+		h.Record(us * time.Microsecond)
+	}
+	if p50 := h.Quantile(0.50); p50 <= 64*time.Microsecond || p50 > 128*time.Microsecond {
+		t.Errorf("p50 of {3, 100, 900}µs = %v, want within (64µs, 128µs]", p50)
+	}
+	if p99 := h.Quantile(0.99); p99 <= 512*time.Microsecond || p99 > 1024*time.Microsecond {
+		t.Errorf("p99 of {3, 100, 900}µs = %v, want within (512µs, 1024µs]", p99)
+	}
+
+	// The shape a live /debug/top showed with p50 48µs and p99 64µs.
+	h = NewHistogram()
+	for _, us := range []time.Duration{577, 46, 51} {
+		h.Record(us * time.Microsecond)
+	}
+	if p99 := h.Quantile(0.99); p99 <= 512*time.Microsecond {
+		t.Errorf("p99 of {577, 46, 51}µs = %v, want above 512µs", p99)
+	}
+
+	// One sample: every quantile is the middle of its bucket.
+	h = NewHistogram()
+	h.Record(5 * time.Millisecond)
+	i := bucketIndex(5 * time.Millisecond)
+	mid := (BucketBound(i-1) + BucketBound(i)) / 2
+	for _, p := range []float64{0, 0.5, 1} {
+		if got := h.Quantile(p); got != mid {
+			t.Errorf("Quantile(%v) of one 5ms sample = %v, want %v (middle of its bucket)", p, got, mid)
+		}
+	}
+
+	// Ten samples, p = 0.7: rank 7 exactly, although 0.7·10 rounds up.
+	h = NewHistogram()
+	for i := 0; i < 7; i++ {
+		h.Record(3 * time.Microsecond)
+	}
+	for i := 0; i < 3; i++ {
+		h.Record(900 * time.Microsecond)
+	}
+	if p70 := h.Quantile(0.7); p70 > 4*time.Microsecond {
+		t.Errorf("p70 = %v, want the 7th sample's bucket (2µs, 4µs]", p70)
+	}
+}
+
 // TestConcurrentInstruments exercises counters, gauges and histograms
 // from many goroutines; run under -race this validates the lock-free
 // recording paths.

@@ -96,7 +96,7 @@ func NewExporter(dest string, cfg ExportConfig) (*Exporter, error) {
 		return nil, nil
 	}
 	if strings.HasPrefix(dest, "http://") || strings.HasPrefix(dest, "https://") {
-		return newExporter(&httpSink{url: dest, client: http.DefaultClient}, cfg), nil
+		return newExporter(&httpSink{url: dest, client: &http.Client{Timeout: exportTimeout}}, cfg), nil
 	}
 	f, err := os.OpenFile(dest, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -289,8 +289,14 @@ type httpSink struct {
 	lines  int
 }
 
-// httpBatchLines bounds a POST body; a flush is forced when reached.
-const httpBatchLines = 256
+const (
+	// httpBatchLines bounds a POST body; a flush is forced when reached.
+	httpBatchLines = 256
+	// exportTimeout bounds one POST. Anomalous events wait for ring space,
+	// and the server emits them on its request goroutines, so a collector
+	// that never answers must cost a lost batch, not a hung server.
+	exportTimeout = 2 * time.Second
+)
 
 func (s *httpSink) write(line []byte) error {
 	s.batch.Write(line)

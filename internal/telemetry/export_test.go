@@ -260,3 +260,41 @@ func TestExporterHTTPSinkErrorCounted(t *testing.T) {
 		t.Fatalf("expected sink errors, stats = %+v", st)
 	}
 }
+
+// TestExporterHTTPSinkHungCollector: a collector that accepts the
+// connection and never answers costs lost batches, counted, and does not
+// block Emit or Close for good. With a one-event ring the third anomalous
+// Emit waits for the writer, which waits for the first POST; each POST
+// gives up after exportTimeout, so three events cost at most three.
+func TestExporterHTTPSinkHungCollector(t *testing.T) {
+	t.Parallel()
+	release := make(chan struct{})
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		select {
+		case <-release:
+		case <-r.Context().Done():
+		}
+	}))
+	defer srv.Close()
+	defer close(release)
+	x, err := NewExporter(srv.URL, ExportConfig{Buffer: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 3; i++ {
+			x.Emit(Event{Fingerprint: Fingerprint(i + 1), Error: true})
+		}
+		x.Close()
+	}()
+	select {
+	case <-done:
+	case <-time.After(15 * time.Second):
+		t.Fatal("three anomalous Emits and Close still blocked after 15s")
+	}
+	if st := x.Stats(); st.SinkErrors == 0 {
+		t.Fatalf("expected sink errors, stats = %+v", st)
+	}
+}

@@ -6,9 +6,9 @@ import (
 )
 
 // WriteTop renders a profile snapshot as an aligned text table — the
-// ?format=text body of /debug/top and the output of sqtop. One row per
-// shape: fingerprint, shape, count (±error bound), latency quantiles, and
-// the failure tallies that make a shape worth investigating.
+// ?format=text body of /debug/top. One row per shape: fingerprint, shape,
+// count (±error bound), latency quantiles, and the failure tallies that
+// make a shape worth investigating.
 func WriteTop(w io.Writer, snap ProfileSnapshot) error {
 	if _, err := fmt.Fprintf(w, "workload profile: %d shapes tracked (capacity %d), %d queries seen, %d evictions\n",
 		snap.Tracked, snap.Capacity, snap.Seen, snap.Evictions); err != nil {
