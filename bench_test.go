@@ -525,7 +525,8 @@ func zipfBlock(queries, size int, s, v float64) []int {
 // cache, after one warm-up pass of the block, since the server cycles it.
 // Every repeat is a freshly renumbered copy, as a re-parsed request
 // would be. ns/query is the figure to compare; the cached row's shares say
-// how its queries were answered: exact hits, verified pools, full scans.
+// how its queries were answered — exact hits, verified pools, full scans —
+// and its time shares where its time went.
 func BenchmarkCachedZipf(b *testing.B) {
 	queries := aidsQueries(b, 50)
 	r := rand.New(rand.NewSource(1))
@@ -550,12 +551,14 @@ func BenchmarkCachedZipf(b *testing.B) {
 			for _, q := range block {
 				e.Query(q, core.QueryOptions{})
 			}
-			outcomes := map[string]int{}
+			outcomes, spent := map[string]int{}, map[string]time.Duration{}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				total := 0
 				for _, q := range block {
+					t0 := time.Now()
 					res := e.Query(q, core.QueryOptions{})
+					spent[res.Cache] += time.Since(t0)
 					total += len(res.Answers)
 					outcomes[res.Cache]++
 				}
@@ -570,9 +573,14 @@ func BenchmarkCachedZipf(b *testing.B) {
 				if outcomes[core.CacheExact] == 0 {
 					b.Fatal("no exact hits on a Zipf block")
 				}
-				b.ReportMetric(float64(outcomes[core.CacheExact])/queriesRun, "exact_share")
-				b.ReportMetric(float64(outcomes[core.CacheSubgraph])/queriesRun, "subgraph_share")
-				b.ReportMetric(float64(outcomes[core.CacheMiss])/queriesRun, "miss_share")
+				var all time.Duration
+				for _, d := range spent {
+					all += d
+				}
+				for _, kind := range []string{core.CacheExact, core.CacheSubgraph, core.CacheMiss} {
+					b.ReportMetric(float64(outcomes[kind])/queriesRun, kind+"_share")
+					b.ReportMetric(float64(spent[kind])/float64(all), kind+"_time_share")
+				}
 			}
 		})
 	}

@@ -121,6 +121,9 @@ func (s *server) publish(w http.ResponseWriter, rec *queryRecord) {
 		case "":
 		case core.CacheMiss:
 			s.cacheMiss.Inc()
+		case core.CacheSubgraph:
+			s.cacheSub.Inc()
+			s.cacheHit.Inc()
 		default:
 			s.cacheHit.Inc()
 		}

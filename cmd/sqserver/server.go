@@ -52,7 +52,8 @@ type server struct {
 	rejected  *obs.Counter
 	timeouts  *obs.Counter
 	appends   *obs.Counter
-	cacheHit  *obs.Counter
+	cacheHit  *obs.Counter // exact and subgraph hits together
+	cacheSub  *obs.Counter // the subgraph hits among them
 	cacheMiss *obs.Counter
 	shed      *obs.Counter // requests bounced by admission control
 	// degradedShards counts shard partitions lost to a query response
@@ -188,6 +189,7 @@ func newServer(db *sq.Database, engine sq.Engine, cfg serverConfig, logger *slog
 	s.timeouts = s.reg.Counter("query_timeouts_total/" + en)
 	s.appends = s.reg.Counter("graph_appends_total")
 	s.cacheHit = s.reg.Counter("cache_hits_total")
+	s.cacheSub = s.reg.Counter("cache_subgraph_hits_total")
 	s.cacheMiss = s.reg.Counter("cache_misses_total")
 	s.shed = s.reg.Counter("queries_shed_total")
 	s.degradedShards = s.reg.Counter("shard_degraded_total")

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -421,6 +422,52 @@ func TestMetricsCacheAdmission(t *testing.T) {
 	}
 	if hits, misses := m.Counters["cache_hits_total"], m.Counters["cache_misses_total"]; hits+misses != 3 || hits < 1 {
 		t.Errorf("cache_hits_total %d, cache_misses_total %d, want three lookups with the repeat a hit", hits, misses)
+	}
+}
+
+// TestMetricsCacheSubgraphHits: /metrics counts the containment hits on
+// their own. A query, a supergraph of it (a containment hit) and the query
+// again (an exact hit) make one miss and two hits, one of them a subgraph
+// hit.
+func TestMetricsCacheSubgraphHits(t *testing.T) {
+	db, err := sq.GenerateSynthetic(sq.SyntheticConfig{NumGraphs: 15, NumVertices: 20, NumLabels: 3, Degree: 4, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := newServer(db, sq.NewCFQLEngine(), serverConfig{cacheEntries: 4}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	defer ts.Close()
+
+	base := testQuery(t, srv)
+	n := sq.VertexID(base.NumVertices())
+	super, err := sq.FromEdges(append(slices.Clone(base.Labels()), base.Label(0)),
+		append(base.Edges(), sq.Edge{U: 0, V: n})) // base plus a pendant vertex
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []*sq.Graph{base, super, base} {
+		resp, err := http.Post(ts.URL+"/query", "text/plain", strings.NewReader(graphText(t, q)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var m metricsResponse
+	if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+		t.Fatal(err)
+	}
+	hits, sub, misses := m.Counters["cache_hits_total"], m.Counters["cache_subgraph_hits_total"], m.Counters["cache_misses_total"]
+	if hits != 2 || sub != 1 || misses != 1 {
+		t.Errorf("cache_hits_total %d, cache_subgraph_hits_total %d, cache_misses_total %d; want 2, 1 and 1",
+			hits, sub, misses)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"subgraphquery/internal/budget"
@@ -231,8 +232,9 @@ func (rn *run) fold(gid int, out *outcome) {
 // arena per worker, and returns the reading at which the loop ended. With
 // workers <= 1 everything happens on the caller's goroutine in id order,
 // lock-free, and each graph starts at the reading the one before ended on;
-// otherwise a pool draws ids from a channel, a worker reads the clock when
-// it takes one, and the answers are sorted at the end.
+// otherwise a pool of workers claims chunks of consecutive positions from
+// an atomic cursor, a worker reads the clock for each graph it takes, and
+// the answers are sorted at the end.
 func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration {
 	at := func(i int) int {
 		if ids == nil {
@@ -251,18 +253,26 @@ func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration 
 		}
 		return out.at
 	}
+	if rn.stop(now) {
+		return now
+	}
 
-	var mu sync.Mutex // guards rn.res and rn.stopped
+	// A chunk is small enough that a short survivor list still reaches
+	// every worker and large enough that claiming it costs nothing beside
+	// its graphs; each graph then takes the run's mutex once, to fold.
+	chunk := max(1, min(64, n/(8*workers)))
+	var next atomic.Int64
+	var halt atomic.Bool // rn.stopped, for the workers to read unlocked
+	var mu sync.Mutex    // guards rn.res and rn.stopped
 	var wg sync.WaitGroup
-	jobs := make(chan int)
-	for w := 0; w < workers; w++ {
+	for range workers {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			defer func() {
 				// A panic that escaped the per-graph guard (e.g. in arena
-				// bookkeeping): record a query-level error and keep
-				// draining so the producer never blocks on a dead pool. A
+				// bookkeeping): record a query-level error and leave the
+				// rest of this worker's chunk; the other workers go on. A
 				// panic escaping the goroutine would kill the process, not
 				// just the query.
 				if v := recover(); v != nil {
@@ -272,48 +282,39 @@ func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration 
 						rn.res.Err = newPanicError(rn.name, -1, v)
 					}
 					mu.Unlock()
-					for range jobs {
-					}
 				}
 			}()
 			s := matching.AcquireScratch()
 			defer matching.ReleaseScratch(s)
 			var out outcome
-			for gid := range jobs {
-				out.at = rn.read()
-				if out.at > rn.limit {
-					mu.Lock()
-					rn.stop(out.at)
-					mu.Unlock()
-					continue // drain: the producer is about to notice
+			for {
+				lo := int(next.Add(int64(chunk))) - chunk
+				if lo >= n {
+					return
 				}
-				rn.guarded(gid, s, &out)
-				mu.Lock()
-				rn.fold(gid, &out)
-				mu.Unlock()
+				for i := lo; i < min(lo+chunk, n); i++ {
+					if halt.Load() {
+						return
+					}
+					if out.at = rn.read(); out.at > rn.limit || budget.Cancelled(rn.done) {
+						mu.Lock()
+						rn.stop(out.at)
+						mu.Unlock()
+						halt.Store(true)
+						return
+					}
+					gid := at(i)
+					rn.guarded(gid, s, &out)
+					mu.Lock()
+					rn.fold(gid, &out)
+					if rn.stopped {
+						halt.Store(true)
+					}
+					mu.Unlock()
+				}
 			}
 		}()
 	}
-	for i := 0; i < n; i++ {
-		// The deadline is the workers' to notice, on the reading they take
-		// with each job; now only covers one that had passed at the start.
-		mu.Lock()
-		stop := rn.stop(now)
-		mu.Unlock()
-		if stop {
-			break
-		}
-		select {
-		case jobs <- at(i):
-		case <-rn.done:
-			// Cancelled while every worker is busy: stop feeding the pool
-			// instead of blocking on the send forever. The stop check of
-			// the next iteration records the cancellation; without a
-			// context done is nil and never fires, so the select
-			// degenerates to the plain send.
-		}
-	}
-	close(jobs)
 	wg.Wait()
 	sort.Ints(rn.res.Answers)
 	return rn.read()

@@ -70,7 +70,8 @@ func UseBitsGenerate(scatterVol, nData int) bool {
 }
 
 // WordVertices is the largest vertex count one machine word covers;
-// graph.Builder keeps a neighbourhood word per vertex up to this size.
+// graph.Builder keeps a neighbourhood word per vertex, and the label and
+// degree words, up to this size.
 const WordVertices = 64
 
 // UseWords reports whether a query of nQuery vertices against a data graph

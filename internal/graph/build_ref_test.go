@@ -70,6 +70,22 @@ func buildRef(b *Builder) (*Graph, error) {
 			g.nbrWords[e.U] |= 1 << e.V
 			g.nbrWords[e.V] |= 1 << e.U
 		}
+		g.labelWords = make([]uint64, len(g.dir))
+		for i, r := range g.dir {
+			for v, l := range g.labels {
+				if l == r.label {
+					g.labelWords[i] |= 1 << v
+				}
+			}
+		}
+		g.degWords = make([]uint64, g.maxDegree)
+		for d := range g.degWords {
+			for v := range n {
+				if g.Degree(VertexID(v)) > d {
+					g.degWords[d] |= 1 << v
+				}
+			}
+		}
 	}
 	return g, nil
 }

@@ -99,11 +99,7 @@ func (b *Builder) Build() (*Graph, error) {
 	g.buildLabelDirectory(keys)
 	g.buildNbrMax(keys)
 	if n <= domain.WordVertices {
-		g.nbrWords = make([]uint64, n)
-		for _, e := range b.edges {
-			g.nbrWords[e.U] |= 1 << e.V
-			g.nbrWords[e.V] |= 1 << e.U
-		}
+		g.buildWords(b.edges)
 	}
 	debugCheckGraph(g) // sqdebug builds only; compiles away otherwise
 	return g, nil
@@ -132,6 +128,37 @@ func (g *Graph) buildLabelDirectory(buf []uint64) {
 		if i == 0 || k>>32 != keys[i-1]>>32 {
 			g.dir = append(g.dir, labelRun{label: Label(k >> 32), start: uint32(i)})
 		}
+	}
+}
+
+// buildWords lays out, in one allocation, the words of a graph of at most
+// domain.WordVertices vertices: a neighbourhood word per vertex, a word per
+// distinct label (in directory order) and a word per degree threshold
+// 1..maxDegree.
+func (g *Graph) buildWords(edges []Edge) {
+	n, nl := len(g.labels), len(g.dir)
+	words := make([]uint64, n+nl+int(g.maxDegree))
+	g.nbrWords, g.labelWords, g.degWords = words[:n:n], words[n:n+nl:n+nl], words[n+nl:]
+	for _, e := range edges {
+		g.nbrWords[e.U] |= 1 << e.V
+		g.nbrWords[e.V] |= 1 << e.U
+	}
+	for i := range g.dir {
+		var w uint64
+		for _, v := range g.runOf(i) {
+			w |= 1 << v
+		}
+		g.labelWords[i] = w
+	}
+	// Each vertex into the word of its exact degree, then every word takes
+	// in the one above it: degWords[d-1] holds the degrees d and up.
+	for v := range n {
+		if d := g.offsets[v+1] - g.offsets[v]; d > 0 {
+			g.degWords[d-1] |= 1 << v
+		}
+	}
+	for d := len(g.degWords) - 2; d >= 0; d-- {
+		g.degWords[d] |= g.degWords[d+1]
 	}
 }
 

@@ -10,6 +10,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 )
 
@@ -48,9 +49,11 @@ type Graph struct {
 	dir     []labelRun
 	byLabel []VertexID
 
-	// nbrWords[v] has bit w set iff (v, w) is an edge: one neighbourhood
-	// word per vertex, nil past domain.WordVertices vertices.
-	nbrWords []uint64
+	// Words over V, nil past domain.WordVertices vertices, in one
+	// allocation: nbrWords[v] has bit w set iff (v, w) is an edge;
+	// labelWords[i] holds the vertices of label dir[i].label; degWords[d-1]
+	// the vertices of degree at least d, for d = 1..maxDegree.
+	nbrWords, labelWords, degWords []uint64
 }
 
 type labelRun struct {
@@ -137,21 +140,84 @@ func (g *Graph) VerticesWithLabel(dst []VertexID, l Label) []VertexID {
 // is the index that turns every "scan V(G) for label L(u)" loop in the
 // filters into an O(|candidates|) walk.
 func (g *Graph) LabeledVertices(l Label) []VertexID {
-	lo := sort.Search(len(g.dir), func(i int) bool { return g.dir[i].label >= l })
-	if lo == len(g.dir) || g.dir[lo].label != l {
+	i := g.labelRun(l)
+	if i < 0 {
 		return nil
 	}
+	return g.runOf(i)
+}
+
+// runOf returns the vertices of the i-th label of the directory.
+func (g *Graph) runOf(i int) []VertexID {
 	end := len(g.byLabel)
-	if lo+1 < len(g.dir) {
-		end = int(g.dir[lo+1].start)
+	if i+1 < len(g.dir) {
+		end = int(g.dir[i+1].start)
 	}
-	return g.byLabel[g.dir[lo].start:end:end]
+	return g.byLabel[g.dir[i].start:end:end]
+}
+
+// labelRun returns the index of label l in the directory, -1 if no vertex
+// carries it.
+func (g *Graph) labelRun(l Label) int {
+	lo, hi := 0, len(g.dir)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if g.dir[mid].label < l {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo == len(g.dir) || g.dir[lo].label != l {
+		return -1
+	}
+	return lo
 }
 
 // NeighborWords returns one adjacency word per vertex — bit w of word v iff
 // (v, w) is an edge — or nil when g has more than domain.WordVertices
 // vertices. Callers must not modify it.
 func (g *Graph) NeighborWords() []uint64 { return g.nbrWords }
+
+// ClassWord returns the vertices labeled l of degree at least d as a word,
+// bit v for vertex v: one label word met with one degree word. Zero for a
+// label g lacks, for a degree above MaxDegree, and on a graph without
+// NeighborWords.
+func (g *Graph) ClassWord(l Label, d int) uint64 {
+	i := g.labelRun(l)
+	if i < 0 || i >= len(g.labelWords) || d > len(g.degWords) {
+		return 0
+	}
+	w := g.labelWords[i]
+	if d > 0 {
+		w &= g.degWords[d-1]
+	}
+	return w
+}
+
+// SubsumingWord returns the members of set, a word over V on a graph with
+// NeighborWords, whose neighborhood label frequency profile subsumes q:
+// SubsumesProfile on words, each (label, count) run of q one AND of a
+// member's neighbourhood word with the label's word and a popcount.
+func (g *Graph) SubsumingWord(set uint64, q NLF) uint64 {
+	for j, l := range q.labels {
+		if set == 0 {
+			break
+		}
+		i := g.labelRun(l)
+		if i < 0 || i >= len(g.labelWords) {
+			return 0
+		}
+		lw, need := g.labelWords[i], int(q.counts[j])
+		for x := set; x != 0; x &= x - 1 {
+			v := bits.TrailingZeros64(x)
+			if bits.OnesCount64(g.nbrWords[v]&lw) < need {
+				set &^= 1 << v
+			}
+		}
+	}
+	return set
+}
 
 // SubsumesProfile reports whether vertex v's neighborhood label frequency
 // profile subsumes q — v has at least q.counts[j] neighbors of label
@@ -179,11 +245,13 @@ func (g *Graph) SubsumesProfile(v VertexID, q NLF) bool {
 // arrays of g — the "Datasets" storage cost the paper reports: a label
 // array, an offset array and an edge array — plus what is built alongside:
 // the O(distinct label pairs) prefilter table, the label directory with its
-// by-label vertex array, and the neighbourhood words of a small graph.
+// by-label vertex array, and the neighbourhood, label and degree words of a
+// small graph.
 func (g *Graph) MemoryFootprint() int64 {
 	return int64(len(g.labels))*4 + int64(len(g.offsets))*4 + int64(len(g.adj))*4 +
 		int64(len(g.nbrMaxKeys))*8 + int64(len(g.nbrMaxVals))*4 +
-		int64(len(g.dir))*8 + int64(len(g.byLabel))*4 + int64(len(g.nbrWords))*8
+		int64(len(g.dir))*8 + int64(len(g.byLabel))*4 +
+		int64(len(g.nbrWords)+len(g.labelWords)+len(g.degWords))*8
 }
 
 // String returns a short diagnostic description of g.

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"cmp"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"sort"
@@ -443,9 +444,10 @@ func TestDatabaseStats(t *testing.T) {
 func TestMemoryFootprint(t *testing.T) {
 	// 5 vertices, 5 edges, 6 distinct ordered label pairs around edges
 	// (A-B, A-C, B-A, B-C, C-A, C-B) in the prefilter table; 3 labels in the
-	// directory over 5 by-label vertex ids; 5 neighbourhood words.
+	// directory over 5 by-label vertex ids; 5 neighbourhood words, 3 label
+	// words and 3 degree words (the largest degree is 3).
 	g := fig1Data()
-	want := int64(5*4+6*4+10*4) + int64(6*8+6*4) + int64(3*8+5*4) + int64(5*8)
+	want := int64(5*4+6*4+10*4) + int64(6*8+6*4) + int64(3*8+5*4) + int64((5+3+3)*8)
 	if got := g.MemoryFootprint(); got != want {
 		t.Errorf("MemoryFootprint = %d, want %d", got, want)
 	}
@@ -522,6 +524,70 @@ func TestNeighborWords(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestClassWord checks ClassWord against a scan of the labels and degrees at
+// the cut-off sizes, for every label present and absent and every degree
+// from 0 to past MaxDegree; past the cut-off it is zero.
+func TestClassWord(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for _, n := range []int{1, 63, 64, 65} {
+		g := randomGraph(r, n, 2*n, 4)
+		words := n <= 64
+		for l := Label(0); l <= 5; l++ {
+			for d := 0; d <= g.MaxDegree()+1; d++ {
+				var want uint64
+				for _, v := range g.LabeledVertices(l) {
+					if words && g.Degree(v) >= d {
+						want |= 1 << v
+					}
+				}
+				if got := g.ClassWord(l, d); got != want {
+					t.Fatalf("|V| = %d: ClassWord(%d, %d) = %#x, want %#x", n, l, d, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestSubsumingWord checks SubsumingWord against SubsumesProfile per
+// member on random word-sized graphs: the profile of every vertex of the
+// graph and of a query with a label the graph lacks, each against a random
+// subset of the graph's vertices.
+func TestSubsumingWord(t *testing.T) {
+	r := rand.New(rand.NewSource(6))
+	kept, dropped := 0, 0
+	for _, n := range []int{1, 20, 64} {
+		g := randomGraph(r, n, 3*n, 3)
+		q := randomGraph(r, 8, 20, 4) // label 3 is absent from g
+		var profs []NLF
+		for v := 0; v < n; v++ {
+			profs = append(profs, NLFOf(g, VertexID(v)))
+		}
+		for v := 0; v < q.NumVertices(); v++ {
+			profs = append(profs, NLFOf(q, VertexID(v)))
+		}
+		for _, prof := range profs {
+			set := r.Uint64() | 1
+			if n < 64 {
+				set &= 1<<n - 1
+			}
+			var want uint64
+			for v := 0; v < n; v++ {
+				if set>>v&1 == 1 && g.SubsumesProfile(VertexID(v), prof) {
+					want |= 1 << v
+				}
+			}
+			if got := g.SubsumingWord(set, prof); got != want {
+				t.Fatalf("|V| = %d: SubsumingWord(%#x) = %#x, SubsumesProfile per member %#x", n, set, got, want)
+			}
+			kept += bits.OnesCount64(want)
+			dropped += bits.OnesCount64(set &^ want)
+		}
+	}
+	if kept == 0 || dropped == 0 {
+		t.Fatalf("%d members kept and %d dropped; want both", kept, dropped)
 	}
 }
 

@@ -165,16 +165,21 @@ func debugCheckLabelVertices(g *Graph) {
 	}
 }
 
-// debugCheckNeighborWords validates the neighbourhood words against the
-// CSR: one per vertex up to domain.WordVertices vertices and none beyond,
-// word v holding exactly the neighbors of v.
+// debugCheckNeighborWords validates the words against the CSR and the label
+// array: up to domain.WordVertices vertices one neighbourhood word per
+// vertex holding exactly its neighbors, one label word per directory entry
+// holding exactly that label's vertices, and one degree word per threshold
+// 1..maxDegree holding exactly the vertices of at least that degree; none
+// beyond the cut-off.
 func debugCheckNeighborWords(g *Graph) {
-	want := 0
-	if g.NumVertices() <= domain.WordVertices {
-		want = g.NumVertices()
+	n := g.NumVertices()
+	wantNbr, wantLabel, wantDeg := 0, 0, 0
+	if n <= domain.WordVertices {
+		wantNbr, wantLabel, wantDeg = n, len(g.dir), int(g.maxDegree)
 	}
-	if len(g.nbrWords) != want {
-		debugFailf("%d neighbourhood words for %d vertices, want %d", len(g.nbrWords), g.NumVertices(), want)
+	if len(g.nbrWords) != wantNbr || len(g.labelWords) != wantLabel || len(g.degWords) != wantDeg {
+		debugFailf("%d neighbourhood, %d label and %d degree words for %d vertices, want %d, %d and %d",
+			len(g.nbrWords), len(g.labelWords), len(g.degWords), n, wantNbr, wantLabel, wantDeg)
 	}
 	for v, word := range g.nbrWords {
 		var adj uint64
@@ -183,6 +188,28 @@ func debugCheckNeighborWords(g *Graph) {
 		}
 		if word != adj {
 			debugFailf("neighbourhood word of %d is %#x, adjacency gives %#x", v, word, adj)
+		}
+	}
+	for i, word := range g.labelWords {
+		var want uint64
+		for v, l := range g.labels {
+			if l == g.dir[i].label {
+				want |= 1 << v
+			}
+		}
+		if word != want {
+			debugFailf("label word of label %d is %#x, the labels give %#x", g.dir[i].label, word, want)
+		}
+	}
+	for i, word := range g.degWords {
+		var want uint64
+		for v := range n {
+			if g.Degree(VertexID(v)) > i {
+				want |= 1 << v
+			}
+		}
+		if word != want {
+			debugFailf("degree word for degree %d is %#x, the offsets give %#x", i+1, word, want)
 		}
 	}
 }

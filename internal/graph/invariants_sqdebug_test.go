@@ -83,6 +83,18 @@ func TestDebugCheckGraphWrongNeighborWord(t *testing.T) {
 	mustPanicWith(t, "neighbourhood word", func() { debugCheckGraph(g) })
 }
 
+func TestDebugCheckGraphWrongLabelWord(t *testing.T) {
+	g := debugTestGraph(t)
+	g.labelWords[0] ^= 1 << 1 // vertex 1 gains or loses label dir[0]
+	mustPanicWith(t, "label word", func() { debugCheckGraph(g) })
+}
+
+func TestDebugCheckGraphWrongDegreeWord(t *testing.T) {
+	g := debugTestGraph(t)
+	g.degWords[2] |= 1 << 4 // vertex 4, of degree 2, at degree 3
+	mustPanicWith(t, "degree word", func() { debugCheckGraph(g) })
+}
+
 func TestDebugCheckGraphAsymmetricEdge(t *testing.T) {
 	// Path 0-1-2 with uniform labels; retargeting the arc 0 -> 1 to 0 -> 2
 	// keeps the list sorted and label-consistent, but vertex 2 does not

@@ -2,6 +2,7 @@ package matching
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"subgraphquery/internal/domain"
@@ -301,21 +302,28 @@ func cflFilter(q, g *graph.Graph, bottomUp bool, opts FilterOptions) *Candidates
 // selection rule. Vertices of one (label, degree) class score the same, so
 // each class of q's plan is scored once — s.classCount keeps the qualified
 // counts and s.classMask the qualified vertices as a word (the word
-// kernels' label-and-degree mask; meaningless past 64 data vertices).
-// Classes are in order of their lowest member, so a tie stays with the
-// lowest vertex id, as in a scan over the vertices in id order.
+// kernels' label-and-degree mask; zero past 64 data vertices). Up to 64
+// data vertices a class is one Graph.ClassWord and a popcount; past that,
+// a scan of the label's vertices counts it. Classes are in order of their
+// lowest member, so a tie stays with the lowest vertex id, as in a scan
+// over the vertices in id order.
 func cflRoot(q, g *graph.Graph, s *Scratch) graph.VertexID {
 	classes := s.planFor(q).classes
 	s.classCount = scratch.Grow(s.classCount, len(classes))
 	s.classMask = scratch.Grow(s.classMask, len(classes))
+	words := g.NeighborWords() != nil
 	best := graph.VertexID(0)
 	bestScore := -1.0
 	for ci, c := range classes {
 		cnt, mask := 0, uint64(0)
-		for _, vv := range g.LabeledVertices(c.label) {
-			if g.Degree(vv) >= c.degree {
-				cnt++
-				mask |= bit(vv)
+		if words {
+			mask = g.ClassWord(c.label, c.degree)
+			cnt = bits.OnesCount64(mask)
+		} else {
+			for _, vv := range g.LabeledVertices(c.label) {
+				if g.Degree(vv) >= c.degree {
+					cnt++
+				}
 			}
 		}
 		s.classCount[ci] = cnt

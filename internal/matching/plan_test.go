@@ -2,9 +2,11 @@ package matching
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"subgraphquery/internal/domain"
 	"subgraphquery/internal/gen"
 	"subgraphquery/internal/graph"
 )
@@ -94,6 +96,96 @@ func TestPlanAgreesWithBruteForce(t *testing.T) {
 	}
 	if rejected == 0 || passed == 0 {
 		t.Fatalf("prefilter rejected %d and passed %d pairs; the corpora must exercise both", rejected, passed)
+	}
+}
+
+// cflRootScan is cflRoot before the class words: every class of q's plan
+// counted, and up to 64 data vertices masked, by a scan of its label's
+// vertices. The word root is tested equal to it.
+func cflRootScan(q, g *graph.Graph) (root graph.VertexID, counts []int, masks []uint64) {
+	best := -1.0
+	for _, c := range NewScratch().planFor(q).classes {
+		cnt, mask := 0, uint64(0)
+		for _, v := range g.LabeledVertices(c.label) {
+			if g.Degree(v) >= c.degree {
+				cnt++
+				if g.NumVertices() <= domain.WordVertices {
+					mask |= bit(v)
+				}
+			}
+		}
+		counts, masks = append(counts, cnt), append(masks, mask)
+		if score := float64(cnt) / float64(max(c.degree, 1)); best < 0 || score < best {
+			root, best = c.rep, score
+		}
+	}
+	return root, counts, masks
+}
+
+// TestClassWordsAgreeWithScan: cflRoot's root, class counts and class
+// masks — one ClassWord and a popcount per class up to 64 data vertices —
+// equal the scan's, over the gen corpora (every query against every graph
+// of both databases, and against each graph padded past the cut-off) and at
+// the edges: graphs of 1, 63, 64 and 65 vertices, query vertices of degree
+// 0, labels the graph lacks and degrees above its MaxDegree.
+func TestClassWordsAgreeWithScan(t *testing.T) {
+	dbs, queries := genCorpora(t)
+	var graphs []*graph.Graph
+	for _, db := range dbs {
+		for gid := 0; gid < db.Len(); gid += 3 {
+			graphs = append(graphs, db.Graph(gid), padded(t, db.Graph(gid), domain.WordVertices+1))
+		}
+	}
+	const absent = graph.Label(1 << 30) // on no graph of either kind
+	r := rand.New(rand.NewSource(64))
+	for _, n := range []int{1, 63, 64, 65} {
+		g := hubRing(n)
+		graphs = append(graphs, g)
+		star := []graph.Label{2} // a centre of degree MaxDegree+1
+		var spokes []graph.Edge
+		for i := 0; i <= g.MaxDegree(); i++ {
+			star = append(star, graph.Label(i%3))
+			spokes = append(spokes, graph.Edge{U: 0, V: graph.VertexID(i + 1)})
+		}
+		queries = append(queries,
+			graph.MustFromEdges([]graph.Label{g.Label(0)}, nil),                                             // one vertex of degree 0
+			graph.MustFromEdges([]graph.Label{0, 1, absent}, []graph.Edge{{U: 0, V: 1}}),                    // degree 0, on an absent label
+			graph.MustFromEdges([]graph.Label{absent, 0, absent}, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}}), // absent labels around a present one
+			graph.MustFromEdges(star, spokes))
+		if n > 1 {
+			queries = append(queries, randomQueryFrom(r, g, 4), randomQueryFrom(r, g, 9))
+		}
+	}
+	s := NewScratch()
+	checked, words, zeroDeg, lacked, tooHigh := 0, 0, 0, 0, 0
+	for qi, q := range queries {
+		for gi, g := range graphs {
+			wantRoot, wantCounts, wantMasks := cflRootScan(q, g)
+			root := cflRoot(q, g, s)
+			if root != wantRoot || !slices.Equal(s.classCount, wantCounts) || !slices.Equal(s.classMask, wantMasks) {
+				t.Fatalf("q%d g%d (|V| = %d): root %d, counts %v, masks %#x; the scan gives %d, %v, %#x",
+					qi, gi, g.NumVertices(), root, s.classCount, s.classMask, wantRoot, wantCounts, wantMasks)
+			}
+			checked++
+			if g.NeighborWords() == nil {
+				continue
+			}
+			words++
+			for _, c := range s.plan.classes {
+				switch {
+				case c.degree == 0:
+					zeroDeg++
+				case g.LabelFrequency(c.label) == 0:
+					lacked++
+				case c.degree > g.MaxDegree():
+					tooHigh++
+				}
+			}
+		}
+	}
+	if words == checked || words == 0 || zeroDeg == 0 || lacked == 0 || tooHigh == 0 {
+		t.Fatalf("%d pairs, %d on words; %d degree-0, %d absent-label and %d above-MaxDegree classes on words; want each kind",
+			checked, words, zeroDeg, lacked, tooHigh)
 	}
 }
 

@@ -43,11 +43,7 @@ func cflWords(q, g *graph.Graph, bottomUp bool, opts *FilterOptions, s *Scratch,
 		}
 		w := s.classMask[s.plan.classOf[u]]
 		if i == 0 { // the root: its neighborhood-label-frequency profile on top
-			for x := w; x != 0; x &= x - 1 {
-				if v := graph.VertexID(bits.TrailingZeros64(x)); !g.SubsumesProfile(v, s.plan.profs[u]) {
-					w &^= bit(v)
-				}
-			}
+			w = g.SubsumingWord(w, s.plan.profs[u])
 		}
 		for _, up := range q.Neighbors(u) {
 			if s.pos[up] < i {

@@ -405,7 +405,8 @@ func pdbsCorpus(t testing.TB) corpus {
 }
 
 // BenchmarkSmallGraphKernels names the layer a change to the small-graph
-// kernels moved: the CFL filter (ns/graph over every query × graph pair)
+// kernels moved: CFL's root selection and the whole CFL filter (ns/graph
+// over every query × graph pair)
 // and the first-match search (over the pairs that pass the filter,
 // candidates and order prepared outside the timer), each on the word path
 // and — the same graphs padded to 65 vertices — on the list path, over
@@ -430,6 +431,18 @@ func BenchmarkSmallGraphKernels(b *testing.B) {
 				}
 			}
 			if path != "list" {
+				b.Run(fmt.Sprintf("Root/%s/%s", path, name), func(b *testing.B) {
+					s := NewScratch()
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						for _, q := range c.queries {
+							for _, g := range graphs {
+								cflRoot(q, g, s)
+							}
+						}
+					}
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(c.queries)*len(graphs)), "ns/graph")
+				})
 				b.Run(fmt.Sprintf("Filter/%s/%s", path, name), func(b *testing.B) {
 					s := NewScratch()
 					b.ReportAllocs()

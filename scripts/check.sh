@@ -66,7 +66,10 @@ go test -run '^$' -bench 'CachedZipf' -benchtime 1x .
 echo "== budgeted-query bench smoke (bare CFQL with and without a deadline context, equal answers)"
 go test -run '^$' -bench 'BudgetedQuery' -benchtime 1x .
 
-echo "== small-graph kernel bench smoke (filter and search, word path vs the same graphs padded onto the list path)"
+echo "== worker-pool bench smoke (sequential CFQL and the six-worker pool on two cores)"
+go test -run '^$' -bench 'Ablation_ParallelVcFV' -benchtime 1x -cpu 2 .
+
+echo "== small-graph kernel bench smoke (root, filter and search, word path vs the same graphs padded onto the list path)"
 go test -run '^$' -bench 'SmallGraphKernels' -benchtime 1x ./internal/matching
 
 echo "== path-trie and reader bench smoke (GGSX build on 1 and 2 workers, probe and append on 4 000 AIDS graphs; parsing them, allocs/graph)"
