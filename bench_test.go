@@ -9,6 +9,7 @@ package subgraphquery_test
 import (
 	"cmp"
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -520,13 +521,16 @@ func zipfBlock(queries, size int, s, v float64) []int {
 // BenchmarkCachedZipf is the repeat-heavy traffic the result cache exists
 // for, under the pressure the served aids-default-hot workload puts on it:
 // a largest-remainder Zipf(s=1.3, v=4) block of 400 over a shuffled ranking
-// of 400 Q4-Q32 sparse and dense queries (145 distinct, over twice the 64
-// slots), in shuffled order, through bare CFQL and through the default
-// cache, after one warm-up pass of the block, since the server cycles it.
-// Every repeat is a freshly renumbered copy, as a re-parsed request
-// would be. ns/query is the figure to compare; the cached row's shares say
-// how its queries were answered — exact hits, verified pools, full scans —
-// and its time shares where its time went.
+// of 400 Q4-Q32 sparse and dense queries (145 distinct), in shuffled
+// order, through bare CFQL, through a 64-entry cache (under half the
+// distinct queries: the old default) and through a cache of
+// core.DefaultCacheEntries, after one warm-up pass of the block, since the
+// server cycles it. Each position of the block holds its own renumbered
+// copy of its query, so a repeat at another position is a renumbered twin
+// and one at the same position an identically numbered resend. ns/query
+// is the figure to compare; the cached rows' shares say how their queries
+// were answered — exact hits, verified pools, full scans — and their time
+// shares where their time went.
 func BenchmarkCachedZipf(b *testing.B) {
 	queries := aidsQueries(b, 50)
 	r := rand.New(rand.NewSource(1))
@@ -538,11 +542,15 @@ func BenchmarkCachedZipf(b *testing.B) {
 		block[i] = gen.Renumber(queries[k], r)
 	}
 	want := 0 // answers summed over one block: the same through either engine
-	for _, name := range []string{"Plain", "Cached"} {
+	for _, capacity := range []int{0, 64, core.DefaultCacheEntries} {
+		name := "Plain"
+		if capacity > 0 {
+			name = fmt.Sprintf("Cached%d", capacity)
+		}
 		b.Run(name, func(b *testing.B) {
 			var e core.Engine = core.NewCFQL()
-			if name == "Cached" {
-				e = core.NewCached(e, 0)
+			if capacity > 0 {
+				e = core.NewCached(e, capacity)
 			}
 			if err := e.Build(fixAIDS, core.BuildOptions{}); err != nil {
 				b.Fatal(err)
@@ -569,7 +577,7 @@ func BenchmarkCachedZipf(b *testing.B) {
 			}
 			queriesRun := float64(b.N * len(block))
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/queriesRun, "ns/query")
-			if name == "Cached" {
+			if capacity > 0 {
 				if outcomes[core.CacheExact] == 0 {
 					b.Fatal("no exact hits on a Zipf block")
 				}

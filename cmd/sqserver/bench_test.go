@@ -9,6 +9,7 @@ import (
 	"time"
 
 	sq "subgraphquery"
+	"subgraphquery/internal/core"
 	"subgraphquery/internal/gen"
 )
 
@@ -45,7 +46,7 @@ func BenchmarkServe(b *testing.B) {
 	}
 	bare, withCache := defaults, defaults
 	bare.slowThreshold, bare.budget = -1, 5*time.Second
-	withCache.cacheEntries = 64
+	withCache.cacheEntries = core.DefaultCacheEntries
 	for _, c := range []struct {
 		name string
 		cfg  serverConfig

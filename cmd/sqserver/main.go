@@ -64,7 +64,7 @@
 //
 // Usage:
 //
-//	sqserver -db db.graph [-addr :8080] [-engine CFQL] [-cache 64]
+//	sqserver -db db.graph [-addr :8080] [-engine CFQL] [-cache 256]
 //	         [-shards 4] [-shard-replicas 2]
 //	         [-budget 10m] [-mem-budget 268435456]
 //	         [-max-inflight 16] [-max-queue 64] [-queue-wait 1s]
@@ -96,7 +96,7 @@ func main() {
 	dbPath := flag.String("db", "db.graph", "database file")
 	addr := flag.String("addr", ":8080", "listen address")
 	engineName := flag.String("engine", "CFQL", "query engine")
-	cache := flag.Int("cache", 64,
+	cache := flag.Int("cache", core.DefaultCacheEntries,
 		"result cache entries (0 disables); a full cache stores a new answer set only for a query asked for more often than its least-recently-used entry")
 	shards := flag.Int("shards", 0,
 		"partition the database across N engine shards behind a scatter-gather coordinator (0 = single engine)")

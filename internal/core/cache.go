@@ -33,7 +33,8 @@ const (
 //   - exact hit: a cached query isomorphic to q has A(q) itself. Entries
 //     are keyed by the query's WL fingerprint, which is invariant under
 //     vertex renumbering; a key match is confirmed by equal |V|, equal
-//     |E| and one embedding of the entry into q. An edge-preserving
+//     |E| and either an identical numbering (compared array by array, no
+//     search) or one embedding of the entry into q. An edge-preserving
 //     injection between graphs with the same number of vertices and edges
 //     is a bijection on both, hence an isomorphism — so a fingerprint
 //     collision can cost a wasted test but never a wrong answer set. The
@@ -121,11 +122,18 @@ const probeSteps = 1 << 16
 // half a point of each other on BenchmarkCachedZipf.
 const agingPeriod = 16
 
+// DefaultCacheEntries is the result cache's capacity when none is given:
+// NewCached's fallback and sqserver's -cache default. It holds all 145
+// distinct queries of aids-default-hot's Zipf block; at 64 entries one
+// query in five of that stream was not an exact hit (DESIGN.md, "Result
+// cache").
+const DefaultCacheEntries = 256
+
 // NewCached wraps inner with a result cache of the given capacity
-// (0 selects 64 entries).
+// (0 selects DefaultCacheEntries).
 func NewCached(inner Engine, capacity int) *Cached {
 	if capacity <= 0 {
-		capacity = 64
+		capacity = DefaultCacheEntries
 	}
 	return &Cached{
 		inner: inner,
@@ -300,10 +308,12 @@ func lookup(q *graph.Graph, v cacheView, s *matching.Scratch) cacheHit {
 }
 
 // isomorphic reports whether a and b are the same labeled graph up to
-// vertex renumbering: equal vertex and edge counts plus one embedding of a
-// into b.
+// vertex renumbering: equal vertex and edge counts plus either the same
+// numbering (a client resending its query text) or one embedding of a
+// into b (a renumbered twin).
 func isomorphic(a, b *graph.Graph, s *matching.Scratch) bool {
-	return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() && embeds(a, b, s)
+	return a.NumVertices() == b.NumVertices() && a.NumEdges() == b.NumEdges() &&
+		(a.Identical(b) || embeds(a, b, s))
 }
 
 // embeds reports whether small ⊆ big by one bounded first-embedding search

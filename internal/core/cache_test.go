@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand"
 	"sync"
 	"testing"
@@ -558,7 +559,7 @@ func TestCachedStorm(t *testing.T) {
 
 // TestCachedExactHitAllocs: an exact hit allocates the Result and the
 // copy of the answers, nothing that grows with the query, the cache or
-// the database.
+// the database — on both confirmation routes.
 func TestCachedExactHitAllocs(t *testing.T) {
 	if !allocCountsHold {
 		t.Skip("allocation counts are for production builds: off under -race and -tags sqdebug")
@@ -572,13 +573,71 @@ func TestCachedExactHitAllocs(t *testing.T) {
 		cached.Query(q, QueryOptions{})
 	}
 	twin := gen.Renumber(q, r)
-	if res := cached.Query(twin, QueryOptions{}); res.Cache != CacheExact || len(res.Answers) == 0 {
-		t.Fatalf("warm-up outcome %q with %d answers, want a non-empty exact hit", res.Cache, len(res.Answers))
+	if twin.Identical(q) {
+		t.Fatal("fixture: the renumbered twin kept the numbering")
 	}
-	allocs := testing.AllocsPerRun(100, func() {
-		cached.Query(twin, QueryOptions{})
-	})
-	if allocs > 2 {
-		t.Errorf("exact hit allocates %.0f objects per query, want at most 2", allocs)
+	for _, c := range []struct {
+		route string
+		q     *graph.Graph
+	}{{"identical numbering", reparsed(t, q)}, {"renumbered, searched", twin}} {
+		if res := cached.Query(c.q, QueryOptions{}); res.Cache != CacheExact || len(res.Answers) == 0 {
+			t.Fatalf("%s: warm-up outcome %q with %d answers, want a non-empty exact hit", c.route, res.Cache, len(res.Answers))
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			cached.Query(c.q, QueryOptions{})
+		})
+		if allocs > 2 {
+			t.Errorf("%s: exact hit allocates %.0f objects per query, want at most 2", c.route, allocs)
+		}
+	}
+}
+
+// reparsed returns q written out and read back: a new graph with q's
+// numbering, as a server builds from a resent request body.
+func reparsed(t *testing.T, q *graph.Graph) *graph.Graph {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := graph.WriteGraph(&buf, 0, q); err != nil {
+		t.Fatal(err)
+	}
+	g, err := graph.ReadGraph(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+// TestCachedExactHitRoutes: a resent query (parsed afresh, same numbering)
+// and a renumbered twin are both exact hits on the one stored entry with
+// its answers; the first is confirmed by comparing the two graphs, the
+// second by the embedding search, and neither takes a second slot.
+func TestCachedExactHitRoutes(t *testing.T) {
+	r := rand.New(rand.NewSource(479))
+	db := randomDB(r, 30, 10, 2)
+	cached := builtCached(t, db, 0)
+	q := walkQuery(r, db.Graph(0), 4)
+	want := trueAnswers(db, q)
+	if first := cached.Query(q, QueryOptions{}); first.Cache != CacheMiss || !equalInts(first.Answers, want) {
+		t.Fatalf("first query: outcome %q, answers %v, want a miss with %v", first.Cache, first.Answers, want)
+	}
+	again := reparsed(t, q)
+	if again == q || !again.Identical(q) {
+		t.Fatal("fixture: the re-parsed query is not a new, identically numbered graph")
+	}
+	twin := gen.Renumber(q, r)
+	for twin.Identical(q) {
+		twin = gen.Renumber(q, r)
+	}
+	for _, c := range []struct {
+		route string
+		q     *graph.Graph
+	}{{"re-parsed", again}, {"renumbered twin", twin}} {
+		got := cached.Query(c.q, QueryOptions{})
+		if got.Cache != CacheExact || !equalInts(got.Answers, want) {
+			t.Errorf("%s: outcome %q, answers %v, want an exact hit with %v", c.route, got.Cache, got.Answers, want)
+		}
+	}
+	if n := cachedLen(cached); n != 1 {
+		t.Errorf("cache holds %d entries, want the one query", n)
 	}
 }

@@ -232,27 +232,36 @@ func (rn *run) fold(gid int, out *outcome) {
 // arena per worker, and returns the reading at which the loop ended. With
 // workers <= 1 everything happens on the caller's goroutine in id order,
 // lock-free, and each graph starts at the reading the one before ended on;
-// otherwise a pool of workers claims chunks of consecutive positions from
-// an atomic cursor, a worker reads the clock for each graph it takes, and
-// the answers are sorted at the end.
+// otherwise the graphs go to a pool (see pool).
 func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration {
-	at := func(i int) int {
-		if ids == nil {
-			return i
-		}
-		return ids[i]
+	if workers > 1 {
+		return rn.pool(ids, n, workers, now)
 	}
-	if workers <= 1 {
-		s := matching.AcquireScratch()
-		defer matching.ReleaseScratch(s)
-		out := outcome{at: now}
-		for i := 0; i < n && !rn.stop(out.at); i++ {
-			gid := at(i)
-			rn.guarded(gid, s, &out)
-			rn.fold(gid, &out)
-		}
-		return out.at
+	s := matching.AcquireScratch()
+	defer matching.ReleaseScratch(s)
+	out := outcome{at: now}
+	for i := 0; i < n && !rn.stop(out.at); i++ {
+		gid := nth(ids, i)
+		rn.guarded(gid, s, &out)
+		rn.fold(gid, &out)
 	}
+	return out.at
+}
+
+// nth is the graph id at position i of each's input: ids[i], or i itself
+// when ids is nil. A function rather than a closure in each, so that the
+// sequential path allocates nothing the pool's goroutines would capture.
+func nth(ids []int, i int) int {
+	if ids == nil {
+		return i
+	}
+	return ids[i]
+}
+
+// pool is each on workers goroutines: they claim chunks of consecutive
+// positions from an atomic cursor, a worker reads the clock for each graph
+// it takes, and the answers are sorted at the end.
+func (rn *run) pool(ids []int, n, workers int, now time.Duration) time.Duration {
 	if rn.stop(now) {
 		return now
 	}
@@ -303,7 +312,7 @@ func (rn *run) each(ids []int, n, workers int, now time.Duration) time.Duration 
 						halt.Store(true)
 						return
 					}
-					gid := at(i)
+					gid := nth(ids, i)
 					rn.guarded(gid, s, &out)
 					mu.Lock()
 					rn.fold(gid, &out)

@@ -11,6 +11,7 @@ package graph
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sort"
 )
 
@@ -241,14 +242,26 @@ func (g *Graph) SubsumesProfile(v VertexID, q NLF) bool {
 	return true
 }
 
+// Identical reports whether g and h are the same labeled graph under the
+// same vertex numbering: equal labels, offsets and adjacency arrays. Every
+// other array of a Graph is built from those three, so they decide it. A
+// renumbered copy of g is not identical to it. The offsets of an empty
+// graph say nothing (the zero value has none, a built one a single 0).
+func (g *Graph) Identical(h *Graph) bool {
+	return slices.Equal(g.labels, h.labels) && slices.Equal(g.adj, h.adj) &&
+		(len(g.labels) == 0 || slices.Equal(g.offsets, h.offsets))
+}
+
 // MemoryFootprint returns the approximate number of bytes held by the CSR
 // arrays of g — the "Datasets" storage cost the paper reports: a label
 // array, an offset array and an edge array — plus what is built alongside:
-// the O(distinct label pairs) prefilter table, the label directory with its
-// by-label vertex array, and the neighbourhood, label and degree words of a
-// small graph.
+// the per-vertex label-run index of the neighbour lists, the O(distinct
+// label pairs) prefilter table, the label directory with its by-label
+// vertex array, and the neighbourhood, label and degree words of a small
+// graph.
 func (g *Graph) MemoryFootprint() int64 {
 	return int64(len(g.labels))*4 + int64(len(g.offsets))*4 + int64(len(g.adj))*4 +
+		int64(len(g.nlStart))*4 + int64(len(g.nlLabels))*4 + int64(len(g.nlEnds))*4 +
 		int64(len(g.nbrMaxKeys))*8 + int64(len(g.nbrMaxVals))*4 +
 		int64(len(g.dir))*8 + int64(len(g.byLabel))*4 +
 		int64(len(g.nbrWords)+len(g.labelWords)+len(g.degWords))*8

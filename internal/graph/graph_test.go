@@ -442,24 +442,62 @@ func TestDatabaseStats(t *testing.T) {
 }
 
 func TestMemoryFootprint(t *testing.T) {
-	// 5 vertices, 5 edges, 6 distinct ordered label pairs around edges
-	// (A-B, A-C, B-A, B-C, C-A, C-B) in the prefilter table; 3 labels in the
-	// directory over 5 by-label vertex ids; 5 neighbourhood words, 3 label
-	// words and 3 degree words (the largest degree is 3).
+	// 5 vertices, 5 edges, 8 neighbour-label runs (2+2+2+1+1: vertex 1's
+	// neighbours 0 and 4 share label A) with 6 run starts, 6 distinct
+	// ordered label pairs around edges (A-B, A-C, B-A, B-C, C-A, C-B) in the
+	// prefilter table; 3 labels in the directory over 5 by-label vertex
+	// ids; 5 neighbourhood words, 3 label words and 3 degree words (the
+	// largest degree is 3).
 	g := fig1Data()
-	want := int64(5*4+6*4+10*4) + int64(6*8+6*4) + int64(3*8+5*4) + int64((5+3+3)*8)
+	want := int64(5*4+6*4+10*4) + int64(6*4+8*4+8*4) + int64(6*8+6*4) + int64(3*8+5*4) + int64((5+3+3)*8)
 	if got := g.MemoryFootprint(); got != want {
 		t.Errorf("MemoryFootprint = %d, want %d", got, want)
 	}
 
 	// Past the cut-off the words go: 65 isolated vertices of one label cost
-	// labels, offsets, one directory entry and the by-label array.
+	// labels, offsets, the run starts (no runs), one directory entry and the
+	// by-label array.
 	big := MustFromEdges(make([]Label, 65), nil)
 	if big.NeighborWords() != nil {
 		t.Error("a 65-vertex graph keeps neighbourhood words")
 	}
-	if got, want := big.MemoryFootprint(), int64(65*4+66*4+1*8+65*4); got != want {
+	if got, want := big.MemoryFootprint(), int64(65*4+66*4+66*4+1*8+65*4); got != want {
 		t.Errorf("MemoryFootprint of 65 isolated vertices = %d, want %d", got, want)
+	}
+}
+
+// TestIdentical: the same graph built twice is identical; a relabelled
+// vertex, a renumbering (even one that keeps the label array), a moved
+// edge, and a rewiring that keeps every degree are not.
+func TestIdentical(t *testing.T) {
+	g := fig1Data()
+	for _, c := range []struct {
+		name string
+		h    *Graph
+		want bool
+	}{
+		{"itself", g, true},
+		{"rebuilt", fig1Data(), true},
+		{"relabelled", MustFromEdges([]Label{0, 1, 2, 1, 1}, g.Edges()), false},
+		// Vertices 0 and 4 (both label 0) trade numbers.
+		{"renumbered", MustFromEdges(g.Labels(), []Edge{{4, 1}, {4, 2}, {1, 2}, {2, 3}, {1, 0}}), false},
+		// Edge (2,3) becomes (2,4).
+		{"edge moved", MustFromEdges(g.Labels(), []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 4}, {1, 4}}), false},
+		// (2,3),(1,4) become (2,4),(1,3): same labels and offsets, other
+		// adjacency.
+		{"rewired", MustFromEdges(g.Labels(), []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 4}, {1, 3}}), false},
+		{"subgraph", MustFromEdges(g.Labels(), []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}), false},
+		{"empty", &Graph{}, false},
+	} {
+		if got := g.Identical(c.h); got != c.want {
+			t.Errorf("%s: Identical = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.h.Identical(g); got != c.want {
+			t.Errorf("%s: Identical reversed = %v, want %v", c.name, got, c.want)
+		}
+	}
+	if !(&Graph{}).Identical(MustFromEdges(nil, nil)) {
+		t.Error("two empty graphs are not identical")
 	}
 }
 

@@ -224,8 +224,8 @@ func NewFGIndexEngine() Engine { return core.NewFGIndex() }
 // NewCachedEngine wraps an engine with a subgraph-query result cache in
 // the spirit of GraphCache [33,34] (extension): answer sets of past
 // queries serve as candidate pools for new queries that contain them, and
-// confirm answers for new queries they contain. capacity 0 selects 64
-// entries.
+// confirm answers for new queries they contain. capacity 0 selects 256
+// entries, sqserver's -cache default.
 func NewCachedEngine(inner Engine, capacity int) Engine {
 	return core.NewCached(inner, capacity)
 }
